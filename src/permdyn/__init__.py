@@ -4,15 +4,14 @@ from ._kernels import available_backends, get_backend, set_backend
 from .context import (
     DEFAULT_GUARD,
     FieldCtx,
+    FrobeniusOrbits,
     conjugates,
     distinguished_root,
     element_degree,
     embed_poly,
     enumerate_Ck,
-    ext_inv,
-    ext_mul,
-    ext_pow,
     frobenius,
+    frobenius_orbits,
     make_field_ctx,
     minimal_poly,
     restrict_poly,
@@ -57,7 +56,7 @@ from .genirr import (
     iterate_generation,
     tau,
 )
-from .orders import OrderFactoring, fq_order, mult_order, norm_of, phi_q, poly_order, trace_of
+from .orders import fq_order, mult_order, norm_of, phi_q, poly_order, trace_of
 from .permgroup import (
     Matrix2,
     PermPoly,
@@ -77,14 +76,12 @@ from .permgroup import (
 from .polys import (
     Poly,
     compose,
-    compose_mod,
     count_irreducibles,
     enumerate_irreducibles,
     factor,
     first_irreducible,
     fold_mod,
     is_irreducible,
-    linearized_eval,
     poly_divmod,
     poly_gcd,
     powmod,

@@ -19,7 +19,7 @@ import numpy as np
 try:
     from numba import njit
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dep, but degrade anyway
+except ImportError:  # numba is an optional extra
     HAVE_NUMBA = False
 
     def njit(*args, **kwargs):

@@ -6,7 +6,7 @@ import math
 import re
 import sys
 
-from .context import make_field_ctx
+from .context import frobenius_orbits, make_field_ctx
 from .dynamics import (
     diamond,
     fixed_count_formula,
@@ -21,7 +21,7 @@ from .errors import GuardExceeded, InternalCheckError, MalformedInput, Precondit
 from .fields import GF
 from .genirr import bound_linearized, bound_monomial, iterate_generation, tau
 from .permgroup import Matrix2, certify_perm, moebius_poly_rep, realize_permutation
-from .polys import Poly, enumerate_irreducibles, first_irreducible, q_associate
+from .polys import Poly, first_irreducible, q_associate
 from .textio import parse_poly
 
 __all__ = ["CliConfig", "parse_perm_expr", "main"]
@@ -32,7 +32,7 @@ _MONOMIAL_RE = re.compile(r"^x(?:\^(\d+))?$")
 class CliConfig:
     """Validated global options shared by every subcommand."""
 
-    __slots__ = ("p", "m", "k", "modulus", "guard_override", "output", "seed")
+    __slots__ = ("p", "m", "k", "modulus", "guard_override", "output")
 
     def __init__(self, args):
         self.p = args.p
@@ -41,7 +41,6 @@ class CliConfig:
         self.modulus = args.modulus
         self.guard_override = args.guard_override
         self.output = args.output
-        self.seed = args.seed
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,7 +97,11 @@ def parse_perm_expr(ctx, expr):
     s = expr.strip()
     mono = _MONOMIAL_RE.match(s)
     if mono:
-        return certify_perm(ctx, Poly.one(ctx.Fq).shift(int(mono.group(1) or 1)))
+        # x^n and x^(1 + (n - 1) mod (Q - 1)) agree on F_{q^k}
+        n = int(mono.group(1) or 1)
+        if n >= 1:
+            n = 1 + (n - 1) % (ctx.Q - 1)
+        return certify_perm(ctx, Poly.one(ctx.Fq).shift(n))
     if s.startswith("L[") and s.endswith("]"):
         return certify_perm(ctx, q_associate(parse_poly(ctx.Fq, s[2:-1])))
     if s.startswith("M[") and s.endswith("]"):
@@ -111,21 +114,14 @@ def parse_perm_expr(ctx, expr):
 
 
 def _cmd_enumerate(cfg, args, ctx):
-    polys = enumerate_irreducibles(ctx.Fq, ctx.k)
+    polys = frobenius_orbits(ctx).polys
     if cfg.output == "json":
         return json.dumps([str(f) for f in polys])
     return "\n".join(str(f) for f in polys)
 
 
-def _cmd_star(cfg, args, ctx):
-    out = star(ctx, parse_perm_expr(ctx, args.perm), parse_poly(ctx.Fq, args.f))
-    if cfg.output == "json":
-        return json.dumps({"result": str(out)})
-    return str(out)
-
-
-def _cmd_diamond(cfg, args, ctx):
-    out = diamond(ctx, parse_perm_expr(ctx, args.perm), parse_poly(ctx.Fq, args.f))
+def _cmd_apply(cfg, args, ctx):
+    out = args.op(ctx, parse_perm_expr(ctx, args.perm), parse_poly(ctx.Fq, args.f))
     if cfg.output == "json":
         return json.dumps({"result": str(out)})
     return str(out)
@@ -175,6 +171,8 @@ def _cmd_spectrum(cfg, args, ctx):
 
 
 def _cmd_generate(cfg, args, ctx):
+    if args.max_steps is not None and args.max_steps < 0:
+        raise MalformedInput("--max-steps must be >= 0")
     P = parse_perm_expr(ctx, args.perm)
     f0 = parse_poly(ctx.Fq, args.seed_poly)
     report = iterate_generation(ctx, P, f0, max_steps=args.max_steps)
@@ -186,27 +184,22 @@ def _cmd_generate(cfg, args, ctx):
 
 
 def _sigma_indices(ctx, raw):
-    lex = {str(f): i for i, f in enumerate(enumerate_irreducibles(ctx.Fq, ctx.k))}
+    orbits = frobenius_orbits(ctx)
 
     def to_index(v):
         if isinstance(v, int):
             return v
-        key = str(parse_poly(ctx.Fq, str(v)))
-        if key not in lex:
-            raise PreconditionError("%s is not a monic irreducible of degree k" % key)
-        return lex[key]
+        return orbits.index(parse_poly(ctx.Fq, str(v)))
 
     if isinstance(raw, dict):
-        out = {}
-        for a, b in raw.items():
-            src = int(a) if a.lstrip("-").isdigit() else to_index(a)
-            out[src] = to_index(b)
-        return out
-    if isinstance(raw, list):
-        if raw and all(isinstance(v, list) and len(v) == 2 for v in raw):
-            return {to_index(a): to_index(b) for a, b in raw}
-        return [to_index(v) for v in raw]
-    raise MalformedInput("sigma file must hold a JSON object or array")
+        pairs = [(int(a) if a.lstrip("-").isdigit() else a, b) for a, b in raw.items()]
+    elif isinstance(raw, list) and raw and all(isinstance(v, list) and len(v) == 2 for v in raw):
+        pairs = raw
+    elif isinstance(raw, list):
+        pairs = enumerate(raw)
+    else:
+        raise MalformedInput("sigma file must hold a JSON object or array")
+    return [(to_index(a), to_index(b)) for a, b in pairs]
 
 
 def _cmd_realize(cfg, args, ctx):
@@ -253,58 +246,52 @@ def _build_parser():
                         help="replace the default q^k exhaustive-operation guard")
     common.add_argument("--output", choices=("text", "json", "dot"), default="text",
                         help="output format (default text)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="factorization seed; results are seed independent")
 
     parser = _Parser(prog="permdyn",
                      description="Dynamics of permutation polynomials on irreducible "
                                  "polynomials over finite fields.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("enumerate", parents=[common], help="list I_k in lex order")
-    sp.set_defaults(func=_cmd_enumerate, needs_ctx=True)
+    def add(name, text, func, needs_ctx=True):
+        # no prefix matching, so that --seed is not read as --seed-poly
+        sp = sub.add_parser(name, parents=[common], help=text, allow_abbrev=False)
+        sp.set_defaults(func=func, needs_ctx=needs_ctx)
+        return sp
 
-    sp = sub.add_parser("star", parents=[common], help="compute P*f")
-    sp.add_argument("--perm", required=True, help="x^N, L[POLY], M[a,b,c,d], or a polynomial")
-    sp.add_argument("--f", required=True, help="monic irreducible of degree k")
-    sp.set_defaults(func=_cmd_star, needs_ctx=True)
+    add("enumerate", "list I_k in lex order", _cmd_enumerate)
 
-    sp = sub.add_parser("diamond", parents=[common], help="compute the minimal polynomial of P(alpha)")
-    sp.add_argument("--perm", required=True, help="x^N, L[POLY], M[a,b,c,d], or a polynomial")
-    sp.add_argument("--f", required=True, help="monic irreducible of degree k")
-    sp.set_defaults(func=_cmd_diamond, needs_ctx=True)
+    for name, op, text in (("star", star, "compute P*f"),
+                           ("diamond", diamond, "compute the minimal polynomial of P(alpha)")):
+        sp = add(name, text, _cmd_apply)
+        sp.set_defaults(op=op)
+        sp.add_argument("--perm", required=True, help="x^N, L[POLY], M[a,b,c,d], or a polynomial")
+        sp.add_argument("--f", required=True, help="monic irreducible of degree k")
 
-    sp = sub.add_parser("fixed", parents=[common], help="fixed polynomials of the star action")
+    sp = add("fixed", "fixed polynomials of the star action", _cmd_fixed)
     sp.add_argument("--perm", required=True)
     sp.add_argument("--method", choices=("direct", "formula", "both"), default="both")
-    sp.set_defaults(func=_cmd_fixed, needs_ctx=True)
 
-    sp = sub.add_parser("graph", parents=[common], help="functional graph on C_k or I_k")
+    sp = add("graph", "functional graph on C_k or I_k", _cmd_graph)
     sp.add_argument("--perm", required=True)
     sp.add_argument("--on", choices=("ck", "ik"), required=True)
     sp.add_argument("--format", choices=("dot", "json"), default=None)
-    sp.set_defaults(func=_cmd_graph, needs_ctx=True)
 
-    sp = sub.add_parser("spectrum", parents=[common], help="cycle-length spectra on C_k and I_k")
+    sp = add("spectrum", "cycle-length spectra on C_k and I_k", _cmd_spectrum)
     sp.add_argument("--perm", required=True)
-    sp.set_defaults(func=_cmd_spectrum, needs_ctx=True)
 
-    sp = sub.add_parser("generate", parents=[common], help="iterate f -> P*f from a seed")
+    sp = add("generate", "iterate f -> P*f from a seed", _cmd_generate)
     sp.add_argument("--perm", required=True)
     sp.add_argument("--seed-poly", required=True, help="irreducible seed f_0")
     sp.add_argument("--max-steps", type=int, default=None)
-    sp.set_defaults(func=_cmd_generate, needs_ctx=True)
 
-    sp = sub.add_parser("realize", parents=[common], help="interpolate a permutation of I_k")
+    sp = add("realize", "interpolate a permutation of I_k", _cmd_realize)
     sp.add_argument("--sigma", required=True,
                     help="JSON file: image list, [src, dst] pairs, or an object")
-    sp.set_defaults(func=_cmd_realize, needs_ctx=True)
 
-    sp = sub.add_parser("bounds", parents=[common], help="period lower bounds")
+    sp = add("bounds", "period lower bounds", _cmd_bounds, needs_ctx=False)
     sp.add_argument("--family", choices=("monomial", "linearized", "tau"), required=True)
     sp.add_argument("--n", type=int, default=None, help="monomial exponent")
     sp.add_argument("--g", default=None, help="polynomial for the linearized family")
-    sp.set_defaults(func=_cmd_bounds, needs_ctx=False)
 
     return parser
 

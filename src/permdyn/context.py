@@ -11,16 +11,19 @@ import numpy as np
 from . import numth
 from .errors import GuardExceeded, InternalCheckError, PreconditionError
 from .fields import GF
-from .polys import Poly, first_irreducible, is_irreducible
+from .polys import Poly, count_irreducibles, first_irreducible, is_irreducible
 
 DEFAULT_GUARD = 1 << 20
 
 
 class FieldCtx:
-    """Immutable tower F_p -> F_q = F_p[z]/(base_modulus) -> F_{q^k} = F_q[y]/(ext_modulus)."""
+    """Immutable tower F_p -> F_q = F_p[z]/(base_modulus) -> F_{q^k} = F_q[y]/(ext_modulus).
+
+    `orbits` caches the Frobenius-orbit table (see frobenius_orbits).
+    """
 
     __slots__ = ("p", "m", "k", "q", "Q", "Fp", "Fq", "Fqk",
-                 "base_modulus", "ext_modulus", "guard", "key")
+                 "base_modulus", "ext_modulus", "guard", "key", "orbits")
 
     def __repr__(self):
         return "FieldCtx(p=%d, m=%d, k=%d)" % (self.p, self.m, self.k)
@@ -75,20 +78,9 @@ def make_field_ctx(p, m, k, ext_modulus=None, guard=DEFAULT_GUARD):
     ctx.ext_modulus = ext_modulus
     ctx.Fqk = ctx.Fq if k == 1 else GF.extension(ctx.Fq, ext_modulus.coeffs)
     ctx.key = (p, m, k, tuple(int(c) for c in ext_modulus.coeffs))
+    ctx.orbits = None
     _CTX_CACHE[cache_key] = ctx
     return ctx
-
-
-def ext_mul(ctx, a, b):
-    return ctx.Fqk.mul(a, b)
-
-
-def ext_inv(ctx, a):
-    return ctx.Fqk.inv(a)
-
-
-def ext_pow(ctx, a, e):
-    return ctx.Fqk.pow(a, e)
 
 
 def frobenius(ctx, a, j=1):
@@ -122,20 +114,90 @@ def minimal_poly(ctx, a):
     return Poly(ctx.Fq, prod.coeffs)
 
 
+class FrobeniusOrbits:
+    """I_k as the Frobenius orbits a -> a^q of C_k, the degree-k elements of F_{q^k}.
+
+    Row i of coeffs holds the ascending coefficients of the i-th monic
+    irreducible of degree k by encoding (codes[i]), conj[i] its roots
+    [a, a^q, ..., a^(q^(k-1))] from the least root a, and node[b] the index of
+    the minimal polynomial of the element b, or -1 when b has degree below k.
+    """
+
+    __slots__ = ("field", "coeffs", "codes", "conj", "node")
+
+    def poly(self, i):
+        """The i-th element of I_k as a Poly over F_q."""
+        return Poly(self.field, self.coeffs[i])
+
+    @property
+    def polys(self):
+        """I_k as Polys over F_q, ascending by encoding."""
+        return [self.poly(i) for i in range(len(self.coeffs))]
+
+    def index(self, f):
+        """Position of f in polys."""
+        if f.degree == self.conj.shape[1] and f.leading() == 1:
+            i = int(np.searchsorted(self.codes, f.encoding()))
+            if i < len(self.codes) and self.codes[i] == f.encoding():
+                return i
+        raise PreconditionError("%s is not a monic irreducible of degree k" % f)
+
+
+def frobenius_orbits(ctx):
+    """The Frobenius-orbit table of the context, built on first use and cached."""
+    if ctx.orbits is None:
+        ctx.orbits = _build_orbits(ctx)
+    return ctx.orbits
+
+
+def _build_orbits(ctx):
+    F, q, k = ctx.Fqk, ctx.q, ctx.k
+    els = F.elements()
+    frob = F.vpow(els, q)
+    # an element has degree k iff no Frobenius power below the k-th fixes it
+    full = np.ones(ctx.Q, dtype=bool)
+    least = els.copy()
+    cur = els
+    for _ in range(k - 1):
+        cur = frob[cur]
+        full &= cur != els
+        np.minimum(least, cur, out=least)
+    reps = els[full & (least == els)]
+    n = len(reps)
+    if n != count_irreducibles(q, k):
+        raise InternalCheckError("%d Frobenius orbits of degree k, not |I_k|" % n)
+    conj = np.empty((n, k), dtype=np.int64)
+    conj[:, 0] = reps
+    for j in range(1, k):
+        conj[:, j] = frob[conj[:, j - 1]]
+
+    # every minimal polynomial at once: one row of ascending coefficients per
+    # orbit, multiplied by x - a for each conjugate a in turn
+    coef = np.zeros((n, k + 1), dtype=np.int64)
+    coef[:, 0] = 1
+    for j in range(k):
+        low = F.vmul(F.vneg(conj[:, j:j + 1]), coef[:, :j + 1])
+        coef[:, 1:j + 2] = coef[:, :j + 1]
+        coef[:, 0] = 0
+        coef[:, :j + 1] = F.vadd(coef[:, :j + 1], low)
+    if np.any(coef >= q):
+        raise InternalCheckError("minimal polynomial has a coefficient outside F_q")
+
+    codes = coef @ q ** np.arange(k + 1, dtype=np.int64)
+    order = np.argsort(codes)
+    out = FrobeniusOrbits()
+    out.field = ctx.Fq
+    out.coeffs = coef[order]
+    out.codes = codes[order]
+    out.conj = conj[order]
+    out.node = np.full(ctx.Q, -1, dtype=np.int64)
+    out.node[out.conj] = np.arange(n, dtype=np.int64)[:, None]
+    return out
+
+
 def enumerate_Ck(ctx):
     """All elements of F_{q^k} of degree exactly k, ascending encodings."""
-    els = ctx.Fqk.elements()
-    keep = np.ones(ctx.Q, dtype=bool)
-    for ell in numth.factorint(ctx.k):
-        d = ctx.k // ell
-        keep &= ctx.Fqk.vpow(els, ctx.q ** d) != els
-    if ctx.k == 1:
-        keep[:] = True
-    out = els[keep]
-    expect = sum(numth.moebius(ctx.k // d) * ctx.q ** d for d in numth.divisors(ctx.k))
-    if len(out) != expect:
-        raise InternalCheckError("|C_k| = %d, expected %d" % (len(out), expect))
-    return out
+    return np.flatnonzero(frobenius_orbits(ctx).node >= 0)
 
 
 def roots_in_ext(ctx, f):

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .context import distinguished_root, element_degree, embed_poly, enumerate_Ck, minimal_poly
+from .context import (distinguished_root, element_degree, embed_poly, enumerate_Ck,
+                      frobenius_orbits, minimal_poly)
 from .errors import InternalCheckError, PreconditionError
 from .numth import divisors, euler_phi, is_prime, moebius, mult_order_int
 from .orders import fq_order, mult_order, norm_of, phi_q, poly_order, trace_of
@@ -15,7 +16,6 @@ from .polys import (
     Poly,
     compose,
     count_irreducibles,
-    enumerate_irreducibles,
     factor,
     is_irreducible,
     poly_gcd,
@@ -123,19 +123,9 @@ def diamond(ctx, P, f):
 
 
 def fixed_points_direct(ctx, P):
-    """All f in I_k with P*f = f, through the criterion gcd(f, x^(q^i) - P) != 1."""
-    P = _coerce_poly(ctx, P)
-    x = Poly.x(ctx.Fq)
-    out = []
-    for f in enumerate_irreducibles(ctx.Fq, ctx.k):
-        Pm = P % f
-        t = x % f
-        for _ in range(ctx.k):
-            if poly_gcd(t - Pm, f).degree > 0:
-                out.append(f)
-                break
-            t = powmod(t, ctx.q, f)
-    return out
+    """All f in I_k with P*f = f: the Frobenius orbits that P maps onto themselves."""
+    orbits, perm = _ik_perm(ctx, P)
+    return [orbits.poly(i) for i in np.flatnonzero(perm == np.arange(len(perm)))]
 
 
 def fixed_count_formula(ctx, P):
@@ -267,48 +257,64 @@ def fixed_count_prime_linearized(q, k, f):
     return 0
 
 
-def _walk_cycles(keys, image):
-    index = {a: i for i, a in enumerate(keys)}
-    seen = [False] * len(keys)
+def _cycles(perm):
+    """Cycles of a permutation of range(n) given as its image array, each from its least index."""
+    perm = perm.tolist()
+    seen = [False] * len(perm)
     cycles = []
-    for start, a in enumerate(keys):
-        if seen[start]:
-            continue
-        seen[start] = True
-        cyc = [a]
-        b = image[a]
-        while b != a:
-            pos = index.get(b)
-            if pos is None or seen[pos]:
-                raise InternalCheckError("map is not a permutation of the node set")
-            seen[pos] = True
-            cyc.append(b)
-            b = image[b]
-        cycles.append(cyc)
+    for start in range(len(perm)):
+        cyc = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            cyc.append(i)
+            i = perm[i]
+        if cyc:
+            cycles.append(cyc)
     return cycles
 
 
-def graph_Ck(ctx, P):
-    """Functional graph of the evaluation map of P on C_k."""
+def _ck_perm(ctx, P):
+    """C_k in ascending encodings and the evaluation map of P as an index array on it."""
     P = _coerce_poly(ctx, P)
     els = enumerate_Ck(ctx)
     imgs = embed_poly(ctx, P).eval_many(els)
     if not np.array_equal(np.sort(imgs), els):
         raise PreconditionError("P does not permute C_k")
-    keys = [int(a) for a in els]
-    image = dict(zip(keys, (int(b) for b in imgs)))
-    return FunctionalGraph(keys, _walk_cycles(keys, image))
+    return els, np.searchsorted(els, imgs)
+
+
+def _ik_perm(ctx, P):
+    """The orbit table and the star action of P as an index array on its polys.
+
+    P commutes with Frobenius, so P*f is the orbit of P^(-1)(a) for a root a of f:
+    the star map inverts i -> node[P(conj[i, 0])]. One edge is checked against star.
+    """
+    P = _coerce_poly(ctx, P)
+    orbits = frobenius_orbits(ctx)
+    n = len(orbits.coeffs)
+    image = orbits.node[embed_poly(ctx, P).eval_many(orbits.conj[:, 0])]
+    if not np.array_equal(np.sort(image), np.arange(n)):
+        raise PreconditionError("P does not act bijectively on I_k")
+    perm = np.empty(n, dtype=np.int64)
+    perm[image] = np.arange(n)
+    if star(ctx, P, orbits.poly(0)) != orbits.poly(perm[0]):
+        raise InternalCheckError("orbit table disagrees with the gcd star")
+    return orbits, perm
+
+
+def graph_Ck(ctx, P):
+    """Functional graph of the evaluation map of P on C_k."""
+    els, perm = _ck_perm(ctx, P)
+    keys = els.tolist()
+    return FunctionalGraph(keys, [[keys[i] for i in c] for c in _cycles(perm)])
 
 
 def graph_Ik(ctx, P):
     """Functional graph of f -> P*f on I_k."""
-    P = _coerce_poly(ctx, P)
-    polys = enumerate_irreducibles(ctx.Fq, ctx.k)
-    image = {f: star(ctx, P, f) for f in polys}
-    if len(set(image.values())) != len(polys):
-        raise PreconditionError("P does not act bijectively on I_k")
-    cycles = _walk_cycles(polys, image)
-    return FunctionalGraph([str(f) for f in polys], [[str(f) for f in c] for c in cycles])
+    orbits, perm = _ik_perm(ctx, P)
+    names = [str(f) for f in orbits.polys]
+    return FunctionalGraph(names, [[names[i] for i in c] for c in _cycles(perm)])
 
 
 def period_Ck(ctx, P, alpha):
@@ -330,26 +336,20 @@ def period_Ck(ctx, P, alpha):
 
 def period_Ik(ctx, P, f):
     """Least n >= 1 whose n-th star iterate of P fixes f."""
-    P = _coerce_poly(ctx, P)
     _check_member(ctx, f)
-    cur = star(ctx, P, f)
-    n = 1
-    while cur != f:
-        cur = star(ctx, P, cur)
-        n += 1
-        if n > ctx.Q:
-            raise InternalCheckError("orbit of f did not close")
-    return n
+    orbits, perm = _ik_perm(ctx, P)
+    start = orbits.index(f)
+    return next(len(c) for c in _cycles(perm) if start in c)
 
 
 def spectrum_Ck(ctx, P):
     """Cycle-length spectrum of the evaluation map of P on C_k."""
-    return CycleSpectrum([len(c) for c in graph_Ck(ctx, P).cycles])
+    return CycleSpectrum([len(c) for c in _cycles(_ck_perm(ctx, P)[1])])
 
 
 def spectrum_Ik(ctx, P):
     """Cycle-length spectrum of the star action of P on I_k."""
-    return CycleSpectrum([len(c) for c in graph_Ik(ctx, P).cycles])
+    return CycleSpectrum([len(c) for c in _cycles(_ik_perm(ctx, P)[1])])
 
 
 def monomial_cycle_structure(q, k, n):

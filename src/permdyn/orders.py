@@ -13,17 +13,6 @@ from .errors import InternalCheckError, PreconditionError
 from .polys import Poly, factor, is_irreducible, poly_gcd, powmod
 
 
-class OrderFactoring:
-    """A positive integer carried together with its prime factorization."""
-
-    def __init__(self, n):
-        self.n = n
-        self.factors = numth.factorint(n)
-
-    def __repr__(self):
-        return "OrderFactoring(%d)" % self.n
-
-
 def mult_order(ctx, f):
     """Order of the roots of an irreducible f: least e with x^e = 1 mod f."""
     if not is_irreducible(f):
@@ -34,7 +23,7 @@ def mult_order(ctx, f):
     x = Poly.x(f.field)
     one = Poly.one(f.field)
     e = f.field.order ** k - 1
-    for prime in OrderFactoring(e).factors:
+    for prime in numth.factorint(e):
         while e % prime == 0 and powmod(x, e // prime, f) == one:
             e //= prime
     return e
@@ -100,7 +89,7 @@ def poly_order(f, g):
         raise PreconditionError("poly_order needs gcd(f, g) = 1")
     one = Poly.one(f.field)
     e = phi_q(g)
-    for prime in OrderFactoring(e).factors:
+    for prime in numth.factorint(e):
         while e % prime == 0 and powmod(f, e // prime, g) == one:
             e //= prime
     return e

@@ -6,11 +6,9 @@ interpolation, Moebius-map representatives, and the degree-preserving form.
 
 import numpy as np
 
-from . import numth
-from .context import (distinguished_root, embed_poly, enumerate_Ck, frobenius,
-                      make_field_ctx, restrict_poly)
+from .context import embed_poly, enumerate_Ck, frobenius_orbits, make_field_ctx, restrict_poly
 from .errors import InternalCheckError, PreconditionError
-from .polys import Poly, enumerate_irreducibles, fold_mod, poly_gcd
+from .polys import Poly, fold_mod, poly_gcd
 
 __all__ = [
     "PermPoly", "Matrix2", "certify_perm", "perm_table", "gk_compose",
@@ -203,16 +201,10 @@ def realize_permutation(ctx, sigma):
     j-th Frobenius power of the distinguished root of f_{sigma(i)}, and fixes
     every element outside C_k.
     """
-    irr = enumerate_irreducibles(ctx.Fq, ctx.k)
-    mapping = _sigma_mapping(sigma, len(irr))
+    conj = frobenius_orbits(ctx).conj
+    mapping = _sigma_mapping(sigma, len(conj))
     table = np.arange(ctx.Q, dtype=np.int64)
-    for i, j in mapping.items():
-        a = distinguished_root(ctx, irr[i])
-        b = distinguished_root(ctx, irr[j])
-        for _ in range(ctx.k):
-            table[a] = b
-            a = frobenius(ctx, a)
-            b = frobenius(ctx, b)
+    table[conj] = conj[[mapping[i] for i in range(len(conj))]]
     P = lagrange_interpolate_all(ctx, table)
     if not frobenius_stable(ctx, P):
         raise InternalCheckError("realized permutation is not Frobenius-stable")
@@ -332,9 +324,6 @@ def check_degree_preserving(F, bound):
             raise PreconditionError("F is not over the canonical F_q")
         C = enumerate_Ck(ctx)
         vals = ctx.Fqk.keval(F.coeffs, C)
-        if len(np.unique(vals)) != len(C):
+        if len(np.unique(vals)) != len(C) or np.any(frobenius_orbits(ctx).node[vals] < 0):
             return False
-        for ell in numth.factorint(j):
-            if np.any(ctx.Fqk.vpow(vals, ctx.q ** (j // ell)) == vals):
-                return False
     return True

@@ -214,15 +214,6 @@ def compose(f, g):
     return acc
 
 
-def compose_mod(f, g, mod):
-    """f(g(x)) mod `mod`."""
-    acc = Poly.zero(f.field)
-    g = g % mod
-    for c in reversed(f.coeffs):
-        acc = (acc * g) % mod + Poly.const(f.field, int(c))
-    return acc % mod
-
-
 def fold_mod(f, Q=None):
     """Reduce f modulo x^Q - x by exponent folding (Q defaults to |field|).
 
@@ -411,16 +402,3 @@ def q_associate(h):
         out[q ** i] = h.coeff(i)
     return Poly(h.field, out)
 
-
-def linearized_eval(h, ext, alpha):
-    """Evaluate L_h at alpha, an element of the extension field `ext`.
-
-    Coefficients of h embed into ext as initial-segment encodings.
-    """
-    q = h.field.order
-    acc = 0
-    for i in range(h.degree + 1):
-        c = h.coeff(i)
-        if c:
-            acc = ext.add(acc, ext.mul(c, ext.pow(alpha, q ** i)))
-    return acc

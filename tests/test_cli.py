@@ -275,3 +275,35 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "x^4+x^3+1\n"
+
+
+def test_seed_flag_is_gone(capsys):
+    code, _, err = run(capsys, "star", "--p", "2", "--k", "4", "--perm", "x^7",
+                       "--f", "x^4+x+1", "--seed", "3")
+    assert code == 1
+    # without prefix matching, --seed is not taken for --seed-poly
+    code, _, err = run(capsys, "generate", "--p", "2", "--k", "4", "--perm", "x^7",
+                       "--seed", "x^4+x+1")
+    assert code == 1
+
+
+def test_huge_monomial_exponent_folds(capsys):
+    # x^n acts on F_16 as x^(1 + (n - 1) mod 15)
+    code, out, _ = run(capsys, "star", "--p", "2", "--k", "4",
+                       "--perm", "x^%d" % (7 + 15 * 10 ** 19), "--f", "x^4+x+1")
+    assert (code, out) == (0, "x^4+x^3+1\n")
+    code, out, err = run(capsys, "star", "--p", "2", "--k", "4",
+                         "--perm", "x^99999999999999999999", "--f", "x^4+x+1")
+    assert (code, out) == (2, "")  # x^9: gcd(9, 15) = 3, not a permutation
+    assert "does not permute" in err
+
+
+def test_negative_max_steps_is_malformed(capsys):
+    code, out, err = run(capsys, "generate", "--p", "2", "--k", "4", "--perm", "x^7",
+                         "--seed-poly", "x^4+x+1", "--max-steps", "-1")
+    assert code == 1
+    assert out == "" and "error:" in err
+    code, out, _ = run(capsys, "generate", "--p", "2", "--k", "4", "--perm", "x^7",
+                       "--seed-poly", "x^4+x+1", "--max-steps", "0")
+    assert code == 0
+    assert out == "f_0 = x^4+x+1\nperiod = unreached\n"

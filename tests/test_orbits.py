@@ -1,0 +1,113 @@
+"""Property tests of the Frobenius-orbit table against per-polynomial oracles.
+
+Each example draws a small tower F_p <= F_q <= F_{q^k} (m = 1, 2, 3) and a
+permutation of F_{q^k} from one of the families x^n, L[h], M[a,b,c,d], then
+compares the table-driven operations with routes that never read the table:
+Rabin enumeration, the gcd definition of star, the divisor-sum fixed-point
+count, and root sets found by evaluating at every element.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from permdyn.context import (enumerate_Ck, frobenius_orbits, make_field_ctx, minimal_poly,
+                             roots_in_ext)
+from permdyn.dynamics import fixed_count_formula, fixed_points_direct, graph_Ik, star
+from permdyn.errors import PreconditionError
+from permdyn.permgroup import (Matrix2, certify_perm, moebius_poly_rep, perm_table,
+                               realize_permutation)
+from permdyn.polys import Poly, enumerate_irreducibles, poly_gcd, q_associate
+
+TOWERS = [(2, 1, k) for k in range(2, 7)] + [
+    (3, 1, 3), (2, 2, 3), (3, 2, 2), (5, 2, 2), (2, 3, 2),
+]
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+
+
+@pytest.mark.parametrize("pmk", TOWERS)
+def test_orbits_equal_rabin_enumeration(pmk):
+    ctx = make_field_ctx(*pmk)
+    orbits = frobenius_orbits(ctx)
+    assert orbits.polys == enumerate_irreducibles(ctx.Fq, ctx.k)
+    assert [f.encoding() for f in orbits.polys] == orbits.codes.tolist()
+    for i, f in enumerate(orbits.polys):
+        assert orbits.index(f) == i
+        assert np.array_equal(np.sort(orbits.conj[i]), roots_in_ext(ctx, f))
+        assert orbits.conj[i, 0] == roots_in_ext(ctx, f)[0]
+    for a in range(ctx.Q):
+        node = orbits.node[a]
+        assert node == -1 or minimal_poly(ctx, a) == orbits.polys[node]
+    assert np.array_equal(enumerate_Ck(ctx), np.flatnonzero(orbits.node >= 0))
+    assert len(enumerate_Ck(ctx)) == ctx.k * len(orbits.polys)
+
+
+def test_orbit_index_rejects_non_members():
+    ctx = make_field_ctx(2, 1, 4)
+    orbits = frobenius_orbits(ctx)
+    for f in (Poly.from_encoding(ctx.Fq, 16 + 5), Poly.x(ctx.Fq), Poly.one(ctx.Fq).shift(5)):
+        with pytest.raises(PreconditionError):
+            orbits.index(f)
+
+
+@st.composite
+def tower_and_perm(draw, towers=TOWERS):
+    """A context and a certified permutation drawn from x^n, L[h] or M[a,b,c,d]."""
+    ctx = make_field_ctx(*draw(st.sampled_from(towers)))
+    q, k, Q = ctx.q, ctx.k, ctx.Q
+    family = draw(st.sampled_from(("mono", "lin", "moeb")))
+    if family == "mono":
+        n = draw(st.integers(1, Q - 1).filter(lambda n: math.gcd(n, Q - 1) == 1))
+        return ctx, certify_perm(ctx, Poly.one(ctx.Fq).shift(n))
+    if family == "lin":
+        one = Poly.one(ctx.Fq)
+        h = Poly(ctx.Fq, draw(st.lists(st.integers(0, q - 1), min_size=k, max_size=k)))
+        assume(not h.is_zero and poly_gcd(h, one.shift(k) - one).degree == 0)
+        return ctx, certify_perm(ctx, q_associate(h))
+    a, b, c, d = draw(st.lists(st.integers(0, q - 1), min_size=4, max_size=4))
+    Fq = ctx.Fq
+    assume(Fq.sub(Fq.mul(a, d), Fq.mul(b, c)) != 0)
+    return ctx, moebius_poly_rep(ctx, Matrix2(Fq, a, b, c, d))
+
+
+# the gcd star composes f with P, whose degree reaches Q - 2 for a Moebius
+# map; the towers with Q <= 81 keep one sweep of all edges under a second
+SMALL_TOWERS = [pmk for pmk in TOWERS if pmk[0] ** (pmk[1] * pmk[2]) <= 81]
+
+
+@PROPERTY
+@given(tower_and_perm(SMALL_TOWERS))
+def test_graph_Ik_edges_equal_gcd_star(case):
+    ctx, P = case
+    by_name = {str(f): f for f in enumerate_irreducibles(ctx.Fq, ctx.k)}
+    g = graph_Ik(ctx, P)
+    assert g.nodes == list(by_name)
+    for cyc in g.cycles:
+        for j, name in enumerate(cyc):
+            assert str(star(ctx, P, by_name[name])) == cyc[(j + 1) % len(cyc)]
+
+
+@PROPERTY
+@given(tower_and_perm())
+def test_fixed_points_direct_count_equals_formula(case):
+    ctx, P = case
+    fixed = fixed_points_direct(ctx, P)
+    assert len(fixed) == fixed_count_formula(ctx, P)
+    assert fixed == sorted(fixed, key=lambda f: f.encoding())
+
+
+@PROPERTY
+@given(st.data())
+def test_realize_permutation_carries_roots(data):
+    ctx = make_field_ctx(*data.draw(st.sampled_from(TOWERS)))
+    irr = enumerate_irreducibles(ctx.Fq, ctx.k)
+    sigma = data.draw(st.permutations(range(len(irr))))
+    table = perm_table(ctx, realize_permutation(ctx, sigma))
+    roots = [roots_in_ext(ctx, f) for f in irr]
+    for i, j in enumerate(sigma):
+        assert np.array_equal(np.sort(table[roots[i]]), roots[j])

@@ -4,12 +4,12 @@ from permdyn.context import distinguished_root, make_field_ctx
 from permdyn.errors import PreconditionError
 from permdyn.numth import euler_phi
 from permdyn.orders import (
-    OrderFactoring, fq_order, mult_order, norm_of, phi_q, poly_order, trace_of,
+    fq_order, mult_order, norm_of, phi_q, poly_order, trace_of,
 )
-from permdyn.polys import (
-    Poly, enumerate_irreducibles, linearized_eval, poly_gcd, powmod,
-)
+from permdyn.polys import Poly, enumerate_irreducibles, poly_gcd, powmod
 from permdyn.textio import parse_poly
+
+from oracles import linearized_eval
 
 CTX24 = make_field_ctx(2, 1, 4)
 CTX33 = make_field_ctx(3, 1, 3)
@@ -17,12 +17,6 @@ CTX33 = make_field_ctx(3, 1, 3)
 
 def P(field, text):
     return parse_poly(field, text)
-
-
-def test_order_factoring():
-    of = OrderFactoring(360)
-    assert of.n == 360
-    assert of.factors == {2: 3, 3: 2, 5: 1}
 
 
 def test_mult_order_pins():

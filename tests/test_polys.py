@@ -4,11 +4,13 @@ import pytest
 from permdyn.errors import PreconditionError
 from permdyn.fields import GF
 from permdyn.polys import (
-    Poly, compose, compose_mod, count_irreducibles, enumerate_irreducibles,
-    factor, first_irreducible, fold_mod, is_irreducible, linearized_eval,
-    poly_divmod, poly_gcd, powmod, psi_d, q_associate,
+    Poly, compose, count_irreducibles, enumerate_irreducibles, factor,
+    first_irreducible, fold_mod, is_irreducible, poly_divmod, poly_gcd, powmod,
+    psi_d, q_associate,
 )
 from permdyn.textio import parse_poly
+
+from oracles import compose_mod, linearized_eval
 
 F2 = GF.prime(2)
 F3 = GF.prime(3)
