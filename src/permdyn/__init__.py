@@ -1,6 +1,6 @@
 """Dynamics of permutation polynomials on irreducible polynomials over finite fields."""
 
-from ._kernels import available_backends, get_backend, set_backend
+from ._kernels import get_backend
 from .context import (
     DEFAULT_GUARD,
     FieldCtx,

@@ -6,7 +6,7 @@ import math
 import re
 import sys
 
-from .context import frobenius_orbits, make_field_ctx
+from .context import DEFAULT_GUARD, frobenius_orbits, make_field_ctx
 from .dynamics import (
     diamond,
     fixed_count_formula,
@@ -20,6 +20,7 @@ from .dynamics import (
 from .errors import GuardExceeded, InternalCheckError, MalformedInput, PreconditionError
 from .fields import GF
 from .genirr import bound_linearized, bound_monomial, iterate_generation, tau
+from .numth import is_prime
 from .permgroup import Matrix2, certify_perm, moebius_poly_rep, realize_permutation
 from .polys import Poly, first_irreducible, q_associate
 from .textio import parse_poly
@@ -32,14 +33,14 @@ _MONOMIAL_RE = re.compile(r"^x(?:\^(\d+))?$")
 class CliConfig:
     """Validated global options shared by every subcommand."""
 
-    __slots__ = ("p", "m", "k", "modulus", "guard_override", "output")
+    __slots__ = ("p", "m", "k", "modulus", "guard", "output")
 
     def __init__(self, args):
         self.p = args.p
         self.m = args.m
         self.k = args.k
         self.modulus = args.modulus
-        self.guard_override = args.guard_override
+        self.guard = DEFAULT_GUARD if args.guard_override is None else args.guard_override
         self.output = args.output
 
 
@@ -56,13 +57,10 @@ def _base_field(cfg):
 
 
 def _build_ctx(cfg):
-    kwargs = {}
-    if cfg.guard_override is not None:
-        kwargs["guard"] = cfg.guard_override
     ext = None
     if cfg.modulus is not None:
-        ext = parse_poly(_base_field(cfg), cfg.modulus)
-    return make_field_ctx(cfg.p, cfg.m, cfg.k, ext_modulus=ext, **kwargs)
+        ext = parse_poly(_base_field(cfg), cfg.modulus, cfg.guard)
+    return make_field_ctx(cfg.p, cfg.m, cfg.k, ext_modulus=ext, guard=cfg.guard)
 
 
 def _split_entries(text):
@@ -85,15 +83,19 @@ def _split_entries(text):
     return parts
 
 
-def _scalar(field, text):
-    c = parse_poly(field, text)
+def _scalar(field, text, guard):
+    c = parse_poly(field, text, guard)
     if c.degree > 0:
         raise MalformedInput("matrix entries must be scalars")
     return c.coeff(0)
 
 
-def parse_perm_expr(ctx, expr):
-    """Certified permutation from x^N, L[POLY], M[a,b,c,d], or a raw polynomial."""
+def parse_perm_expr(ctx, expr, guard=DEFAULT_GUARD):
+    """Certified permutation from x^N, L[POLY], M[a,b,c,d], or a raw polynomial.
+
+    Polynomial text with an exponent above `guard`, or an L[h] of degree
+    q^deg(h) above it, raises GuardExceeded.
+    """
     s = expr.strip()
     mono = _MONOMIAL_RE.match(s)
     if mono:
@@ -103,14 +105,17 @@ def parse_perm_expr(ctx, expr):
             n = 1 + (n - 1) % (ctx.Q - 1)
         return certify_perm(ctx, Poly.one(ctx.Fq).shift(n))
     if s.startswith("L[") and s.endswith("]"):
-        return certify_perm(ctx, q_associate(parse_poly(ctx.Fq, s[2:-1])))
+        h = parse_poly(ctx.Fq, s[2:-1], guard)
+        if h.degree > 0 and ctx.q ** h.degree > guard:
+            raise GuardExceeded("L[h] has degree q^%d, above the guard %d" % (h.degree, guard))
+        return certify_perm(ctx, q_associate(h))
     if s.startswith("M[") and s.endswith("]"):
         entries = _split_entries(s[2:-1])
         if len(entries) != 4:
             raise MalformedInput("M[a,b,c,d] takes exactly four entries")
-        a, b, c, d = (_scalar(ctx.Fq, t) for t in entries)
+        a, b, c, d = (_scalar(ctx.Fq, t, guard) for t in entries)
         return moebius_poly_rep(ctx, Matrix2(ctx.Fq, a, b, c, d))
-    return certify_perm(ctx, parse_poly(ctx.Fq, s))
+    return certify_perm(ctx, parse_poly(ctx.Fq, s, guard))
 
 
 def _cmd_enumerate(cfg, args, ctx):
@@ -121,14 +126,15 @@ def _cmd_enumerate(cfg, args, ctx):
 
 
 def _cmd_apply(cfg, args, ctx):
-    out = args.op(ctx, parse_perm_expr(ctx, args.perm), parse_poly(ctx.Fq, args.f))
+    out = args.op(ctx, parse_perm_expr(ctx, args.perm, cfg.guard),
+                  parse_poly(ctx.Fq, args.f, cfg.guard))
     if cfg.output == "json":
         return json.dumps({"result": str(out)})
     return str(out)
 
 
 def _cmd_fixed(cfg, args, ctx):
-    P = parse_perm_expr(ctx, args.perm)
+    P = parse_perm_expr(ctx, args.perm, cfg.guard)
     fixed = None
     count = None
     if args.method in ("direct", "both"):
@@ -150,14 +156,14 @@ def _cmd_fixed(cfg, args, ctx):
 
 
 def _cmd_graph(cfg, args, ctx):
-    P = parse_perm_expr(ctx, args.perm)
+    P = parse_perm_expr(ctx, args.perm, cfg.guard)
     g = graph_Ck(ctx, P) if args.on == "ck" else graph_Ik(ctx, P)
     fmt = args.format or (cfg.output if cfg.output in ("dot", "json") else "dot")
     return g.to_dot() if fmt == "dot" else g.to_json()
 
 
 def _cmd_spectrum(cfg, args, ctx):
-    P = parse_perm_expr(ctx, args.perm)
+    P = parse_perm_expr(ctx, args.perm, cfg.guard)
     sc = spectrum_Ck(ctx, P)
     si = spectrum_Ik(ctx, P)
     if cfg.output == "json":
@@ -173,8 +179,8 @@ def _cmd_spectrum(cfg, args, ctx):
 def _cmd_generate(cfg, args, ctx):
     if args.max_steps is not None and args.max_steps < 0:
         raise MalformedInput("--max-steps must be >= 0")
-    P = parse_perm_expr(ctx, args.perm)
-    f0 = parse_poly(ctx.Fq, args.seed_poly)
+    P = parse_perm_expr(ctx, args.perm, cfg.guard)
+    f0 = parse_poly(ctx.Fq, args.seed_poly, cfg.guard)
     report = iterate_generation(ctx, P, f0, max_steps=args.max_steps)
     if cfg.output == "json":
         return report.to_json()
@@ -183,13 +189,13 @@ def _cmd_generate(cfg, args, ctx):
     return "\n".join(lines)
 
 
-def _sigma_indices(ctx, raw):
+def _sigma_indices(ctx, raw, guard):
     orbits = frobenius_orbits(ctx)
 
     def to_index(v):
         if isinstance(v, int):
             return v
-        return orbits.index(parse_poly(ctx.Fq, str(v)))
+        return orbits.index(parse_poly(ctx.Fq, str(v), guard))
 
     if isinstance(raw, dict):
         pairs = [(int(a) if a.lstrip("-").isdigit() else a, b) for a, b in raw.items()]
@@ -210,13 +216,18 @@ def _cmd_realize(cfg, args, ctx):
         raise MalformedInput("cannot read sigma file: %s" % exc)
     except json.JSONDecodeError as exc:
         raise MalformedInput("sigma file is not valid JSON: %s" % exc)
-    P = realize_permutation(ctx, _sigma_indices(ctx, raw))
+    P = realize_permutation(ctx, _sigma_indices(ctx, raw, cfg.guard))
     if cfg.output == "json":
         return json.dumps({"perm": str(P)})
     return str(P)
 
 
 def _cmd_bounds(cfg, args):
+    # the checks make_field_ctx makes, without building F_{q^k}
+    if cfg.m < 1 or cfg.k < 1:
+        raise PreconditionError("m and k must be positive")
+    if not is_prime(cfg.p):
+        raise PreconditionError("%d is not prime" % cfg.p)
     q = cfg.p ** cfg.m
     if args.family == "tau":
         ceiling = math.ceil(tau(cfg.p, cfg.k) / cfg.k)
@@ -230,7 +241,7 @@ def _cmd_bounds(cfg, args):
     else:
         if args.g is None:
             raise MalformedInput("--family linearized needs --g")
-        bound = bound_linearized(q, cfg.k, parse_poly(_base_field(cfg), args.g))
+        bound = bound_linearized(q, cfg.k, parse_poly(_base_field(cfg), args.g, cfg.guard))
     if cfg.output == "json":
         return json.dumps({"family": args.family, "bound": str(bound)})
     return "bound = %s" % bound
@@ -317,6 +328,10 @@ def main(argv=None):
         return 2
     except InternalCheckError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 4
+    except Exception as exc:  # a fault of the program, reported like a failed check
+        print("error: %s: %s" % (type(exc).__name__, " ".join(str(exc).split())),
+              file=sys.stderr)
         return 4
     print(out)
     return 0

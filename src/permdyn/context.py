@@ -23,7 +23,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "m", "k", "q", "Q", "Fp", "Fq", "Fqk",
-                 "base_modulus", "ext_modulus", "guard", "key", "orbits")
+                 "base_modulus", "ext_modulus", "key", "orbits")
 
     def __repr__(self):
         return "FieldCtx(p=%d, m=%d, k=%d)" % (self.p, self.m, self.k)
@@ -55,7 +55,7 @@ def make_field_ctx(p, m, k, ext_modulus=None, guard=DEFAULT_GUARD):
         return _CTX_CACHE[cache_key]
 
     ctx = FieldCtx()
-    ctx.p, ctx.m, ctx.k, ctx.q, ctx.Q, ctx.guard = p, m, k, q, Q, guard
+    ctx.p, ctx.m, ctx.k, ctx.q, ctx.Q = p, m, k, q, Q
     ctx.Fp = GF.prime(p)
     if m == 1:
         ctx.Fq = ctx.Fp

@@ -128,13 +128,6 @@ class GF:
             raise ArithmeticError("no multiplicative generator found; modulus reducible?")
 
         # F_p-matrix of multiplication by the generator, columns indexed by basis digits
-        def digits_p(enc):
-            out = np.zeros(n, dtype=np.int64)
-            for i in range(n):
-                out[i] = enc % p
-                enc //= p
-            return out
-
         def vec_to_enc(vec):
             enc = 0
             for c in reversed(vec):
@@ -145,7 +138,7 @@ class GF:
         for j in range(n):
             basis = [0] * r
             basis[j // base.deg] = base.p ** (j % base.deg)
-            M[:, j] = digits_p(vec_to_enc(vec_mul(gen_vec, basis)))
+            M[:, j] = self.decompose(vec_to_enc(vec_mul(gen_vec, basis)))
 
         exp_dig = np.zeros((Q - 1, n), dtype=np.int64)
         exp_dig[0, 0] = 1
@@ -170,26 +163,10 @@ class GF:
     # -- scalar arithmetic ---------------------------------------------------
 
     def add(self, a, b):
-        if self.mode == "prime":
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        out, shift = 0, 1
-        for _ in range(self.deg):
-            out += ((a // shift + b // shift) % self.p) * shift
-            shift *= self.p
-        return out
+        return _kernels.vadd(a, b, self.p, self.deg)
 
     def neg(self, a):
-        if self.mode == "prime":
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        out, shift = 0, 1
-        for _ in range(self.deg):
-            out += ((self.p - a // shift % self.p) % self.p) * shift
-            shift *= self.p
-        return out
+        return _kernels.vneg(a, self.p, self.deg)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -221,20 +198,9 @@ class GF:
 
     # -- vectorized arithmetic on encoding arrays ----------------------------
 
-    def vadd(self, xs, ys):
-        return _kernels.vadd(xs, ys, self.p, self.deg)
-
-    def vneg(self, xs):
-        if self.mode == "prime":
-            return (-xs) % self.p
-        if self.p == 2:
-            return xs
-        out = np.zeros_like(xs)
-        shift = 1
-        for _ in range(self.deg):
-            out += ((self.p - xs // shift % self.p) % self.p) * shift
-            shift *= self.p
-        return out
+    # the digit kernels take ints and encoding arrays alike
+    vadd = add
+    vneg = neg
 
     def vmul(self, xs, ys):
         if self.mode == "prime":

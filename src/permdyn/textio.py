@@ -10,7 +10,7 @@ The printer emits human form with canonical coefficients.
 
 import re
 
-from .errors import MalformedInput
+from .errors import GuardExceeded, MalformedInput
 from .polys import Poly
 
 _TERM_RE = re.compile(r"^(?:\[([^\]]*)\]|(\d+))?\*?(?:(x)(?:\^(\d+))?)?$")
@@ -54,8 +54,12 @@ def _parse_csv(field, s):
     return Poly(field, vals)
 
 
-def parse_poly(field, text):
-    """Parse either polynomial text form into a Poly over `field`."""
+def parse_poly(field, text, max_degree=None):
+    """Parse either polynomial text form into a Poly over `field`.
+
+    An exponent above `max_degree` raises GuardExceeded before the dense
+    coefficient array is allocated.
+    """
     s = text.replace("−", "-").replace("–", "-").replace(" ", "")
     if not s:
         raise MalformedInput("empty polynomial text")
@@ -87,6 +91,8 @@ def parse_poly(field, text):
         e = 0
         if xpart is not None:
             e = int(exp) if exp is not None else 1
+            if max_degree is not None and e > max_degree:
+                raise GuardExceeded("exponent %d exceeds the guard %d" % (e, max_degree))
         coeffs[e] = field.add(coeffs.get(e, 0), enc)
     out = [0] * (max(coeffs) + 1)
     for e, c in coeffs.items():

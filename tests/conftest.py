@@ -1,15 +1,6 @@
 import re
 
-import pytest
-
-from permdyn import _kernels
-
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    _kernels.warmup()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -24,3 +24,43 @@ def linearized_eval(h, ext, alpha):
         if c:
             acc = ext.add(acc, ext.mul(c, ext.pow(alpha, q ** i)))
     return acc
+
+
+# Schoolbook polynomial arithmetic over a table-mode field, on ascending
+# coefficient lists. Sums and negatives go through the base-p digit vectors
+# of GF.decompose/GF.compose, so none of it shares code with the kernels.
+
+def digit_add(field, a, b):
+    return field.compose([x + y for x, y in zip(field.decompose(a), field.decompose(b))])
+
+
+def digit_neg(field, a):
+    return field.compose([-x for x in field.decompose(a)])
+
+
+def schoolbook_mul(field, a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = digit_add(field, out[i + j], field.mul(int(ai), int(bj)))
+    return out
+
+
+def schoolbook_divmod(field, a, b):
+    """(quotient, remainder) of long division; the remainder has len(b) - 1 entries."""
+    r = [int(c) for c in a]
+    q = [0] * (len(a) - len(b) + 1)
+    inv_lead = field.inv(int(b[-1]))
+    for i in range(len(q) - 1, -1, -1):
+        c = field.mul(r[i + len(b) - 1], inv_lead)
+        q[i] = c
+        for j, bj in enumerate(b):
+            r[i + j] = digit_add(field, r[i + j], digit_neg(field, field.mul(c, int(bj))))
+    return q, r[:len(b) - 1]
+
+
+def schoolbook_eval(field, coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = digit_add(field, field.mul(acc, int(x)), int(c))
+    return acc

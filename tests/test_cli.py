@@ -307,3 +307,55 @@ def test_negative_max_steps_is_malformed(capsys):
                        "--seed-poly", "x^4+x+1", "--max-steps", "0")
     assert code == 0
     assert out == "f_0 = x^4+x+1\nperiod = unreached\n"
+
+
+@pytest.mark.parametrize("p,m,k", [(2, 0, 3), (1, 1, 3), (4, 1, 3), (2, 1, 0)])
+def test_bounds_rejects_bad_field_parameters(capsys, p, m, k):
+    for family in (("--family", "monomial", "--n", "1"), ("--family", "tau")):
+        code, out, err = run(capsys, "bounds", "--p", str(p), "--m", str(m),
+                             "--k", str(k), *family)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_unexpected_exception_exits_4_in_one_line(capsys, monkeypatch):
+    def broken(p, k):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr("permdyn.cli.tau", broken)
+    code, out, err = run(capsys, "bounds", "--family", "tau", "--p", "3", "--k", "53")
+    assert (code, out) == (4, "")
+    assert err == "error: RuntimeError: boom second line\n"
+
+
+HUGE = "x^400000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ("star", "--p", "2", "--k", "4", "--perm", "x^7", "--f", HUGE + "+x+1"),
+    ("diamond", "--p", "2", "--k", "4", "--perm", HUGE + "+x", "--f", "x^4+x+1"),
+    ("fixed", "--p", "2", "--k", "4", "--perm", "L[%s+1]" % HUGE),
+    ("fixed", "--p", "2", "--k", "4", "--perm", "M[1,%s,0,1]" % HUGE),
+    ("generate", "--p", "2", "--k", "4", "--perm", "x^7", "--seed-poly", HUGE + "+1"),
+    ("enumerate", "--p", "2", "--k", "4", "--modulus", HUGE + "+x+1"),
+    ("bounds", "--p", "3", "--k", "5", "--family", "linearized", "--g", HUGE),
+])
+def test_huge_exponent_in_polynomial_text_exits_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "exceeds the guard" in err
+
+
+def test_exponent_guard_follows_guard_override(capsys):
+    argv = ("star", "--p", "2", "--k", "4", "--perm", "x^7", "--f", "x^4+x+1")
+    code, out, _ = run(capsys, *argv, "--guard-override", "16")
+    assert (code, out) == (0, "x^4+x^3+1\n")
+    code, _, err = run(capsys, "star", "--p", "2", "--k", "4", "--perm", "x^7",
+                       "--f", "x^17+x^4+x+1", "--guard-override", "16")
+    assert code == 3 and "exponent 17 exceeds the guard 16" in err
+
+
+def test_linearized_perm_above_the_guard_exits_3(capsys):
+    # L[x^21] has degree 2^21 > 2^20
+    code, out, err = run(capsys, "fixed", "--p", "2", "--k", "4", "--perm", "L[x^21]")
+    assert (code, out) == (3, "")
