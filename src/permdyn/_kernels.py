@@ -8,10 +8,23 @@ exp/log tables and addition digitwise in base p).
 Each kernel is one numpy implementation; the loops that remain run once per
 coefficient and do whole-array work inside. `vadd` and `vneg` are the only
 places that add or negate encodings digit by digit, for ints and int64
-arrays alike.
+arrays alike. Prime-mode intermediates stay below INT64_BOUND: GF.prime
+admits only p with (p - 1)^2 + p below it, which covers a * b + c, and
+conv_p checks the sums of products that a convolution forms.
 """
 
 import numpy as np
+
+from .errors import GuardExceeded
+
+# int64 holds every integer below this bound exactly
+INT64_BOUND = 1 << 63
+
+
+def check_int64(value, what):
+    """Raise GuardExceeded unless an int64 intermediate of size `value` is exact."""
+    if value >= INT64_BOUND:
+        raise GuardExceeded("%s reaches %d, beyond the int64 bound 2^63" % (what, value))
 
 
 def get_backend():
@@ -46,6 +59,8 @@ def vneg(x, p, ndig):
 
 
 def conv_p(a, b, p):
+    # a coefficient of the product sums min(len) terms below p^2
+    check_int64(min(len(a), len(b)) * (p - 1) ** 2, "a product coefficient")
     return np.convolve(a, b) % p
 
 

@@ -23,25 +23,11 @@ from .genirr import bound_linearized, bound_monomial, iterate_generation, tau
 from .numth import is_prime
 from .permgroup import Matrix2, certify_perm, moebius_poly_rep, realize_permutation
 from .polys import Poly, first_irreducible, q_associate
-from .textio import parse_poly
+from .textio import parse_int, parse_poly
 
-__all__ = ["CliConfig", "parse_perm_expr", "main"]
+__all__ = ["parse_perm_expr", "main"]
 
 _MONOMIAL_RE = re.compile(r"^x(?:\^(\d+))?$")
-
-
-class CliConfig:
-    """Validated global options shared by every subcommand."""
-
-    __slots__ = ("p", "m", "k", "modulus", "guard", "output")
-
-    def __init__(self, args):
-        self.p = args.p
-        self.m = args.m
-        self.k = args.k
-        self.modulus = args.modulus
-        self.guard = DEFAULT_GUARD if args.guard_override is None else args.guard_override
-        self.output = args.output
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,18 +35,18 @@ class _Parser(argparse.ArgumentParser):
         raise MalformedInput(message)
 
 
-def _base_field(cfg):
-    Fp = GF.prime(cfg.p)
-    if cfg.m == 1:
+def _base_field(args):
+    Fp = GF.prime(args.p)
+    if args.m == 1:
         return Fp
-    return GF.extension(Fp, first_irreducible(Fp, cfg.m).coeffs)
+    return GF.extension(Fp, first_irreducible(Fp, args.m).coeffs)
 
 
-def _build_ctx(cfg):
+def _build_ctx(args):
     ext = None
-    if cfg.modulus is not None:
-        ext = parse_poly(_base_field(cfg), cfg.modulus, cfg.guard)
-    return make_field_ctx(cfg.p, cfg.m, cfg.k, ext_modulus=ext, guard=cfg.guard)
+    if args.modulus is not None:
+        ext = parse_poly(_base_field(args), args.modulus, args.guard_override)
+    return make_field_ctx(args.p, args.m, args.k, ext_modulus=ext, guard=args.guard_override)
 
 
 def _split_entries(text):
@@ -93,14 +79,15 @@ def _scalar(field, text, guard):
 def parse_perm_expr(ctx, expr, guard=DEFAULT_GUARD):
     """Certified permutation from x^N, L[POLY], M[a,b,c,d], or a raw polynomial.
 
-    Polynomial text with an exponent above `guard`, or an L[h] of degree
-    q^deg(h) above it, raises GuardExceeded.
+    Polynomial text with an exponent above `guard`, an x^N with N longer than
+    int() reads, or an L[h] of degree q^deg(h) above the guard raises
+    GuardExceeded.
     """
     s = expr.strip()
     mono = _MONOMIAL_RE.match(s)
     if mono:
         # x^n and x^(1 + (n - 1) mod (Q - 1)) agree on F_{q^k}
-        n = int(mono.group(1) or 1)
+        n = parse_int(mono.group(1) or "1", guard)
         if n >= 1:
             n = 1 + (n - 1) % (ctx.Q - 1)
         return certify_perm(ctx, Poly.one(ctx.Fq).shift(n))
@@ -118,23 +105,23 @@ def parse_perm_expr(ctx, expr, guard=DEFAULT_GUARD):
     return certify_perm(ctx, parse_poly(ctx.Fq, s, guard))
 
 
-def _cmd_enumerate(cfg, args, ctx):
+def _cmd_enumerate(args, ctx):
     polys = frobenius_orbits(ctx).polys
-    if cfg.output == "json":
+    if args.output == "json":
         return json.dumps([str(f) for f in polys])
     return "\n".join(str(f) for f in polys)
 
 
-def _cmd_apply(cfg, args, ctx):
-    out = args.op(ctx, parse_perm_expr(ctx, args.perm, cfg.guard),
-                  parse_poly(ctx.Fq, args.f, cfg.guard))
-    if cfg.output == "json":
+def _cmd_apply(args, ctx):
+    out = args.op(ctx, parse_perm_expr(ctx, args.perm, args.guard_override),
+                  parse_poly(ctx.Fq, args.f, args.guard_override))
+    if args.output == "json":
         return json.dumps({"result": str(out)})
     return str(out)
 
 
-def _cmd_fixed(cfg, args, ctx):
-    P = parse_perm_expr(ctx, args.perm, cfg.guard)
+def _cmd_fixed(args, ctx):
+    P = parse_perm_expr(ctx, args.perm, args.guard_override)
     fixed = None
     count = None
     if args.method in ("direct", "both"):
@@ -145,7 +132,7 @@ def _cmd_fixed(cfg, args, ctx):
         if count is not None and n != count:
             raise InternalCheckError("formula count disagrees with direct enumeration")
         count = n
-    if cfg.output == "json":
+    if args.output == "json":
         return json.dumps({
             "fixed": None if fixed is None else [str(f) for f in fixed],
             "count": count,
@@ -155,18 +142,18 @@ def _cmd_fixed(cfg, args, ctx):
     return "\n".join(lines)
 
 
-def _cmd_graph(cfg, args, ctx):
-    P = parse_perm_expr(ctx, args.perm, cfg.guard)
+def _cmd_graph(args, ctx):
+    P = parse_perm_expr(ctx, args.perm, args.guard_override)
     g = graph_Ck(ctx, P) if args.on == "ck" else graph_Ik(ctx, P)
-    fmt = args.format or (cfg.output if cfg.output in ("dot", "json") else "dot")
+    fmt = args.format or (args.output if args.output in ("dot", "json") else "dot")
     return g.to_dot() if fmt == "dot" else g.to_json()
 
 
-def _cmd_spectrum(cfg, args, ctx):
-    P = parse_perm_expr(ctx, args.perm, cfg.guard)
+def _cmd_spectrum(args, ctx):
+    P = parse_perm_expr(ctx, args.perm, args.guard_override)
     sc = spectrum_Ck(ctx, P)
     si = spectrum_Ik(ctx, P)
-    if cfg.output == "json":
+    if args.output == "json":
         return json.dumps({"S": sc.S, "S_star": si.S, "mu": sc.mu, "mu_star": si.mu})
     return "\n".join([
         "S_P = {%s}" % ", ".join(str(n) for n in sc.S),
@@ -176,13 +163,13 @@ def _cmd_spectrum(cfg, args, ctx):
     ])
 
 
-def _cmd_generate(cfg, args, ctx):
+def _cmd_generate(args, ctx):
     if args.max_steps is not None and args.max_steps < 0:
         raise MalformedInput("--max-steps must be >= 0")
-    P = parse_perm_expr(ctx, args.perm, cfg.guard)
-    f0 = parse_poly(ctx.Fq, args.seed_poly, cfg.guard)
+    P = parse_perm_expr(ctx, args.perm, args.guard_override)
+    f0 = parse_poly(ctx.Fq, args.seed_poly, args.guard_override)
     report = iterate_generation(ctx, P, f0, max_steps=args.max_steps)
-    if cfg.output == "json":
+    if args.output == "json":
         return report.to_json()
     lines = ["f_%d = %s" % (i, f) for i, f in enumerate(report.produced)]
     lines.append("period = %s" % ("unreached" if report.period is None else report.period))
@@ -198,7 +185,7 @@ def _sigma_indices(ctx, raw, guard):
         return orbits.index(parse_poly(ctx.Fq, str(v), guard))
 
     if isinstance(raw, dict):
-        pairs = [(int(a) if a.lstrip("-").isdigit() else a, b) for a, b in raw.items()]
+        pairs = [(parse_int(a) if a.lstrip("-").isdigit() else a, b) for a, b in raw.items()]
     elif isinstance(raw, list) and raw and all(isinstance(v, list) and len(v) == 2 for v in raw):
         pairs = raw
     elif isinstance(raw, list):
@@ -208,41 +195,42 @@ def _sigma_indices(ctx, raw, guard):
     return [(to_index(a), to_index(b)) for a, b in pairs]
 
 
-def _cmd_realize(cfg, args, ctx):
+def _cmd_realize(args, ctx):
     try:
         with open(args.sigma, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise MalformedInput("cannot read sigma file: %s" % exc)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or an integer longer than int() reads
         raise MalformedInput("sigma file is not valid JSON: %s" % exc)
-    P = realize_permutation(ctx, _sigma_indices(ctx, raw, cfg.guard))
-    if cfg.output == "json":
+    P = realize_permutation(ctx, _sigma_indices(ctx, raw, args.guard_override))
+    if args.output == "json":
         return json.dumps({"perm": str(P)})
     return str(P)
 
 
-def _cmd_bounds(cfg, args):
+def _cmd_bounds(args, ctx):
     # the checks make_field_ctx makes, without building F_{q^k}
-    if cfg.m < 1 or cfg.k < 1:
+    if args.m < 1 or args.k < 1:
         raise PreconditionError("m and k must be positive")
-    if not is_prime(cfg.p):
-        raise PreconditionError("%d is not prime" % cfg.p)
-    q = cfg.p ** cfg.m
+    if not is_prime(args.p):
+        raise PreconditionError("%d is not prime" % args.p)
+    q = args.p ** args.m
     if args.family == "tau":
-        ceiling = math.ceil(tau(cfg.p, cfg.k) / cfg.k)
-        if cfg.output == "json":
+        ceiling = math.ceil(tau(args.p, args.k) / args.k)
+        if args.output == "json":
             return json.dumps({"family": "tau", "ceiling": ceiling})
         return "ceil(tau/k) = %d" % ceiling
     if args.family == "monomial":
         if args.n is None:
             raise MalformedInput("--family monomial needs --n")
-        bound = bound_monomial(q, cfg.k, args.n)
+        bound = bound_monomial(q, args.k, args.n)
     else:
         if args.g is None:
             raise MalformedInput("--family linearized needs --g")
-        bound = bound_linearized(q, cfg.k, parse_poly(_base_field(cfg), args.g, cfg.guard))
-    if cfg.output == "json":
+        g = parse_poly(_base_field(args), args.g, args.guard_override)
+        bound = bound_linearized(q, args.k, g)
+    if args.output == "json":
         return json.dumps({"family": args.family, "bound": str(bound)})
     return "bound = %s" % bound
 
@@ -253,7 +241,7 @@ def _build_parser():
     common.add_argument("--m", type=int, default=1, help="degree of F_q over F_p (default 1)")
     common.add_argument("--k", type=int, required=True, help="degree of the irreducibles under study")
     common.add_argument("--modulus", help="defining polynomial of F_{q^k} over F_q")
-    common.add_argument("--guard-override", type=int, default=None,
+    common.add_argument("--guard-override", type=int, default=DEFAULT_GUARD,
                         help="replace the default q^k exhaustive-operation guard")
     common.add_argument("--output", choices=("text", "json", "dot"), default="text",
                         help="output format (default text)")
@@ -312,11 +300,7 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = CliConfig(args)
-        if args.needs_ctx:
-            out = args.func(cfg, args, _build_ctx(cfg))
-        else:
-            out = args.func(cfg, args)
+        out = args.func(args, _build_ctx(args) if args.needs_ctx else None)
     except MalformedInput as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

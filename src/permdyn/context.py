@@ -108,10 +108,27 @@ def conjugates(ctx, a):
 
 def minimal_poly(ctx, a):
     """Minimal polynomial of a over F_q, as a Poly over F_q."""
-    prod = Poly.from_roots(ctx.Fqk, conjugates(ctx, a))
-    if np.any(prod.coeffs >= ctx.q):
+    return Poly(ctx.Fq, _minimal_polys(ctx, np.array([conjugates(ctx, a)], dtype=np.int64))[0])
+
+
+def _minimal_polys(ctx, conj):
+    """Ascending coefficients of prod_j (x - conj[i, j]), one row per orbit i.
+
+    Each row is the minimal polynomial of a Frobenius orbit, so every
+    coefficient must lie in F_q.
+    """
+    F = ctx.Fqk
+    n, k = conj.shape
+    coef = np.zeros((n, k + 1), dtype=np.int64)
+    coef[:, 0] = 1
+    for j in range(k):
+        low = F.vmul(F.vneg(conj[:, j:j + 1]), coef[:, :j + 1])
+        coef[:, 1:j + 2] = coef[:, :j + 1]
+        coef[:, 0] = 0
+        coef[:, :j + 1] = F.vadd(coef[:, :j + 1], low)
+    if np.any(coef >= ctx.q):
         raise InternalCheckError("minimal polynomial has a coefficient outside F_q")
-    return Poly(ctx.Fq, prod.coeffs)
+    return coef
 
 
 class FrobeniusOrbits:
@@ -170,19 +187,7 @@ def _build_orbits(ctx):
     conj[:, 0] = reps
     for j in range(1, k):
         conj[:, j] = frob[conj[:, j - 1]]
-
-    # every minimal polynomial at once: one row of ascending coefficients per
-    # orbit, multiplied by x - a for each conjugate a in turn
-    coef = np.zeros((n, k + 1), dtype=np.int64)
-    coef[:, 0] = 1
-    for j in range(k):
-        low = F.vmul(F.vneg(conj[:, j:j + 1]), coef[:, :j + 1])
-        coef[:, 1:j + 2] = coef[:, :j + 1]
-        coef[:, 0] = 0
-        coef[:, :j + 1] = F.vadd(coef[:, :j + 1], low)
-    if np.any(coef >= q):
-        raise InternalCheckError("minimal polynomial has a coefficient outside F_q")
-
+    coef = _minimal_polys(ctx, conj)
     codes = coef @ q ** np.arange(k + 1, dtype=np.int64)
     order = np.argsort(codes)
     out = FrobeniusOrbits()

@@ -2,14 +2,13 @@
 
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from .context import (distinguished_root, element_degree, embed_poly, enumerate_Ck,
                       frobenius_orbits, minimal_poly)
 from .errors import InternalCheckError, PreconditionError
-from .numth import divisors, euler_phi, is_prime, moebius, mult_order_int
+from .numth import divisors, euler_phi, is_prime, moebius_sum, mult_order_int
 from .orders import fq_order, mult_order, norm_of, phi_q, poly_order, trace_of
 from .permgroup import _coerce_poly, pgl2_order
 from .polys import (
@@ -139,26 +138,19 @@ def fixed_count_formula(ctx, P):
     x = Poly.x(ctx.Fq)
     one = Poly.one(ctx.Fq)
 
-    total = Fraction(0)
-    for d in divisors(k):
-        mu = moebius(k // d)
-        if mu == 0:
-            continue
-        inner = 0
-        for i in range(d):
-            A = one.shift(q ** i) - P
-            if A.is_zero:
-                inner += q ** d
-                continue
-            if A.degree == 0:
-                continue
-            t = x % A
-            for _ in range(d):
-                t = powmod(t, q, A)
-            inner += poly_gcd(t - x % A, A).degree
-        total += Fraction(mu * inner, d)
-    if total.denominator != 1 or total < 0:
-        raise InternalCheckError("divisor sum is not a nonnegative integer")
+    def roots(d, i):
+        # number of roots of x^(q^i) - P in F_{q^d}
+        A = one.shift(q ** i) - P
+        if A.is_zero:
+            return q ** d
+        if A.degree == 0:
+            return 0
+        t = x % A
+        for _ in range(d):
+            t = powmod(t, q, A)
+        return poly_gcd(t - x % A, A).degree
+
+    total = moebius_sum(k, roots)
 
     psi = psi_d(ctx.Fq, k)
     R = one
@@ -167,9 +159,9 @@ def fixed_count_formula(ctx, P):
     for _ in range(k):
         R = (R * (t - Pm)) % psi
         t = powmod(t, q, psi)
-    if poly_gcd(R, psi).degree != int(total) * k:
+    if poly_gcd(R, psi).degree != total * k:
         raise InternalCheckError("fixed-point count evaluations disagree")
-    return int(total)
+    return total
 
 
 def fixed_count_monomial(ctx, n):
@@ -177,16 +169,8 @@ def fixed_count_monomial(ctx, n):
     q, k = ctx.q, ctx.k
     if math.gcd(n, q ** k - 1) != 1:
         raise PreconditionError("n must be coprime to q^k - 1")
-    total = Fraction(1 if k == 1 else 0)
-    for d in divisors(k):
-        mu = moebius(k // d)
-        if mu == 0:
-            continue
-        inner = sum(math.gcd(q ** i - n, q ** d - 1) for i in range(d))
-        total += Fraction(mu * inner, d)
-    if total.denominator != 1 or total < 0:
-        raise InternalCheckError("monomial fixed-point sum is not a nonnegative integer")
-    return int(total)
+    # when k = 1, f = x is fixed too: its root 0 lies outside the multiplicative group
+    return int(k == 1) + moebius_sum(k, lambda d, i: math.gcd(q ** i - n, q ** d - 1))
 
 
 def fixed_count_linearized(ctx, h):
@@ -199,17 +183,7 @@ def fixed_count_linearized(ctx, h):
     if h.is_zero or poly_gcd(h, xk1).degree != 0:
         raise PreconditionError("h must be coprime to x^k - 1")
     h = h % xk1
-    total = Fraction(0)
-    for d in divisors(k):
-        mu = moebius(k // d)
-        if mu == 0:
-            continue
-        xd1 = one.shift(d) - one
-        inner = sum(q ** poly_gcd(one.shift(i) - h, xd1).degree for i in range(d))
-        total += Fraction(mu * inner, d)
-    if total.denominator != 1 or total < 0:
-        raise InternalCheckError("linearized fixed-point sum is not a nonnegative integer")
-    return int(total)
+    return moebius_sum(k, lambda d, i: q ** poly_gcd(one.shift(i) - h, one.shift(d) - one).degree)
 
 
 def fixed_count_prime_monomial(q, k, n):
@@ -402,8 +376,7 @@ def moebius_cycle_structure(q, k, A):
     if k < 3:
         raise PreconditionError("the Moebius cycle structure needs k >= 3")
     D = pgl2_order(A)
-    n_k = sum(moebius(k // d) * q ** d for d in divisors(k))
-    quo, rem = divmod(n_k, D)
+    quo, rem = divmod(k * count_irreducibles(q, k), D)
     if rem:
         raise InternalCheckError("PGL_2 class order does not divide |C_k|")
     return [(D, quo)]

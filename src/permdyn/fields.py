@@ -32,6 +32,8 @@ class GF:
         """The prime field of p elements."""
         if not numth.is_prime(p):
             raise PreconditionError("%d is not prime" % p)
+        # prime-mode kernels form a * b + c with a, b, c < p in int64
+        _kernels.check_int64((p - 1) ** 2 + p, "arithmetic mod %d" % p)
         self = cls(_token=cls._TOKEN)
         self.p = p
         self.deg = 1
@@ -67,78 +69,32 @@ class GF:
         self.modulus = modulus
         self.mode = "table"
         self.key = ("ext", base.key, tuple(int(c) for c in modulus))
-        self._build_tables(base, modulus, r)
+        self._build_tables(base, modulus)
         return self
 
     # -- table construction -------------------------------------------------
 
-    def _build_tables(self, base, modulus, r):
+    def _build_tables(self, base, modulus):
+        from .polys import Poly, powmod  # polys does not import fields
+
         Q = self.order
         p = self.p
         n = self.deg
-
-        def vec_mul(u, v):
-            # schoolbook product of length-r vectors over base, reduced mod modulus
-            prod = [0] * (2 * r - 1)
-            for i, ui in enumerate(u):
-                if ui == 0:
-                    continue
-                for j, vj in enumerate(v):
-                    if vj:
-                        prod[i + j] = base.add(prod[i + j], base.mul(ui, vj))
-            for d in range(2 * r - 2, r - 1, -1):
-                c = prod[d]
-                if c == 0:
-                    continue
-                prod[d] = 0
-                for j in range(r):
-                    mj = modulus[j]
-                    if mj:
-                        prod[d - r + j] = base.sub(prod[d - r + j], base.mul(c, int(mj)))
-            return prod[:r]
-
-        def vec_pow(u, e):
-            acc = [1] + [0] * (r - 1)
-            sq = list(u)
-            while e:
-                if e & 1:
-                    acc = vec_mul(acc, sq)
-                e >>= 1
-                if e:
-                    sq = vec_mul(sq, sq)
-            return acc
-
-        def to_vec(enc):
-            out = []
-            for _ in range(r):
-                out.append(enc % base.order)
-                enc //= base.order
-            return out
-
-        one = [1] + [0] * (r - 1)
-        prime_factors = list(numth.factorint(Q - 1))
-        gen_vec = None
+        mod = Poly(base, modulus)
+        one = Poly.one(base)
+        cofactors = [(Q - 1) // ell for ell in numth.factorint(Q - 1)]
         for enc in range(2, Q):
-            cand = to_vec(enc)
-            if all(vec_pow(cand, (Q - 1) // ell) != one for ell in prime_factors):
-                gen_vec = cand
+            g = Poly.from_encoding(base, enc)
+            if all(powmod(g, e, mod) != one for e in cofactors):
                 self.generator = enc
                 break
-        if gen_vec is None:
+        else:
             raise ArithmeticError("no multiplicative generator found; modulus reducible?")
 
-        # F_p-matrix of multiplication by the generator, columns indexed by basis digits
-        def vec_to_enc(vec):
-            enc = 0
-            for c in reversed(vec):
-                enc = enc * base.order + c
-            return enc
-
-        M = np.zeros((n, n), dtype=np.int64)
-        for j in range(n):
-            basis = [0] * r
-            basis[j // base.deg] = base.p ** (j % base.deg)
-            M[:, j] = self.decompose(vec_to_enc(vec_mul(gen_vec, basis)))
+        # F_p-matrix of multiplication by the generator: column j is g * p^j,
+        # p^j being the encoding of the j-th basis element
+        M = np.array([self.decompose((g * Poly.from_encoding(base, p ** j) % mod).encoding())
+                      for j in range(n)], dtype=np.int64).T
 
         exp_dig = np.zeros((Q - 1, n), dtype=np.int64)
         exp_dig[0, 0] = 1

@@ -5,7 +5,10 @@ Pollard's rho with a fixed parameter schedule, so results are reproducible.
 """
 
 import math
+from fractions import Fraction
 from functools import lru_cache, reduce
+
+from .errors import InternalCheckError
 
 _TRIAL_BOUND = 10 ** 6
 
@@ -106,6 +109,36 @@ def euler_phi(n):
                   factorint(n).items(), n)
 
 
+def moebius_sum(k, term):
+    """Sum over d | k of moebius(k/d)/d times the sum over i < d of term(d, i).
+
+    Every caller counts something with it, so a result that is not a
+    nonnegative integer raises InternalCheckError. term is called only where
+    moebius(k/d) != 0.
+    """
+    total = Fraction(0)
+    for d in divisors(k):
+        mu = moebius(k // d)
+        if mu:
+            total += Fraction(mu * sum(term(d, i) for i in range(d)), d)
+    if total.denominator != 1 or total < 0:
+        raise InternalCheckError("divisor sum is not a nonnegative integer")
+    return int(total)
+
+
+def order_dividing(e, is_one):
+    """The least divisor d of e with is_one(d), given that is_one(e) holds.
+
+    In a group where is_one(d) tests whether an element's d-th power is the
+    identity, this is the element's order when e is a multiple of it: each
+    prime of e is stripped while the power stays the identity.
+    """
+    for prime in factorint(e):
+        while e % prime == 0 and is_one(e // prime):
+            e //= prime
+    return e
+
+
 def mult_order_int(a, n):
     """Multiplicative order of a modulo n (requires gcd(a, n) = 1)."""
     if n == 1:
@@ -113,8 +146,4 @@ def mult_order_int(a, n):
     a %= n
     if math.gcd(a, n) != 1:
         raise ValueError("order undefined: gcd(%d, %d) != 1" % (a, n))
-    e = euler_phi(n)
-    for prime in factorint(e):
-        while e % prime == 0 and pow(a, e // prime, n) == 1:
-            e //= prime
-    return e
+    return order_dividing(euler_phi(n), lambda d: pow(a, d, n) == 1)

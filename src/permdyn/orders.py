@@ -19,14 +19,10 @@ def mult_order(ctx, f):
         raise PreconditionError("mult_order needs an irreducible polynomial")
     if f.degree == 1 and f.coeff(0) == 0:
         raise PreconditionError("mult_order is undefined for f = x")
-    k = f.degree
     x = Poly.x(f.field)
     one = Poly.one(f.field)
-    e = f.field.order ** k - 1
-    for prime in numth.factorint(e):
-        while e % prime == 0 and powmod(x, e // prime, f) == one:
-            e //= prime
-    return e
+    return numth.order_dividing(f.field.order ** f.degree - 1,
+                                lambda d: powmod(x, d, f) == one)
 
 
 def _linearized_mod(h, f):
@@ -88,11 +84,7 @@ def poly_order(f, g):
     if poly_gcd(f, g).degree != 0:
         raise PreconditionError("poly_order needs gcd(f, g) = 1")
     one = Poly.one(f.field)
-    e = phi_q(g)
-    for prime in numth.factorint(e):
-        while e % prime == 0 and powmod(f, e // prime, g) == one:
-            e //= prime
-    return e
+    return numth.order_dividing(phi_q(g), lambda d: powmod(f, d, g) == one)
 
 
 def norm_of(ctx, f):

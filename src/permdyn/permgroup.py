@@ -8,7 +8,7 @@ import numpy as np
 
 from .context import embed_poly, enumerate_Ck, frobenius_orbits, make_field_ctx, restrict_poly
 from .errors import InternalCheckError, PreconditionError
-from .polys import Poly, fold_mod, poly_gcd
+from .polys import Poly, fold_mod, poly_gcd, pth_root
 
 __all__ = [
     "PermPoly", "Matrix2", "certify_perm", "perm_table", "gk_compose",
@@ -289,13 +289,6 @@ def is_degree_preserving_form(F):
     return i == 1
 
 
-def _pth_root(F):
-    p = F.field.p
-    e = p ** (F.field.deg - 1)
-    return Poly(F.field, [F.field.pow(F.coeff(p * i), e)
-                          for i in range(F.degree // p + 1)])
-
-
 def check_degree_preserving(F, bound):
     """Empirically test the degree-preserving consequences of F on C_j, j <= bound.
 
@@ -312,7 +305,7 @@ def check_degree_preserving(F, bound):
     p, m = F.field.p, F.field.deg
     G = F
     while G.derivative().is_zero:
-        G = _pth_root(G)
+        G = pth_root(G)
     dG = G.derivative()
     for c in (0, 1):
         H = G - Poly.const(G.field, c)

@@ -44,13 +44,6 @@ class Poly:
     def const(cls, field, c):
         return cls(field, [c])
 
-    @classmethod
-    def from_roots(cls, field, roots):
-        out = cls.one(field)
-        for r in roots:
-            out = out * cls(field, [field.neg(int(r)), 1])
-        return out
-
     @property
     def degree(self):
         return len(self.coeffs) - 1
@@ -276,8 +269,9 @@ def enumerate_irreducibles(field, k):
 
 def count_irreducibles(q, k):
     """Number of monic irreducibles of degree k over a field of q elements."""
-    total = sum(numth.moebius(k // d) * q ** d for d in numth.divisors(k))
-    return total // k
+    # with term q^d the inner sums are d q^d, leaving Gauss's sum over d | k of
+    # moebius(k/d) q^d: the number of elements of degree k, k per irreducible
+    return numth.moebius_sum(k, lambda d, i: q ** d) // k
 
 
 def psi_d(field, d):
@@ -299,8 +293,6 @@ def psi_d(field, d):
 
 def _squarefree_parts(f):
     """Char-p squarefree decomposition: list of (multiplicity, squarefree factor)."""
-    field = f.field
-    p = field.p
     out = []
     c = poly_gcd(f, f.derivative())
     w = f // c
@@ -314,12 +306,15 @@ def _squarefree_parts(f):
         w = y
         c = c // y
     if c.degree > 0:
-        root = np.zeros(c.degree // p + 1, dtype=np.int64)
-        for j in range(len(root)):
-            root[j] = field.pow(c.coeff(j * p), field.order // p)
-        for mult, g in _squarefree_parts(Poly(field, root)):
-            out.append((mult * p, g))
+        for mult, g in _squarefree_parts(pth_root(c)):
+            out.append((mult * f.field.p, g))
     return out
+
+
+def pth_root(f):
+    """The g with g^p = f, for an f in which only powers of x^p occur (p the characteristic)."""
+    field = f.field
+    return Poly(field, field.vpow(f.coeffs[::field.p], field.order // field.p))
 
 
 def _distinct_degree(f):

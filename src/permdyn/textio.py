@@ -15,6 +15,25 @@ from .polys import Poly
 
 _TERM_RE = re.compile(r"^(?:\[([^\]]*)\]|(\d+))?\*?(?:(x)(?:\^(\d+))?)?$")
 
+# int() refuses decimal text longer than this (Python's default digit limit)
+MAX_DIGITS = 4300
+
+
+def parse_int(text, guard=None):
+    """int(text), with the length of the text checked before int() runs.
+
+    Text longer than MAX_DIGITS raises GuardExceeded when it is an exponent
+    with a guard (its value is above any guard) and MalformedInput otherwise.
+    """
+    if len(text) > MAX_DIGITS:
+        if guard is not None:
+            raise GuardExceeded("exponent of %d digits exceeds the guard %d" % (len(text), guard))
+        raise MalformedInput("number of %d digits is too long" % len(text))
+    try:
+        return int(text)
+    except ValueError:
+        raise MalformedInput("bad number %r" % text) from None
+
 
 def _split_terms(s):
     terms = []
@@ -44,10 +63,7 @@ def _split_terms(s):
 def _parse_csv(field, s):
     vals = []
     for tok in s.split(","):
-        try:
-            v = int(tok.strip())
-        except ValueError:
-            raise MalformedInput("bad CSV coefficient %r" % tok) from None
+        v = parse_int(tok.strip())
         if abs(v) >= field.order:
             raise MalformedInput("coefficient encoding %d out of range" % v)
         vals.append(v if v >= 0 else field.neg(-v))
@@ -77,20 +93,16 @@ def parse_poly(field, text, max_degree=None):
             if len(digits) > field.deg:
                 raise MalformedInput("too many digits in %r" % term)
             for j, d in enumerate(digits):
-                try:
-                    dv = int(d.strip())
-                except ValueError:
-                    raise MalformedInput("bad digit in %r" % term) from None
-                enc += dv % field.p * field.p ** j
+                enc += parse_int(d.strip()) % field.p * field.p ** j
         elif number is not None:
-            enc = int(number) % field.p
+            enc = parse_int(number) % field.p
         else:
             enc = 1
         if sign < 0:
             enc = field.neg(enc)
         e = 0
         if xpart is not None:
-            e = int(exp) if exp is not None else 1
+            e = 1 if exp is None else parse_int(exp, max_degree)
             if max_degree is not None and e > max_degree:
                 raise GuardExceeded("exponent %d exceeds the guard %d" % (e, max_degree))
         coeffs[e] = field.add(coeffs.get(e, 0), enc)

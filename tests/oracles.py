@@ -64,3 +64,18 @@ def schoolbook_eval(field, coeffs, x):
     for c in reversed(coeffs):
         acc = digit_add(field, field.mul(acc, int(x)), int(c))
     return acc
+
+
+def ext_mul(base, modulus, a, b):
+    """a * b in base[y]/(modulus), by schoolbook product and long division.
+
+    a and b are encodings whose radix-|base| digits are their coefficients
+    over base; modulus is the ascending coefficient array of a monic
+    polynomial. Only base.mul and digit vectors are used, never the tables
+    of the extension itself.
+    """
+    Q, r = base.order, len(modulus) - 1
+    u = [a // Q ** i % Q for i in range(r)]
+    v = [b // Q ** i % Q for i in range(r)]
+    rem = schoolbook_divmod(base, schoolbook_mul(base, u, v), modulus)[1]
+    return sum(c * Q ** i for i, c in enumerate(rem))

@@ -346,6 +346,34 @@ def test_huge_exponent_in_polynomial_text_exits_3(capsys, argv):
     assert "exceeds the guard" in err
 
 
+LONG = "9" * 5000  # more digits than int() reads
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("star", "--p", "2", "--k", "4", "--perm", "x^7", "--f", "x^%s+x+1" % LONG), 3),
+    (("star", "--p", "2", "--k", "4", "--perm", "x^" + LONG, "--f", "x^4+x+1"), 3),
+    (("star", "--p", "2", "--k", "4", "--perm", "x^7", "--f", "x^4+x+" + LONG), 1),
+    (("star", "--p", "2", "--k", "4", "--perm", "x^7", "--f", "1,1,0,0," + LONG), 1),
+    (("star", "--p", "2", "--m", "2", "--k", "2", "--perm", "x^7",
+      "--f", "x^2+[1,%s]x+1" % LONG), 1),
+])
+def test_number_too_long_for_int_is_refused_by_its_length(capsys, argv, code):
+    # an exponent is above every guard (exit 3); any other number is malformed
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "ValueError" not in err
+
+
+def test_prime_above_the_int64_bound_exits_3(capsys):
+    # (x^3 - 1)/(x - 1) is irreducible mod 4294967357 (a prime = 2 mod 3), but
+    # products mod p overflow int64, so GF.prime refuses p
+    code, out, err = run(capsys, "bounds", "--p", "4294967357", "--k", "3",
+                         "--family", "linearized", "--g", "x+2")
+    assert (code, out) == (3, "")
+    assert "int64" in err
+
+
 def test_exponent_guard_follows_guard_override(capsys):
     argv = ("star", "--p", "2", "--k", "4", "--perm", "x^7", "--f", "x^4+x+1")
     code, out, _ = run(capsys, *argv, "--guard-override", "16")

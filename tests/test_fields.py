@@ -1,8 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from permdyn.errors import PreconditionError
+from permdyn import _kernels
+from permdyn.context import make_field_ctx
+from permdyn.errors import GuardExceeded, PreconditionError
 from permdyn.fields import GF
+from permdyn.polys import Poly
+
+from oracles import ext_mul
 
 F2 = GF.prime(2)
 F3 = GF.prime(3)
@@ -75,6 +82,102 @@ def test_exp_log_tables(field):
         assert field.exp[i] == acc
         acc = field.mul(acc, g)
     assert acc == 1
+
+
+# F_{q^k} of make_field_ctx(p, m, k): name -> ((p, m, k), generator, sha256 of
+# exp, sha256 of log), the arrays hashed as little-endian int64 bytes
+PINNED_TABLES = {
+    "F4": ((2, 1, 2), 2,
+           "e19a24de5332afda9b9da5ab7a52428046469bc5c511d486b03db52959429b53",
+           "bd2fbb4b3dcb9759dc89566c14a28f425b78dffd163b7e15d2301d757879480d"),
+    "F8": ((2, 1, 3), 2,
+           "e4d359ecb5428d6963c41c532ad9188827251d3ac32962399b440b60fdbd54e3",
+           "72506e192248f1e3688781cec579cf156031e957a31ea6ec3545609405737370"),
+    "F9": ((3, 1, 2), 4,
+           "e0a0272ed039676c8d405a4fe4eea78d610b360f6d21b07715109d7f8aae6363",
+           "270ed5f075d56f55fa5bfd4a085bfecb8b5160b62ce9b7e7323455960961d550"),
+    "F16": ((2, 1, 4), 2,
+            "3d3a720678913817870b099e4317b5d102c51c3efe1867edd1265dab94e36ea5",
+            "6f02fb7556d70f5a82699ad0f7f84c391f4557190e64968399273a1fcc7077a1"),
+    "F25": ((5, 1, 2), 6,
+            "adb0a37381f1fc9f7565dd6abadfb5ab5f00f332eb2cd3b33fa90dac2a66d7d3",
+            "eb48ca383d89873ca38cba36e5299e42757fbd6b577f3878febbecbf7bd640bc"),
+    "F27": ((3, 1, 3), 3,
+            "501a047a2bf1c04e27a6049a5f7de053d5fb57c071f654295a24c32850aba820",
+            "22085886c12453b0e9e579ee482577dc54a8fcb20226123da539355283017b3a"),
+    "F64/F8": ((2, 3, 2), 10,
+               "4c6488d18eb3ddf7790659fd14e6c3a317aab6e1414a673801367ab026cc87d6",
+               "6c6a098a86f711540dc63d5f26b78122d052844154516dddab06b1b396c242c8"),
+    "F81/F9": ((3, 2, 2), 10,
+               "b9e4b33415d21a549b3b9ec623ffd49412ede26b231236ad6076ae1a6276c24e",
+               "ce73b98bcd82510e5b8776722feda21f5b1616331ebb5f5187d90f3ddc8042a6"),
+    "F2^12": ((2, 1, 12), 3,
+              "67ca909ae7888629c72ac0daf44232b596d128c6760a4d68e5c22abcfced8ddf",
+              "49ad28db5e931208fa3e24539cc737672f23aaa31f7b17b87701406056e72ba3"),
+    "F2^20": ((2, 1, 20), 2,
+              "b2cce9e45be3e14117310c6920c06f7f94775485e3c0c74e74c47b79798e6d34",
+              "b8ab97f94ba2e52bf4421952df49ebd6cb8dbc6b4e2a28843e9d1d4d4b446af4"),
+}
+
+
+def _sha256(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr, dtype="<i8").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TABLES))
+def test_tables_match_pinned_digests(name):
+    pmk, generator, exp_sha, log_sha = PINNED_TABLES[name]
+    field = make_field_ctx(*pmk).Fqk
+    assert (field.generator, _sha256(field.exp), _sha256(field.log)) == (
+        generator, exp_sha, log_sha)
+
+
+@pytest.mark.parametrize("name,stride", [
+    ("F4", 1), ("F8", 1), ("F9", 1), ("F16", 1), ("F25", 1), ("F27", 1),
+    ("F64/F8", 1), ("F81/F9", 1), ("F2^12", 15),
+])
+def test_exp_table_against_schoolbook_oracle(name, stride):
+    # each power of the generator is the schoolbook product of the one before
+    # and the generator, reduced mod the modulus without the field's tables
+    field = make_field_ctx(*PINNED_TABLES[name][0]).Fqk
+    Q, g = field.order, field.generator
+    assert field.exp[0] == 1 and len(np.unique(field.exp[:Q - 1])) == Q - 1
+    for i in range(0, Q - 1, stride):
+        a = int(field.exp[i])
+        assert ext_mul(field.base, field.modulus, g, a) == field.exp[(i + 1) % (Q - 1)]
+        assert field.log[a] == i
+
+
+def test_prime_field_above_the_int64_bound_is_refused():
+    # p = 4294967311, the least prime above 2^32: (p - 1)^2 + p exceeds 2^63;
+    # unchecked, the int64 square of (p - 1) + (p - 1)x read 4294967087x^2+...
+    # where (x + 1)^2 = x^2+2x+1 is right
+    with pytest.raises(GuardExceeded):
+        GF.prime(4294967311)
+    # 3037000493 and 3037000507 are the primes on either side of the bound
+    with pytest.raises(GuardExceeded):
+        GF.prime(3037000507)
+    F = GF.prime(3037000493)
+    p = F.p
+    assert (p - 1) ** 2 + p < _kernels.INT64_BOUND
+    assert Poly(F, [p - 1]) * Poly(F, [p - 1, p - 1]) == Poly(F, [1, 1])
+    assert Poly(F, [p - 1, 0, 1])(p - 1) == 0
+    assert F.mul(p - 1, p - 1) == 1 and F.inv(p - 1) == p - 1
+    with pytest.raises(GuardExceeded):
+        Poly(F, [p - 1, p - 1]) * Poly(F, [p - 1, p - 1])
+
+
+def test_product_above_the_int64_bound_is_refused():
+    # 2 * (p - 1)^2 < 2^63 <= 3 * (p - 1)^2 for p = 2^31 - 1
+    F = GF.prime(2 ** 31 - 1)
+    p = F.p
+    a = Poly(F, [p - 1, p - 1])
+    assert a * a == Poly(F, [1, 2, 1])
+    b = Poly(F, [p - 1] * 3)
+    with pytest.raises(GuardExceeded):
+        b * b
+    with pytest.raises(GuardExceeded):
+        _kernels.conv_p(b.coeffs, b.coeffs, p)
 
 
 def test_generator_has_full_order():

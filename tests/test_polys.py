@@ -79,12 +79,6 @@ def test_divmod_by_zero_raises():
         poly_divmod(P(F2, "x"), Poly.zero(F2))
 
 
-def test_from_roots():
-    f = Poly.from_roots(F3, [1, 2])
-    assert f == P(F3, "x^2+2")  # (x-1)(x-2) = x^2 - 3x + 2 = x^2 + 2
-    assert f(1) == 0 and f(2) == 0 and f(0) == 2
-
-
 def test_gcd_basics():
     a = P(F2, "x^2+1")  # (x+1)^2
     b = P(F2, "x^3+1")  # (x+1)(x^2+x+1)
