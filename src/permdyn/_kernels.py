@@ -8,9 +8,10 @@ exp/log tables and addition digitwise in base p).
 Each kernel is one numpy implementation; the loops that remain run once per
 coefficient and do whole-array work inside. `vadd` and `vneg` are the only
 places that add or negate encodings digit by digit, for ints and int64
-arrays alike. Prime-mode intermediates stay below INT64_BOUND: GF.prime
-admits only p with (p - 1)^2 + p below it, which covers a * b + c, and
-conv_p checks the sums of products that a convolution forms.
+arrays alike, and `vsum` the only place that sums an array of them.
+Prime-mode intermediates stay below INT64_BOUND: GF.prime admits only p
+with (p - 1)^2 + p below it, which covers a * b + c, and conv_p checks the
+sums of products that a convolution forms.
 """
 
 import numpy as np
@@ -54,6 +55,17 @@ def vneg(x, p, ndig):
     out, shift = 0, 1
     for _ in range(ndig):
         out = out + (-(x // shift) % p) * shift
+        shift *= p
+    return out
+
+
+def vsum(x, p, ndig):
+    """Digitwise base-p sum of an int64 array of encodings along axis 0."""
+    if ndig == 1:
+        return x.sum(axis=0) % p
+    out, shift = 0, 1
+    for _ in range(ndig):
+        out = out + (x // shift % p).sum(axis=0) % p * shift
         shift *= p
     return out
 

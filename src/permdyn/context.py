@@ -85,6 +85,8 @@ def make_field_ctx(p, m, k, ext_modulus=None, guard=DEFAULT_GUARD):
 
 def frobenius(ctx, a, j=1):
     """a^(q^j) in F_{q^k}."""
+    if not 0 <= a < ctx.Q:
+        raise PreconditionError("%d is not an element encoding of F_{q^k}" % a)
     return ctx.Fqk.pow(a, ctx.q ** (j % ctx.k if ctx.k > 1 else 0))
 
 
@@ -153,7 +155,7 @@ class FrobeniusOrbits:
 
     def index(self, f):
         """Position of f in polys."""
-        if f.degree == self.conj.shape[1] and f.leading() == 1:
+        if f.field.key == self.field.key and f.degree == self.conj.shape[1] and f.leading() == 1:
             i = int(np.searchsorted(self.codes, f.encoding()))
             if i < len(self.codes) and self.codes[i] == f.encoding():
                 return i
@@ -206,9 +208,10 @@ def enumerate_Ck(ctx):
 
 
 def roots_in_ext(ctx, f):
-    """Ascending encodings of the roots of f in F_{q^k}.
+    """Ascending encodings of the roots of f in F_{q^k}, by evaluating f at every element.
 
-    f is a Poly over F_q; its coefficients embed into F_{q^k} unchanged.
+    f is a Poly over F_q; its coefficients embed into F_{q^k} unchanged. The
+    package reads roots off the orbit table; this scan is the reference for it.
     """
     if f.is_zero:
         raise PreconditionError("zero polynomial has every element as a root")
@@ -217,11 +220,9 @@ def roots_in_ext(ctx, f):
 
 
 def distinguished_root(ctx, f):
-    """The smallest-encoding root of f in F_{q^k}."""
-    roots = roots_in_ext(ctx, f)
-    if len(roots) == 0:
-        raise PreconditionError("polynomial has no root in F_{q^k}")
-    return int(roots[0])
+    """The smallest-encoding root of an irreducible f of degree k, read off the orbit table."""
+    orbits = frobenius_orbits(ctx)
+    return int(orbits.conj[orbits.index(f.monic()), 0])
 
 
 def embed_poly(ctx, f):

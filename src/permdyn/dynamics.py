@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from .context import (distinguished_root, element_degree, embed_poly, enumerate_Ck,
-                      frobenius_orbits, minimal_poly)
+                      frobenius_orbits)
 from .errors import InternalCheckError, PreconditionError
 from .numth import divisors, euler_phi, is_prime, moebius_sum, mult_order_int
 from .orders import fq_order, mult_order, norm_of, phi_q, poly_order, trace_of
@@ -111,14 +111,14 @@ def star(ctx, P, f):
 
 
 def diamond(ctx, P, f):
-    """Minimal polynomial of P(alpha) for a root alpha of f."""
+    """Minimal polynomial of P(alpha) for a root alpha of f, read off the orbit table."""
     P = _coerce_poly(ctx, P)
     _check_member(ctx, f)
-    beta = embed_poly(ctx, P)(distinguished_root(ctx, f))
-    out = minimal_poly(ctx, beta)
-    if out.degree != ctx.k:
+    orbits = frobenius_orbits(ctx)
+    node = orbits.node[embed_poly(ctx, P)(distinguished_root(ctx, f))]
+    if node < 0:
         raise InternalCheckError("diamond image does not have degree k")
-    return out
+    return orbits.poly(node)
 
 
 def fixed_points_direct(ctx, P):

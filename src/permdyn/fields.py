@@ -175,15 +175,8 @@ class GF:
         return np.where(nz, self.exp[self.log[np.where(nz, xs, 1)] + self.log[c]], 0)
 
     def vsum(self, xs):
-        """Field sum of an array of encodings."""
-        if self.mode == "prime":
-            return int(xs.sum() % self.p)
-        total = 0
-        shift = 1
-        for _ in range(self.deg):
-            total += int((xs // shift % self.p).sum() % self.p) * shift
-            shift *= self.p
-        return total
+        """Field sum of an array of encodings along axis 0."""
+        return _kernels.vsum(xs, self.p, self.deg)
 
     def vpow(self, xs, e):
         if self.mode == "prime":

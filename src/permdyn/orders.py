@@ -8,7 +8,6 @@ strips primes rather than searching incrementally.
 """
 
 from . import numth
-from .context import distinguished_root, frobenius
 from .errors import InternalCheckError, PreconditionError
 from .polys import Poly, factor, is_irreducible, poly_gcd, powmod
 
@@ -88,31 +87,20 @@ def poly_order(f, g):
 
 
 def norm_of(ctx, f):
-    """Norm of an irreducible f of degree k: the conjugate product of a root."""
-    alpha = _root_for(ctx, f)
-    out = ctx.Fqk.pow(alpha, (ctx.Q - 1) // (ctx.q - 1)) if alpha else 0
-    if out >= ctx.q:
-        raise InternalCheckError("norm landed outside F_q")
-    return out
+    """Norm of a root of an irreducible f of degree k: (-1)^k f_0 for monic f (Vieta)."""
+    Fq = ctx.Fq
+    return Fq.mul(Fq.pow(Fq.neg(1), ctx.k), _monic_of_degree_k(ctx, f).coeff(0))
 
 
 def trace_of(ctx, f):
-    """Trace of an irreducible f of degree k: the conjugate sum of a root."""
-    alpha = _root_for(ctx, f)
-    out = 0
-    cur = alpha
-    for _ in range(ctx.k):
-        out = ctx.Fqk.add(out, cur)
-        cur = frobenius(ctx, cur)
-    if out >= ctx.q:
-        raise InternalCheckError("trace landed outside F_q")
-    return out
+    """Trace of a root of an irreducible f of degree k: -f_(k-1) for monic f (Vieta)."""
+    return ctx.Fq.neg(_monic_of_degree_k(ctx, f).coeff(ctx.k - 1))
 
 
-def _root_for(ctx, f):
+def _monic_of_degree_k(ctx, f):
     if not is_irreducible(f):
         raise PreconditionError("norm/trace need an irreducible polynomial")
     if f.degree != ctx.k:
         raise PreconditionError("polynomial degree %d does not match k = %d"
                                 % (f.degree, ctx.k))
-    return distinguished_root(ctx, f)
+    return f.monic()

@@ -129,19 +129,31 @@ def gk_inverse(ctx, P):
     table = perm_table(ctx, certify_perm(ctx, P).poly)
     inv = np.zeros(ctx.Q, dtype=np.int64)
     inv[table] = ctx.Fqk.elements()
-    R = lagrange_interpolate_all(ctx, inv)
-    if not frobenius_stable(ctx, R):
-        raise InternalCheckError("inverse interpolation left F_q coefficients")
-    return certify_perm(ctx, restrict_poly(ctx, R))
+    return _interpolate_perm(ctx, inv)
 
 
 def frobenius_stable(ctx, f):
     """Whether f(a^q) = f(a)^q on all of F_{q^k} (the definitional test)."""
-    f = embed_poly(ctx, _coerce_poly(ctx, f))
-    els = ctx.Fqk.elements()
-    vals = f.eval_many(els)
-    return bool(np.array_equal(f.eval_many(ctx.Fqk.vpow(els, ctx.q)),
-                               ctx.Fqk.vpow(vals, ctx.q)))
+    return _commutes_with_frobenius(ctx, perm_table(ctx, f))
+
+
+def _commutes_with_frobenius(ctx, table):
+    """Whether the value table satisfies table[a^q] = table[a]^q for every a."""
+    F = ctx.Fqk
+    return bool(np.array_equal(table[F.vpow(F.elements(), ctx.q)], F.vpow(table, ctx.q)))
+
+
+def _interpolate_perm(ctx, table):
+    """The element of G_k whose value table is `table`.
+
+    A bijective table that commutes with Frobenius interpolates to a
+    permutation polynomial with coefficients in F_q, so the interpolant is
+    neither certified nor tested for Frobenius stability again.
+    """
+    if (not np.all(np.bincount(table, minlength=ctx.Q) == 1)
+            or not _commutes_with_frobenius(ctx, table)):
+        raise InternalCheckError("value table is not a Frobenius-stable permutation")
+    return PermPoly(restrict_poly(ctx, lagrange_interpolate_all(ctx, table)), ctx.key)
 
 
 def lagrange_interpolate_all(ctx, values):
@@ -205,10 +217,7 @@ def realize_permutation(ctx, sigma):
     mapping = _sigma_mapping(sigma, len(conj))
     table = np.arange(ctx.Q, dtype=np.int64)
     table[conj] = conj[[mapping[i] for i in range(len(conj))]]
-    P = lagrange_interpolate_all(ctx, table)
-    if not frobenius_stable(ctx, P):
-        raise InternalCheckError("realized permutation is not Frobenius-stable")
-    return certify_perm(ctx, restrict_poly(ctx, P))
+    return _interpolate_perm(ctx, table)
 
 
 def moebius_eval(ctx, A, z):

@@ -219,19 +219,11 @@ def fold_mod(f, Q=None):
         Q = field.order
     if f.degree < Q:
         return f
-    idx = np.arange(len(f.coeffs), dtype=np.int64)
-    tgt = np.where(idx == 0, 0, 1 + (idx - 1) % (Q - 1))
-    out = np.zeros(Q, dtype=np.int64)
-    if field.mode == "prime":
-        np.add.at(out, tgt, f.coeffs)
-        out %= field.p
-    else:
-        p = field.p
-        for j in range(field.deg):
-            plane = np.zeros(Q, dtype=np.int64)
-            np.add.at(plane, tgt, f.coeffs // p ** j % p)
-            out += plane % p * p ** j
-    return Poly(field, out)
+    # row r holds the coefficients of x^(1 + r(Q - 1)) .. x^((r + 1)(Q - 1)), zero-padded
+    rows = -(-f.degree // (Q - 1))
+    tail = np.zeros(rows * (Q - 1), dtype=np.int64)
+    tail[:f.degree] = f.coeffs[1:]
+    return Poly(field, np.concatenate([f.coeffs[:1], field.vsum(tail.reshape(rows, Q - 1))]))
 
 
 def is_irreducible(f):

@@ -6,6 +6,7 @@ from permdyn.context import (
     enumerate_Ck, frobenius, make_field_ctx, minimal_poly, restrict_poly,
     roots_in_ext,
 )
+from permdyn.dynamics import period_Ck
 from permdyn.errors import GuardExceeded, PreconditionError
 from permdyn.numth import divisors, moebius
 from permdyn.polys import Poly, compose, enumerate_irreducibles, is_irreducible
@@ -113,6 +114,26 @@ def test_roots_and_distinguished_root():
         g = embed_poly(ctx, f)
         assert all(g(r) == 0 for r in rs)
         assert minimal_poly(ctx, distinguished_root(ctx, f)) == f
+    for f in (parse_poly(ctx.Fq, "x+1"), parse_poly(ctx.Fq, "x^4+1"), Poly.zero(ctx.Fq)):
+        with pytest.raises(PreconditionError):
+            distinguished_root(ctx, f)
+    ctx = make_field_ctx(3, 1, 2)
+    f = parse_poly(ctx.Fq, "x^2+1")
+    assert distinguished_root(ctx, f.scale(2)) == min(roots_in_ext(ctx, f))
+
+
+@pytest.mark.parametrize("a", [-3, -1, 16, 16 + 83])
+@pytest.mark.parametrize("entry", [
+    frobenius,
+    element_degree,
+    conjugates,
+    minimal_poly,
+    lambda ctx, a: period_Ck(ctx, Poly.x(ctx.Fq).shift(6), a),
+], ids=["frobenius", "element_degree", "conjugates", "minimal_poly", "period_Ck"])
+def test_element_encoding_outside_the_field_is_refused(entry, a):
+    ctx = make_field_ctx(2, 1, 4)
+    with pytest.raises(PreconditionError):
+        entry(ctx, a)
 
 
 def test_embed_restrict_roundtrip():

@@ -46,6 +46,8 @@ def test_digit_kernels_take_ints_and_arrays(field):
         assert field.neg(x) == n
         assert field.add(x, n) == 0
         assert field.sub(s, y) == x
+    # vsum adds down axis 0: x + y + (x + y) = 2(x + y)
+    assert np.array_equal(field.vsum(np.stack([xs, ys, sums])), field.vadd(sums, sums))
 
 
 def _random_coeffs(rng, order, n):

@@ -4,7 +4,7 @@ Each example draws a small tower F_p <= F_q <= F_{q^k} (m = 1, 2, 3) and a
 permutation of F_{q^k} from one of the families x^n, L[h], M[a,b,c,d], then
 compares the table-driven operations with routes that never read the table:
 Rabin enumeration, the gcd definition of star, the divisor-sum fixed-point
-count, and root sets found by evaluating at every element.
+count, and roots found by evaluating at every element.
 """
 
 import math
@@ -14,9 +14,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from permdyn.context import (enumerate_Ck, frobenius_orbits, make_field_ctx, minimal_poly,
-                             roots_in_ext)
-from permdyn.dynamics import fixed_count_formula, fixed_points_direct, graph_Ik, star
+from permdyn.context import (distinguished_root, embed_poly, enumerate_Ck, frobenius_orbits,
+                             make_field_ctx, minimal_poly, roots_in_ext)
+from permdyn.dynamics import diamond, fixed_count_formula, fixed_points_direct, graph_Ik, star
 from permdyn.errors import PreconditionError
 from permdyn.permgroup import (Matrix2, certify_perm, moebius_poly_rep, perm_table,
                                realize_permutation)
@@ -90,6 +90,16 @@ def test_graph_Ik_edges_equal_gcd_star(case):
     for cyc in g.cycles:
         for j, name in enumerate(cyc):
             assert str(star(ctx, P, by_name[name])) == cyc[(j + 1) % len(cyc)]
+
+
+@PROPERTY
+@given(tower_and_perm(), st.data())
+def test_root_and_diamond_equal_the_full_scan(case, data):
+    ctx, P = case
+    f = data.draw(st.sampled_from(frobenius_orbits(ctx).polys), label="f")
+    root = int(roots_in_ext(ctx, f)[0])
+    assert distinguished_root(ctx, f) == root
+    assert diamond(ctx, P, f) == minimal_poly(ctx, embed_poly(ctx, P.poly)(root))
 
 
 @PROPERTY

@@ -1,6 +1,8 @@
+import functools
+
 import pytest
 
-from permdyn.context import distinguished_root, make_field_ctx
+from permdyn.context import distinguished_root, make_field_ctx, roots_in_ext
 from permdyn.errors import PreconditionError
 from permdyn.numth import euler_phi
 from permdyn.orders import (
@@ -123,13 +125,15 @@ def test_norm_trace_pins():
     assert norm_of(CTX24, g) == 1
 
 
-def test_norm_trace_match_coefficients():
-    # for monic irreducible of degree k: norm = (-1)^k f(0), trace = -f_{k-1}
+def test_norm_trace_match_root_product_and_sum():
+    # the k roots of f in F_{q^k} are the conjugates of one root
     for ctx in (CTX24, CTX33):
+        F = ctx.Fqk
         for f in enumerate_irreducibles(ctx.Fq, ctx.k):
-            sign = ctx.Fq.pow(ctx.Fq.neg(1), ctx.k)
-            assert norm_of(ctx, f) == ctx.Fq.mul(sign, f.coeff(0))
-            assert trace_of(ctx, f) == ctx.Fq.neg(f.coeff(ctx.k - 1))
+            roots = [int(a) for a in roots_in_ext(ctx, f)]
+            assert len(roots) == ctx.k
+            assert norm_of(ctx, f) == functools.reduce(F.mul, roots, 1)
+            assert trace_of(ctx, f) == functools.reduce(F.add, roots, 0)
 
 
 def test_norm_trace_reject_wrong_degree():

@@ -9,6 +9,7 @@ from permdyn.permgroup import (
     Matrix2, PermPoly, certify_perm, check_degree_preserving, frobenius_stable,
     gk_compose, gk_inverse, is_degree_preserving_form, lagrange_interpolate_all,
     moebius_eval, moebius_poly_rep, perm_table, pgl2_order, realize_permutation,
+    _interpolate_perm,
 )
 from permdyn.polys import Poly, enumerate_irreducibles
 from permdyn.textio import parse_poly
@@ -89,6 +90,16 @@ def test_frobenius_stable():
     assert frobenius_stable(CTX24, P(CTX24, "x^7+x^2+1"))
     f = Poly(CTX24.Fqk, [2, 1])  # constant outside F_2
     assert not frobenius_stable(CTX24, f)
+
+
+def test_interpolation_refuses_tables_outside_G_k():
+    els = CTX24.Fqk.elements()
+    assert _interpolate_perm(CTX24, els).poly == Poly.x(CTX24.Fq)
+    swap = els.copy()
+    swap[[2, 3]] = [3, 2]  # a bijection, but z^2 -> z^2 while z -> z^4
+    for table in (swap, np.zeros_like(els), els // 2):
+        with pytest.raises(InternalCheckError):
+            _interpolate_perm(CTX24, table)
 
 
 def test_lagrange_interpolates_tables():

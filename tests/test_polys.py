@@ -139,6 +139,23 @@ def test_fold_mod_preserves_function():
     assert np.array_equal(before, after)
 
 
+@pytest.mark.parametrize("field", [
+    F2, GF.prime(7), F4,
+    GF.extension(F3, first_irreducible(F3, 2).coeffs),
+    GF.extension(GF.prime(5), first_irreducible(GF.prime(5), 2).coeffs),
+], ids=["F2", "F7", "F4", "F9", "F25"])
+def test_fold_mod_equals_remainder_by_x_Q_minus_x(field):
+    rng = np.random.default_rng(11)
+    x = Poly.x(field)
+    for Q in (field.order, field.order ** 2):
+        # 3Q - 2 coefficients fill the rows of Q - 1 exactly; the others leave padding
+        for n in (2 * Q + 1, 3 * Q - 2, 2 * Q + Q // 2 + 1):
+            coeffs = rng.integers(0, field.order, size=n)
+            coeffs[-1] = 1
+            f = Poly(field, coeffs)
+            assert fold_mod(f, Q) == f % (x.shift(Q - 1) - x)
+
+
 def test_is_irreducible_degree4_over_f2():
     irr = {"x^4+x+1", "x^4+x^3+1", "x^4+x^3+x^2+x+1"}
     for enc in range(16, 32):
