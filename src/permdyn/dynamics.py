@@ -5,8 +5,7 @@ import math
 
 import numpy as np
 
-from .context import (distinguished_root, element_degree, embed_poly, enumerate_Ck,
-                      frobenius_orbits)
+from .context import element_degree, embed_poly, enumerate_Ck, frobenius_orbits
 from .errors import InternalCheckError, PreconditionError
 from .numth import divisors, euler_phi, is_prime, moebius_sum, mult_order_int
 from .orders import fq_order, mult_order, norm_of, phi_q, poly_order, trace_of
@@ -16,7 +15,9 @@ from .polys import (
     compose,
     count_irreducibles,
     factor,
+    irreducible_Ek,
     is_irreducible,
+    linearized_modulus,
     poly_gcd,
     powmod,
     psi_d,
@@ -113,9 +114,8 @@ def star(ctx, P, f):
 def diamond(ctx, P, f):
     """Minimal polynomial of P(alpha) for a root alpha of f, read off the orbit table."""
     P = _coerce_poly(ctx, P)
-    _check_member(ctx, f)
     orbits = frobenius_orbits(ctx)
-    node = orbits.node[embed_poly(ctx, P)(distinguished_root(ctx, f))]
+    node = orbits.node[embed_poly(ctx, P)(int(orbits.conj[orbits.index(f), 0]))]
     if node < 0:
         raise InternalCheckError("diamond image does not have degree k")
     return orbits.poly(node)
@@ -178,11 +178,8 @@ def fixed_count_linearized(ctx, h):
     q, k = ctx.q, ctx.k
     if h.field.key != ctx.Fq.key:
         raise PreconditionError("h must lie over F_q of the context")
+    h = h % linearized_modulus(h, k)
     one = Poly.one(ctx.Fq)
-    xk1 = one.shift(k) - one
-    if h.is_zero or poly_gcd(h, xk1).degree != 0:
-        raise PreconditionError("h must be coprime to x^k - 1")
-    h = h % xk1
     return moebius_sum(k, lambda d, i: q ** poly_gcd(one.shift(i) - h, one.shift(d) - one).degree)
 
 
@@ -208,14 +205,9 @@ def fixed_count_prime_linearized(q, k, f):
         raise PreconditionError("f must lie over F_q")
     if not is_prime(k):
         raise PreconditionError("k must be prime")
+    T = irreducible_Ek(field, k)
+    f = f % linearized_modulus(f, k)
     one = Poly.one(field)
-    xk1 = one.shift(k) - one
-    T = xk1 // (Poly.x(field) - one)
-    if not is_irreducible(T):
-        raise PreconditionError("(x^k - 1)/(x - 1) must be irreducible over F_q")
-    if f.is_zero or poly_gcd(f, xk1).degree != 0:
-        raise PreconditionError("f must be coprime to x^k - 1")
-    f = f % xk1
     is_power = np.count_nonzero(f.coeffs) == 1 and f.leading() == 1
     if q % 2 == 0 and k == 2:
         return count_irreducibles(q, k) if is_power else 0
@@ -277,6 +269,23 @@ def _ik_perm(ctx, P):
     return orbits, perm
 
 
+def _star_walk(ctx, P, f, max_steps=None):
+    """Table indices of f, P*f, P*(P*f), ... and the star period of f.
+
+    The walk stops when f recurs, with the period, or after max_steps steps,
+    with None. A star cycle has at most |I_k| elements.
+    """
+    orbits, perm = _ik_perm(ctx, P)
+    path = [orbits.index(f)]
+    limit = len(perm) if max_steps is None else max_steps
+    while len(path) <= limit:
+        nxt = int(perm[path[-1]])
+        if nxt == path[0]:
+            return path, len(path)
+        path.append(nxt)
+    return path, None
+
+
 def graph_Ck(ctx, P):
     """Functional graph of the evaluation map of P on C_k."""
     els, perm = _ck_perm(ctx, P)
@@ -310,10 +319,7 @@ def period_Ck(ctx, P, alpha):
 
 def period_Ik(ctx, P, f):
     """Least n >= 1 whose n-th star iterate of P fixes f."""
-    _check_member(ctx, f)
-    orbits, perm = _ik_perm(ctx, P)
-    start = orbits.index(f)
-    return next(len(c) for c in _cycles(perm) if start in c)
+    return _star_walk(ctx, P, f)[1]
 
 
 def spectrum_Ck(ctx, P):
@@ -344,13 +350,9 @@ def linearized_cycle_structure(q, k, f):
     field = f.field
     if field.order != q:
         raise PreconditionError("f must lie over F_q")
-    one = Poly.one(field)
-    xk1 = one.shift(k) - one
-    if f.is_zero or poly_gcd(f, xk1).degree != 0:
-        raise PreconditionError("f must be coprime to x^k - 1")
     x = Poly.x(field)
     agg = {}
-    for g in _monic_divisors(xk1):
+    for g in _monic_divisors(linearized_modulus(f, k)):
         if (1 if g.degree == 0 else poly_order(x, g)) != k:
             continue
         o = 1 if g.degree == 0 else poly_order(f, g)
@@ -443,7 +445,6 @@ def invariant_report(ctx, P, f):
     additive order and send the trace a to h(1)^(-1) a.
     """
     P = _coerce_poly(ctx, P)
-    _check_member(ctx, f)
     Pf = star(ctx, P, f)
     report = {
         "ord_preserved": None,

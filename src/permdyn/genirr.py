@@ -4,13 +4,13 @@ import json
 import math
 from fractions import Fraction
 
-from .context import make_field_ctx
-from .dynamics import star
+from .context import frobenius_orbits, make_field_ctx
+from .dynamics import _star_walk
 from .errors import InternalCheckError, PreconditionError
 from .numth import factorint, is_prime, mult_order_int
 from .orders import poly_order
 from .permgroup import certify_perm
-from .polys import Poly, count_irreducibles, is_irreducible, poly_gcd, q_associate
+from .polys import Poly, irreducible_Ek, linearized_modulus, q_associate
 
 __all__ = [
     "GenReport",
@@ -50,18 +50,10 @@ def iterate_generation(ctx, P, f0, max_steps=None, bound_claimed=None):
 
     On closure the report period equals the I_k-cycle length of f0; otherwise
     the period is None and produced holds the distinct prefix seen so far.
+    The steps walk the star permutation of the orbit table.
     """
-    if max_steps is None:
-        max_steps = count_irreducibles(ctx.q, ctx.k) + 1
-    produced = [f0]
-    period = None
-    cur = f0
-    for step in range(1, max_steps + 1):
-        cur = star(ctx, P, cur)
-        if cur == f0:
-            period = step
-            break
-        produced.append(cur)
+    path, period = _star_walk(ctx, P, f0, max_steps)
+    produced = [frobenius_orbits(ctx).poly(i) for i in path]
     if period is not None and bound_claimed is not None and period < math.ceil(bound_claimed):
         raise InternalCheckError("period fell below the claimed lower bound")
     return GenReport(f0, P, produced, period, bound_claimed)
@@ -82,13 +74,8 @@ def bound_linearized(q, k, g):
     field = g.field
     if field.order != q:
         raise PreconditionError("g must lie over F_q")
-    one = Poly.one(field)
-    xk1 = one.shift(k) - one
-    Ek = xk1 // (Poly.x(field) - one)
-    if Ek.degree < 1 or not is_irreducible(Ek):
-        raise PreconditionError("(x^k - 1)/(x - 1) must be irreducible over F_q")
-    if g.is_zero or poly_gcd(g, xk1).degree != 0:
-        raise PreconditionError("g must be coprime to x^k - 1")
+    Ek = irreducible_Ek(field, k)
+    linearized_modulus(g, k)
     return Fraction(poly_order(g, Ek), k)
 
 
@@ -123,10 +110,9 @@ def choose_LH(q, k):
         raise PreconditionError("q must be a primitive root modulo k")
     ctx = make_field_ctx(p, fac[p], k)
     field = ctx.Fq
-    one = Poly.one(field)
-    xk1 = one.shift(k) - one
     if q == 2:
-        H = xk1 // (Poly.x(field) - one) + Poly.x(field) + one
+        # q primitive modulo k makes E_k irreducible
+        H = irreducible_Ek(field, k) + Poly.x(field) + Poly.one(field)
         if H(1) == 0:
             raise InternalCheckError("H(1) vanished in the q = 2 construction")
     else:
@@ -134,6 +120,8 @@ def choose_LH(q, k):
         if a is None:
             raise PreconditionError("no a with encoding >= 2 and a^k != 1 exists in F_q")
         H = Poly.x(field) - Poly.const(field, a)
-    if poly_gcd(H, xk1).degree != 0:
-        raise InternalCheckError("H is not coprime to x^k - 1")
+    try:
+        linearized_modulus(H, k)
+    except PreconditionError:
+        raise InternalCheckError("H is not coprime to x^k - 1") from None
     return certify_perm(ctx, q_associate(H))

@@ -99,13 +99,16 @@ def certify_perm(ctx, P):
 
     Coefficients must lie in F_q; the induced map is checked exhaustively.
     """
-    P = _coerce_poly(ctx, P)
-    P = restrict_poly(ctx, P)
-    P = fold_mod(P, ctx.Q)
-    vals = embed_poly(ctx, P).eval_many(ctx.Fqk.elements())
+    return _certified_table(ctx, P)[0]
+
+
+def _certified_table(ctx, P):
+    """certify_perm's result together with the value table it checked."""
+    P = fold_mod(restrict_poly(ctx, _coerce_poly(ctx, P)), ctx.Q)
+    vals = perm_table(ctx, P)
     if not np.all(np.bincount(vals, minlength=ctx.Q) == 1):
         raise PreconditionError("polynomial does not permute F_{q^k}")
-    return PermPoly(P, ctx.key)
+    return PermPoly(P, ctx.key), vals
 
 
 def perm_table(ctx, P):
@@ -126,10 +129,8 @@ def gk_compose(ctx, P, Q):
 
 def gk_inverse(ctx, P):
     """The inverse of P in G_k, by interpolating the inverse value table."""
-    table = perm_table(ctx, certify_perm(ctx, P).poly)
-    inv = np.zeros(ctx.Q, dtype=np.int64)
-    inv[table] = ctx.Fqk.elements()
-    return _interpolate_perm(ctx, inv)
+    # the value table permutes the encodings 0..Q-1, so argsort inverts it
+    return _interpolate_perm(ctx, np.argsort(_certified_table(ctx, P)[1]))
 
 
 def frobenius_stable(ctx, f):

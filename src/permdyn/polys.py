@@ -389,3 +389,20 @@ def q_associate(h):
         out[q ** i] = h.coeff(i)
     return Poly(h.field, out)
 
+
+def linearized_modulus(h, k):
+    """x^k - 1 over the field of h, once h is checked to be coprime to it (so L_h permutes)."""
+    one = Poly.one(h.field)
+    xk1 = one.shift(k) - one
+    if h.is_zero or poly_gcd(h, xk1).degree != 0:
+        raise PreconditionError("the polynomial must be coprime to x^k - 1")
+    return xk1
+
+
+def irreducible_Ek(field, k):
+    """E_k = (x^k - 1)/(x - 1) over field, once it is checked to be irreducible."""
+    one = Poly.one(field)
+    Ek = (one.shift(k) - one) // (Poly.x(field) - one)
+    if not is_irreducible(Ek):
+        raise PreconditionError("(x^k - 1)/(x - 1) must be irreducible over F_q")
+    return Ek

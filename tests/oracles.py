@@ -1,6 +1,7 @@
 """Reference routines that the tests check the package against."""
 
-from permdyn.polys import Poly
+from permdyn.dynamics import star
+from permdyn.polys import Poly, count_irreducibles
 
 
 def compose_mod(f, g, mod):
@@ -10,6 +11,24 @@ def compose_mod(f, g, mod):
     for c in reversed(f.coeffs):
         acc = (acc * g) % mod + Poly.const(f.field, int(c))
     return acc % mod
+
+
+def gcd_generation(ctx, P, f0, max_steps=None):
+    """(produced, period) of f -> P*f from f0, one gcd star per step.
+
+    The run stops when f0 recurs or after max_steps steps; without max_steps
+    it stops after |I_k| + 1 steps, past the longest possible cycle.
+    """
+    if max_steps is None:
+        max_steps = count_irreducibles(ctx.q, ctx.k) + 1
+    produced = [f0]
+    cur = f0
+    for step in range(1, max_steps + 1):
+        cur = star(ctx, P, cur)
+        if cur == f0:
+            return produced, step
+        produced.append(cur)
+    return produced, None
 
 
 def linearized_eval(h, ext, alpha):

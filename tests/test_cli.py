@@ -309,6 +309,19 @@ def test_negative_max_steps_is_malformed(capsys):
     assert out == "f_0 = x^4+x+1\nperiod = unreached\n"
 
 
+@pytest.mark.parametrize("p,k,perm,seed", [
+    ("2", "4", "x^7", "x^4+1"),     # (x + 1)^4
+    ("2", "4", "x^7", "x^3+x+1"),   # irreducible of degree 3
+    ("3", "3", "x^5", "2x^3+x+2"),  # 2 (x^3 + 2x + 1)
+], ids=["reducible", "wrong-degree", "non-monic"])
+def test_generate_refuses_a_seed_outside_Ik(capsys, p, k, perm, seed):
+    for steps in (["--max-steps", "0"], ["--max-steps", "2"], []):
+        code, out, err = run(capsys, "generate", "--p", p, "--k", k, "--perm", perm,
+                             "--seed-poly", seed, *steps)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("p,m,k", [(2, 0, 3), (1, 1, 3), (4, 1, 3), (2, 1, 0)])
 def test_bounds_rejects_bad_field_parameters(capsys, p, m, k):
     for family in (("--family", "monomial", "--n", "1"), ("--family", "tau")):

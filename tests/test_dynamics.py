@@ -17,6 +17,7 @@ from permdyn.dynamics import (
     spectrum_Ik, star,
 )
 from permdyn.errors import InternalCheckError, PreconditionError
+from permdyn.genirr import bound_linearized
 from permdyn.orders import mult_order, norm_of, trace_of
 from permdyn.permgroup import (
     Matrix2, certify_perm, moebius_poly_rep, perm_table, realize_permutation,
@@ -223,6 +224,19 @@ def test_fixed_count_prime_linearized_matches_general(q, k):
         h = Poly.from_encoding(ctx.Fq, enc)
         if h.degree < k and poly_gcd(h, xk1).degree == 0:
             assert fixed_count_prime_linearized(q, k, h) == fixed_count_linearized(ctx, h)
+
+
+@pytest.mark.parametrize("op", [
+    lambda h: fixed_count_linearized(CTX25, h),
+    lambda h: fixed_count_prime_linearized(2, 5, h),
+    lambda h: linearized_cycle_structure(2, 5, h),
+    lambda h: bound_linearized(2, 5, h),
+], ids=["fixed_count", "fixed_count_prime", "cycle_structure", "bound"])
+def test_linearized_family_refuses_h_not_coprime_to_x_k_minus_1(op):
+    assert op(Poly.x(CTX25.Fq)) is not None  # E_5 is irreducible over F_2
+    for h in (Poly.zero(CTX25.Fq), P(CTX25, "x+1"), P(CTX25, "x^4+x^3+x^2+x+1")):
+        with pytest.raises(PreconditionError):
+            op(h)
 
 
 def test_graph_Ck_pins():

@@ -62,10 +62,10 @@ def test_iterate_generation_respects_max_steps():
     assert rep.produced == full.produced[:4]
 
 
-def test_iterate_generation_default_cap_is_Ik_plus_one():
+def test_iterate_generation_default_runs_to_closure():
     pp = _mono(CTX24, 7)
     rep = iterate_generation(CTX24, pp, I24[0])
-    assert rep.period is not None  # closure always occurs within |I_k| steps
+    assert rep.period is not None  # a star cycle has at most |I_k| elements
 
 
 def test_iterate_generation_bound_check():

@@ -3,8 +3,9 @@
 Each example draws a small tower F_p <= F_q <= F_{q^k} (m = 1, 2, 3) and a
 permutation of F_{q^k} from one of the families x^n, L[h], M[a,b,c,d], then
 compares the table-driven operations with routes that never read the table:
-Rabin enumeration, the gcd definition of star, the divisor-sum fixed-point
-count, and roots found by evaluating at every element.
+Rabin enumeration, the gcd definition of star and generation by repeated gcd
+stars, the divisor-sum fixed-point count, and roots found by evaluating at
+every element.
 """
 
 import math
@@ -16,11 +17,15 @@ from hypothesis import strategies as st
 
 from permdyn.context import (distinguished_root, embed_poly, enumerate_Ck, frobenius_orbits,
                              make_field_ctx, minimal_poly, roots_in_ext)
-from permdyn.dynamics import diamond, fixed_count_formula, fixed_points_direct, graph_Ik, star
+from permdyn.dynamics import (diamond, fixed_count_formula, fixed_points_direct, graph_Ik,
+                              period_Ik, star)
 from permdyn.errors import PreconditionError
+from permdyn.genirr import iterate_generation
 from permdyn.permgroup import (Matrix2, certify_perm, moebius_poly_rep, perm_table,
                                realize_permutation)
 from permdyn.polys import Poly, enumerate_irreducibles, poly_gcd, q_associate
+
+from oracles import gcd_generation
 
 TOWERS = [(2, 1, k) for k in range(2, 7)] + [
     (3, 1, 3), (2, 2, 3), (3, 2, 2), (5, 2, 2), (2, 3, 2),
@@ -53,6 +58,21 @@ def test_orbit_index_rejects_non_members():
     for f in (Poly.from_encoding(ctx.Fq, 16 + 5), Poly.x(ctx.Fq), Poly.one(ctx.Fq).shift(5)):
         with pytest.raises(PreconditionError):
             orbits.index(f)
+
+
+@pytest.mark.parametrize("op", [
+    diamond, period_Ik, iterate_generation,
+    lambda ctx, P, f: iterate_generation(ctx, P, f, max_steps=0),
+], ids=["diamond", "period_Ik", "iterate_generation", "iterate_generation_0_steps"])
+def test_table_readers_reject_non_members(op):
+    ctx = make_field_ctx(3, 1, 3)
+    P = certify_perm(ctx, Poly.one(ctx.Fq).shift(5))
+    for f in (Poly(ctx.Fq, [1, 0, 0, 1]),            # x^3 + 1 = (x + 1)^3
+              Poly(ctx.Fq, [1, 0, 1]),               # irreducible of degree 2
+              Poly(ctx.Fq, [2, 1, 0, 2]),            # 2 (x^3 + 2x + 1)
+              Poly(make_field_ctx(3, 2, 3).Fq, [1, 2, 0, 1])):  # a member of I_3 over F_9
+        with pytest.raises(PreconditionError):
+            op(ctx, P, f)
 
 
 @st.composite
@@ -90,6 +110,17 @@ def test_graph_Ik_edges_equal_gcd_star(case):
     for cyc in g.cycles:
         for j, name in enumerate(cyc):
             assert str(star(ctx, P, by_name[name])) == cyc[(j + 1) % len(cyc)]
+
+
+@PROPERTY
+@given(tower_and_perm(SMALL_TOWERS), st.data())
+def test_generation_walk_equals_gcd_iteration(case, data):
+    ctx, P = case
+    f = data.draw(st.sampled_from(frobenius_orbits(ctx).polys), label="f")
+    for max_steps in (0, 1, 3, None):
+        rep = iterate_generation(ctx, P, f, max_steps=max_steps)
+        assert (rep.produced, rep.period) == gcd_generation(ctx, P, f, max_steps)
+    assert period_Ik(ctx, P, f) == rep.period
 
 
 @PROPERTY

@@ -84,6 +84,8 @@ def test_gk_inverse():
     binv = gk_inverse(CTX33, b)
     assert gk_compose(CTX33, b, binv).poly == Poly.x(CTX33.Fq)
     assert gk_compose(CTX33, binv, b).poly == Poly.x(CTX33.Fq)
+    with pytest.raises(PreconditionError):
+        gk_inverse(CTX24, _mono(CTX24, 3))  # gcd(3, 15) = 3: not a permutation
 
 
 def test_frobenius_stable():
