@@ -73,6 +73,7 @@ def make_field_ctx(p, m, k, ext_modulus=None, guard=DEFAULT_GUARD):
             ext_modulus = Poly(ctx.Fq, ext_modulus)
         if ext_modulus.degree != k or ext_modulus.leading() != 1:
             raise PreconditionError("extension modulus must be monic of degree k")
+        ctx.Fq.check_encodings(ext_modulus.coeffs)
         if not is_irreducible(ext_modulus):
             raise PreconditionError("extension modulus is reducible over F_q")
     ctx.ext_modulus = ext_modulus

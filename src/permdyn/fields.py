@@ -8,8 +8,10 @@ same integer c, so subfield membership of a tower scalar is just c < q.
 
 Fields of prime order compute directly mod p. Proper extensions precompute
 exp/log tables over the whole multiplicative group (desk-scale guard keeps
-these small), built once by locating a generator and filling its powers
-blockwise with matrix doubling.
+these small), built once by locating a generator g and filling its powers by
+doubling on encodings: g^s .. g^(2s-1) are g^0 .. g^(s-1) times g^s, an
+F_p-linear map applied through two lookup tables over the low and the high
+half of the base-p digits, so no array of (order - 1) digit vectors is formed.
 """
 
 import numpy as np
@@ -51,11 +53,14 @@ class GF:
     def extension(cls, base, modulus):
         """Extension of `base` by a monic irreducible `modulus` of degree >= 2.
 
-        `modulus` is an ascending coefficient array of base-field encodings.
-        Irreducibility is the caller's responsibility; a reducible modulus is
-        detected here only through the failing generator search.
+        `modulus` is an ascending coefficient array of base-field encodings,
+        each in [0, base.order). Irreducibility is the caller's
+        responsibility; a reducible modulus is detected here only through an
+        ArithmeticError, raised when the generator search fails or when the
+        powers of the element it found are not distinct and nonzero.
         """
         modulus = np.asarray(modulus, dtype=np.int64)
+        base.check_encodings(modulus)
         r = len(modulus) - 1
         if r < 2:
             raise PreconditionError("extension degree must be >= 2")
@@ -91,29 +96,45 @@ class GF:
         else:
             raise ArithmeticError("no multiplicative generator found; modulus reducible?")
 
-        # F_p-matrix of multiplication by the generator: column j is g * p^j,
-        # p^j being the encoding of the j-th basis element
-        M = np.array([self.decompose((g * Poly.from_encoding(base, p ** j) % mod).encoding())
-                      for j in range(n)], dtype=np.int64).T
+        # Multiplication by g^s is F_p-linear on digit vectors, so the
+        # encodings cols[j] of g^s * p^j (p^j encodes the j-th basis element)
+        # fix it. It acts on an encoding array through two lookup tables, one
+        # over the low `lo` digits and one over the high n - lo, whose
+        # entries add digitwise: each table has at most p^ceil(n/2) entries.
+        lo = n // 2
+        split = p ** lo
+        pp = p ** np.arange(n, dtype=np.int64)
+        low_dig, high_dig = (np.arange(p ** h, dtype=np.int64)[:, None] // pp[:h] % p
+                             for h in (lo, n - lo))
 
-        exp_dig = np.zeros((Q - 1, n), dtype=np.int64)
-        exp_dig[0, 0] = 1
-        Mcur = M
+        def times(cols, xs):
+            col_dig = cols[:, None] // pp % p
+            low = low_dig @ col_dig[:lo] % p @ pp
+            high = high_dig @ col_dig[lo:] % p @ pp
+            return _kernels.vadd(low[xs % split], high[xs // split], p, n)
+
+        cols = np.array([(g * Poly.from_encoding(base, p ** j) % mod).encoding()
+                         for j in range(n)], dtype=np.int64)
+        # exp[:Q - 1] holds g^0 .. g^(Q-2); doubling fills g^s .. g^(2s-1)
+        # from g^0 .. g^(s-1), then squares the map by applying it to cols
+        exp = np.empty(2 * Q - 3, dtype=np.int64)
+        exp[0] = 1
         filled = 1
         while filled < Q - 1:
             take = min(filled, Q - 1 - filled)
-            exp_dig[filled:filled + take] = exp_dig[:take] @ Mcur.T % p
+            exp[filled:filled + take] = times(cols, exp[:take])
             filled += take
             if filled < Q - 1:
-                Mcur = Mcur @ Mcur % p
+                cols = times(cols, cols)
 
-        pp = p ** np.arange(n, dtype=np.int64)
-        exp_enc = exp_dig @ pp
-        log = np.zeros(Q, dtype=np.int64)
-        log[exp_enc] = np.arange(Q - 1)
-        if exp_enc[0] != 1 or len(np.unique(exp_enc)) != Q - 1:
+        # g generates iff its Q - 1 powers are distinct and nonzero: each of
+        # 1 .. Q-1 appears once, which leaves no slot for 0
+        if not np.all(np.bincount(exp[:Q - 1], minlength=Q)[1:] == 1):
             raise ArithmeticError("exp table degenerate; modulus reducible?")
-        self.exp = np.concatenate([exp_enc, exp_enc[:Q - 2]])
+        exp[Q - 1:] = exp[:Q - 2]
+        log = np.zeros(Q, dtype=np.int64)
+        log[exp[:Q - 1]] = np.arange(Q - 1)
+        self.exp = exp
         self.log = log
 
     # -- scalar arithmetic ---------------------------------------------------
@@ -218,6 +239,13 @@ class GF:
         return _kernels.eval_t(coeffs, xs, self.exp, self.log, self.p, self.deg)
 
     # -- encodings ------------------------------------------------------------
+
+    def check_encodings(self, xs):
+        """Raise PreconditionError unless every value of xs lies in [0, order)."""
+        xs = np.asarray(xs, dtype=np.int64)
+        bad = xs[(xs < 0) | (xs >= self.order)]
+        if len(bad):
+            raise PreconditionError("%d is not an element encoding of %r" % (bad[0], self))
 
     def decompose(self, a):
         """Base-p digit vector (length deg) of an encoding."""

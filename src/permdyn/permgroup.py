@@ -106,9 +106,17 @@ def _certified_table(ctx, P):
     """certify_perm's result together with the value table it checked."""
     P = fold_mod(restrict_poly(ctx, _coerce_poly(ctx, P)), ctx.Q)
     vals = perm_table(ctx, P)
-    if not np.all(np.bincount(vals, minlength=ctx.Q) == 1):
+    if not _distinct(vals, ctx.Q):
         raise PreconditionError("polynomial does not permute F_{q^k}")
     return PermPoly(P, ctx.key), vals
+
+
+def _distinct(vals, Q):
+    """Whether the encodings vals, each in [0, Q), are pairwise distinct.
+
+    One O(Q) count; a table of Q values is a bijection exactly when it holds.
+    """
+    return bool(np.bincount(vals, minlength=Q).max() <= 1)
 
 
 def perm_table(ctx, P):
@@ -151,8 +159,7 @@ def _interpolate_perm(ctx, table):
     permutation polynomial with coefficients in F_q, so the interpolant is
     neither certified nor tested for Frobenius stability again.
     """
-    if (not np.all(np.bincount(table, minlength=ctx.Q) == 1)
-            or not _commutes_with_frobenius(ctx, table)):
+    if not _distinct(table, ctx.Q) or not _commutes_with_frobenius(ctx, table):
         raise InternalCheckError("value table is not a Frobenius-stable permutation")
     return PermPoly(restrict_poly(ctx, lagrange_interpolate_all(ctx, table)), ctx.key)
 
@@ -327,6 +334,6 @@ def check_degree_preserving(F, bound):
             raise PreconditionError("F is not over the canonical F_q")
         C = enumerate_Ck(ctx)
         vals = ctx.Fqk.keval(F.coeffs, C)
-        if len(np.unique(vals)) != len(C) or np.any(frobenius_orbits(ctx).node[vals] < 0):
+        if not _distinct(vals, ctx.Q) or np.any(frobenius_orbits(ctx).node[vals] < 0):
             return False
     return True

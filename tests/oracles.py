@@ -1,7 +1,10 @@
 """Reference routines that the tests check the package against."""
 
+import numpy as np
+
+from permdyn import numth
 from permdyn.dynamics import star
-from permdyn.polys import Poly, count_irreducibles
+from permdyn.polys import Poly, count_irreducibles, powmod
 
 
 def compose_mod(f, g, mod):
@@ -98,3 +101,44 @@ def ext_mul(base, modulus, a, b):
     v = [b // Q ** i % Q for i in range(r)]
     rem = schoolbook_divmod(base, schoolbook_mul(base, u, v), modulus)[1]
     return sum(c * Q ** i for i, c in enumerate(rem))
+
+
+def matrix_doubling_tables(base, modulus):
+    """(generator, exp, log) of base[y]/(modulus), built on digit matrices.
+
+    The first multiplicative generator by encoding; exp holds its powers
+    0 .. 2Q-4 and log[exp[i]] = i for i < Q - 1, with log[0] = 0. The powers
+    fill a (Q-1) x n matrix of base-p digit vectors by doubling, each block
+    being the one before times the F_p-matrix of multiplication by g^s, which
+    is then squared.
+    """
+    p = base.p
+    r = len(modulus) - 1
+    Q = base.order ** r
+    n = base.deg * r
+    mod = Poly(base, modulus)
+    one = Poly.one(base)
+    cofactors = [(Q - 1) // ell for ell in numth.factorint(Q - 1)]
+    for enc in range(2, Q):
+        g = Poly.from_encoding(base, enc)
+        if all(powmod(g, e, mod) != one for e in cofactors):
+            break
+    else:
+        raise ArithmeticError("no multiplicative generator")
+    # column j is the digit vector of g * p^j, p^j encoding basis element j
+    M = np.array([[(g * Poly.from_encoding(base, p ** j) % mod).encoding() // p ** i % p
+                   for i in range(n)] for j in range(n)], dtype=np.int64).T
+    exp_dig = np.zeros((Q - 1, n), dtype=np.int64)
+    exp_dig[0, 0] = 1
+    filled = 1
+    while filled < Q - 1:
+        take = min(filled, Q - 1 - filled)
+        exp_dig[filled:filled + take] = exp_dig[:take] @ M.T % p
+        filled += take
+        M = M @ M % p
+    exp = exp_dig @ p ** np.arange(n, dtype=np.int64)
+    if len(set(exp.tolist()) - {0}) != Q - 1:
+        raise ArithmeticError("powers of the generator are not distinct and nonzero")
+    log = np.zeros(Q, dtype=np.int64)
+    log[exp] = np.arange(Q - 1)
+    return enc, np.concatenate([exp, exp[:Q - 2]]), log

@@ -1,15 +1,16 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from permdyn import _kernels
+from permdyn import _kernels, numth
 from permdyn.context import make_field_ctx
 from permdyn.errors import GuardExceeded, PreconditionError
 from permdyn.fields import GF
-from permdyn.polys import Poly
+from permdyn.polys import Poly, first_irreducible
 
-from oracles import ext_mul
+from oracles import ext_mul, matrix_doubling_tables
 
 F2 = GF.prime(2)
 F3 = GF.prime(3)
@@ -32,6 +33,35 @@ def test_extension_rejects_bad_modulus():
         GF.extension(F3, [1, 0, 2])  # not monic
     with pytest.raises(ArithmeticError):
         GF.extension(F2, [1, 0, 1])  # x^2 + 1 = (x + 1)^2 is reducible
+
+
+# reducible moduli: each passes the generator search with a zero divisor,
+# whose powers repeat, so the distinctness check of the exp table refuses it
+@pytest.mark.parametrize("base,modulus", [
+    (F2, [1, 0, 0, 1]),  # x^3 + 1 = (x + 1)(x^2 + x + 1)
+    (F3, [2, 0, 1]),     # x^2 + 2 = (x + 1)(x + 2)
+    (F3, [0, 0, 1]),     # x^2
+    (F4, [1, 0, 1]),     # (x + 1)^2 over F_4
+    (F9, [2, 0, 1]),     # x^2 - 1 over F_9
+    (F9, [1, 0, 1]),     # x^2 + 1 = (x - z)(x + z) over F_9 = F_3[z]/(z^2 + 1)
+], ids=["F2:x3+1", "F3:x2+2", "F3:x2", "F4:(x+1)2", "F9:x2-1", "F9:x2+1"])
+def test_reducible_modulus_raises_arithmetic_error(base, modulus):
+    with pytest.raises(ArithmeticError):
+        GF.extension(base, modulus)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_field_ctx(2, 2, 2, ext_modulus=[2, 5, 1]),
+    lambda: make_field_ctx(2, 2, 2, ext_modulus=[6, 1, 1]),
+    lambda: make_field_ctx(2, 1, 3, ext_modulus=[1, 1, 2, 1]),
+    lambda: GF.extension(GF.prime(2), [3, 1, 1]),
+    lambda: GF.extension(GF.prime(2), [-1, 1, 1]),
+], ids=["ctx-F4:[2,5,1]", "ctx-F4:[6,1,1]", "ctx-F2:[1,1,2,1]", "F2:[3,1,1]", "F2:[-1,1,1]"])
+def test_modulus_coefficient_outside_the_base_field_is_refused(build):
+    # unchecked, the first two raised IndexError in the irreducibility test
+    # and the others built a field under a key of its own
+    with pytest.raises(PreconditionError):
+        build()
 
 
 @pytest.mark.parametrize("field", [F2, F3, GF.prime(7)])
@@ -146,6 +176,34 @@ def test_exp_table_against_schoolbook_oracle(name, stride):
         a = int(field.exp[i])
         assert ext_mul(field.base, field.modulus, g, a) == field.exp[(i + 1) % (Q - 1)]
         assert field.log[a] == i
+
+
+# every tower F_p -> F_q -> F_{q^k} with q = p^m, k >= 2 and q^k <= 4096; the
+# fields F_q with m >= 2 are the F_{q^k} of (p, 1, m)
+ORACLE_TOWERS = [(p, m, k) for p in range(2, 65) if numth.is_prime(p)
+                 for m in range(1, 7) for k in range(2, 13) if p ** (m * k) <= 4096]
+
+
+@pytest.mark.parametrize("pmk", ORACLE_TOWERS, ids=lambda pmk: "%d-%d-%d" % pmk)
+def test_tables_equal_the_matrix_doubling_build(pmk):
+    field = make_field_ctx(*pmk).Fqk
+    generator, exp, log = matrix_doubling_tables(field.base, field.modulus)
+    assert field.generator == generator
+    assert np.array_equal(field.exp, exp) and np.array_equal(field.log, log)
+
+
+def test_table_build_allocates_no_digit_matrix():
+    # at 2^20 the tables take 24 MB (exp 2Q-3, log Q int64 entries); a
+    # (Q-1) x 20 int64 digit matrix alone would take 160 MB
+    modulus = first_irreducible(F2, 20).coeffs
+    tracemalloc.start()
+    try:
+        field = GF.extension(F2, modulus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.order == 2 ** 20
+    assert peak < 48 * 2 ** 20
 
 
 def test_prime_field_above_the_int64_bound_is_refused():
