@@ -6,7 +6,13 @@ exist: "prime" (residues mod p, arithmetic done directly) and "table"
 exp/log tables and addition digitwise in base p).
 
 Each kernel is one numpy implementation; the loops that remain run once per
-coefficient and do whole-array work inside. `vadd` and `vneg` are the only
+coefficient and do whole-array work inside. Division comes in two forms.
+divmod_p/divmod_t are long division, one loop step per quotient coefficient:
+the cheapest one-shot division when quotients are short, as in a gcd. RemP
+reduces by a modulus that is kept for a chain of products: after a Newton
+lift of the reversed modulus's inverse, paid once per chain, each remainder
+is two convolutions and no loop. Table mode has no such form, since conv_t
+is itself a loop per coefficient. `vadd` and `vneg` are the only
 places that add or negate encodings digit by digit, for ints and int64
 arrays alike, and `vsum` the only place that sums an array of them.
 Prime-mode intermediates stay below INT64_BOUND: GF.prime admits only p
@@ -16,7 +22,7 @@ sums of products that a convolution forms.
 
 import numpy as np
 
-from .errors import GuardExceeded
+from .errors import GuardExceeded, PreconditionError
 
 # int64 holds every integer below this bound exactly
 INT64_BOUND = 1 << 63
@@ -101,6 +107,43 @@ def divmod_p(a, b, p, inv_lead):
             q[i] = c
             r[i:i + len(b)] = (r[i:i + len(b)] - c * b) % p
     return q, r[:len(b) - 1]
+
+
+class RemP:
+    """Remainders modulo a fixed b of degree n >= 1 (prime mode), two convolutions each.
+
+    It keeps h = rev(b)^-1 mod x^len(h), rev(b) being b with its coefficients
+    reversed, and lifts it by the Newton step h <- h (2 - rev(b) h) mod
+    x^(2 len(h)) only as far as the longest quotient so far needs. A dividend
+    a of n + nq coefficients with nq <= n - 1, such as a product of two
+    remainders, has the quotient q = rev(rev(a)[:nq] h mod x^nq), and its
+    remainder is the low n coefficients of a - q b. No convolution here is
+    longer in its shorter factor than n - 1, so conv_p's int64 check passes
+    whenever it passes for the product being reduced.
+    """
+
+    def __init__(self, b, p, inv_lead):
+        self.b = b
+        self.p = p
+        self.h = np.array([inv_lead], dtype=np.int64)
+
+    def __call__(self, a):
+        b, p = self.b, self.p
+        n = len(b) - 1
+        nq = len(a) - n
+        if nq <= 0:
+            return a
+        if nq > n - 1:
+            raise PreconditionError("a dividend for a kept modulus of degree %d has at most "
+                                    "%d coefficients, not %d" % (n, 2 * n - 1, len(a)))
+        L = len(self.h)
+        while L < nq:
+            L = min(2 * L, n - 1)
+            t = -conv_p(b[::-1][:L], self.h, p)[:L] % p
+            t[0] = (t[0] + 2) % p
+            self.h = conv_p(self.h, t, p)[:L]
+        q = conv_p(a[n:][::-1], self.h[:nq], p)[:nq][::-1]
+        return (a[:n] - conv_p(q, b, p)[:n]) % p
 
 
 def divmod_t(a, b, exp, log, p, ndig, inv_lead):

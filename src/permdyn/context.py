@@ -54,33 +54,32 @@ def make_field_ctx(p, m, k, ext_modulus=None, guard=DEFAULT_GUARD):
     if cache_key in _CTX_CACHE:
         return _CTX_CACHE[cache_key]
 
-    ctx = FieldCtx()
-    ctx.p, ctx.m, ctx.k, ctx.q, ctx.Q = p, m, k, q, Q
-    ctx.Fp = GF.prime(p)
-    if m == 1:
-        ctx.Fq = ctx.Fp
-        ctx.base_modulus = None
-    else:
-        ctx.base_modulus = first_irreducible(ctx.Fp, m)
-        ctx.Fq = GF.extension(ctx.Fp, ctx.base_modulus.coeffs)
-
+    Fp = GF.prime(p)
+    base_modulus = None if m == 1 else first_irreducible(Fp, m)
+    Fq = Fp if m == 1 else GF.extension(Fp, base_modulus.coeffs)
     if ext_modulus is None:
-        ext_modulus = first_irreducible(ctx.Fq, k)
+        ext_modulus = first_irreducible(Fq, k)
     else:
-        if isinstance(ext_modulus, Poly):
-            ext_modulus = Poly(ctx.Fq, ext_modulus.coeffs)
-        else:
-            ext_modulus = Poly(ctx.Fq, ext_modulus)
+        ext_modulus = Poly(Fq, ext_modulus.coeffs if isinstance(ext_modulus, Poly)
+                           else ext_modulus)
         if ext_modulus.degree != k or ext_modulus.leading() != 1:
             raise PreconditionError("extension modulus must be monic of degree k")
-        ctx.Fq.check_encodings(ext_modulus.coeffs)
+        Fq.check_encodings(ext_modulus.coeffs)
         if not is_irreducible(ext_modulus):
             raise PreconditionError("extension modulus is reducible over F_q")
-    ctx.ext_modulus = ext_modulus
-    ctx.Fqk = ctx.Fq if k == 1 else GF.extension(ctx.Fq, ext_modulus.coeffs)
-    ctx.key = (p, m, k, tuple(int(c) for c in ext_modulus.coeffs))
-    ctx.orbits = None
-    _CTX_CACHE[cache_key] = ctx
+    key = (p, m, k, tuple(int(c) for c in ext_modulus.coeffs))
+    # the default modulus may already have been passed explicitly, or the
+    # reverse: both spellings name one context
+    ctx = _CTX_CACHE.get(key)
+    if ctx is None:
+        ctx = FieldCtx()
+        ctx.p, ctx.m, ctx.k, ctx.q, ctx.Q = p, m, k, q, Q
+        ctx.Fp, ctx.Fq, ctx.base_modulus = Fp, Fq, base_modulus
+        ctx.ext_modulus = ext_modulus
+        ctx.Fqk = Fq if k == 1 else GF.extension(Fq, ext_modulus.coeffs)
+        ctx.key = key
+        ctx.orbits = None
+    _CTX_CACHE[cache_key] = _CTX_CACHE[key] = ctx
     return ctx
 
 

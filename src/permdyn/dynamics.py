@@ -2,6 +2,7 @@
 
 import json
 import math
+from itertools import islice
 
 import numpy as np
 
@@ -11,6 +12,7 @@ from .numth import divisors, euler_phi, is_prime, moebius_sum, mult_order_int
 from .orders import fq_order, mult_order, norm_of, phi_q, poly_order, trace_of
 from .permgroup import _coerce_poly, pgl2_order
 from .polys import (
+    Modulus,
     Poly,
     compose,
     count_irreducibles,
@@ -139,26 +141,24 @@ def fixed_count_formula(ctx, P):
     one = Poly.one(ctx.Fq)
 
     def roots(d, i):
-        # number of roots of x^(q^i) - P in F_{q^d}
+        # number of roots of x^(q^i) - P in F_{q^d}: deg gcd(x^(q^d) - x, A)
         A = one.shift(q ** i) - P
         if A.is_zero:
             return q ** d
         if A.degree == 0:
             return 0
-        t = x % A
-        for _ in range(d):
-            t = powmod(t, q, A)
-        return poly_gcd(t - x % A, A).degree
+        xA = x % A
+        t = next(islice(Modulus(A).frobenius(xA), d, None))
+        return poly_gcd(t - xA, A).degree
 
     total = moebius_sum(k, roots)
 
     psi = psi_d(ctx.Fq, k)
-    R = one
-    t = x % psi
+    ring = Modulus(psi)
     Pm = P % psi
-    for _ in range(k):
-        R = (R * (t - Pm)) % psi
-        t = powmod(t, q, psi)
+    R = one
+    for t in islice(ring.frobenius(x % psi), k):
+        R = ring.mul(R, t - Pm)
     if poly_gcd(R, psi).degree != total * k:
         raise InternalCheckError("fixed-point count evaluations disagree")
     return total

@@ -80,17 +80,17 @@ class GF:
     # -- table construction -------------------------------------------------
 
     def _build_tables(self, base, modulus):
-        from .polys import Poly, powmod  # polys does not import fields
+        from .polys import Modulus, Poly  # polys does not import fields
 
         Q = self.order
         p = self.p
         n = self.deg
-        mod = Poly(base, modulus)
+        ring = Modulus(Poly(base, modulus))
         one = Poly.one(base)
         cofactors = [(Q - 1) // ell for ell in numth.factorint(Q - 1)]
         for enc in range(2, Q):
             g = Poly.from_encoding(base, enc)
-            if all(powmod(g, e, mod) != one for e in cofactors):
+            if all(ring.pow(g, e) != one for e in cofactors):
                 self.generator = enc
                 break
         else:
@@ -113,7 +113,7 @@ class GF:
             high = high_dig @ col_dig[lo:] % p @ pp
             return _kernels.vadd(low[xs % split], high[xs // split], p, n)
 
-        cols = np.array([(g * Poly.from_encoding(base, p ** j) % mod).encoding()
+        cols = np.array([ring.mul(g, Poly.from_encoding(base, p ** j)).encoding()
                          for j in range(n)], dtype=np.int64)
         # exp[:Q - 1] holds g^0 .. g^(Q-2); doubling fills g^s .. g^(2s-1)
         # from g^0 .. g^(s-1), then squares the map by applying it to cols
@@ -232,6 +232,18 @@ class GF:
         if self.mode == "prime":
             return _kernels.divmod_p(a, b, self.p, inv_lead)
         return _kernels.divmod_t(a, b, self.exp, self.log, self.p, self.deg, inv_lead)
+
+    def kreducer(self, b):
+        """The function a -> a mod b for a fixed b of degree >= 1, on products of two remainders.
+
+        Prime mode keeps a Newton inverse of the reversed b (_kernels.RemP);
+        table mode divides by the loop of divmod_t.
+        """
+        inv_lead = self.inv(int(b[-1]))
+        if self.mode == "prime":
+            return _kernels.RemP(b, self.p, inv_lead)
+        return lambda a: _kernels.divmod_t(a, b, self.exp, self.log, self.p, self.deg,
+                                           inv_lead)[1]
 
     def keval(self, coeffs, xs):
         if self.mode == "prime":

@@ -9,7 +9,7 @@ strips primes rather than searching incrementally.
 
 from . import numth
 from .errors import InternalCheckError, PreconditionError
-from .polys import Poly, factor, is_irreducible, poly_gcd, powmod
+from .polys import Modulus, Poly, factor, is_irreducible, poly_gcd, powmod
 
 
 def mult_order(ctx, f):
@@ -25,16 +25,11 @@ def mult_order(ctx, f):
 
 
 def _linearized_mod(h, f):
-    """L_h mod f, via the Frobenius iterates x^(q^i) mod f."""
-    q = f.field.order
+    """L_h mod f, via the Frobenius walk x^(q^i) mod f."""
     acc = Poly.zero(f.field)
-    t = Poly.x(f.field) % f
-    for i in range(h.degree + 1):
-        c = h.coeff(i)
+    for c, t in zip(h.coeffs, Modulus(f).frobenius(Poly.x(f.field) % f)):
         if c:
-            acc = acc + t.scale(c)
-        if i < h.degree:
-            t = powmod(t, q, f)
+            acc = acc + t.scale(int(c))
     return acc
 
 

@@ -182,21 +182,63 @@ def poly_gcd(a, b):
     return a.monic()
 
 
+class Modulus:
+    """Products and powers of remainders modulo a fixed polynomial of degree >= 1.
+
+    Every product is reduced by one remainder function (GF.kreducer), so what
+    it derives from the modulus is paid once for a whole chain of products:
+    in prime mode, a Newton inverse of the reversed modulus, after which each
+    reduction is two convolutions. A one-shot division is cheaper by `%`.
+    """
+
+    __slots__ = ("mod", "_rem")
+
+    def __init__(self, mod):
+        if mod.degree < 1:
+            raise PreconditionError("a kept modulus must have degree >= 1")
+        self.mod = mod
+        self._rem = mod.field.kreducer(mod.coeffs)
+
+    def mul(self, a, b):
+        """a * b mod the modulus, for remainders a and b."""
+        out = a * b
+        if out.degree < self.mod.degree:
+            return out
+        return Poly(out.field, self._rem(out.coeffs))
+
+    def pow(self, a, e):
+        """a^e mod the modulus, for a remainder a and e >= 1, by square and multiply."""
+        acc = None
+        while True:
+            if e & 1:
+                acc = a if acc is None else self.mul(acc, a)
+            e >>= 1
+            if not e:
+                return acc
+            a = self.mul(a, a)
+
+    def frobenius(self, t):
+        """The walk t, t^q, t^(q^2), ... mod the modulus, for a remainder t, q = |field|."""
+        q = self.mod.field.order
+        while True:
+            yield t
+            t = self.pow(t, q)
+
+
 def powmod(base, e, mod):
-    """base^e reduced mod `mod`, by square and multiply."""
+    """base^e reduced mod `mod`, by square and multiply.
+
+    `base` is reduced once by long division; the squarings and products then
+    share one Modulus, so in prime mode each of their reductions is two
+    convolutions.
+    """
     if mod.degree < 1:
         raise PreconditionError("powmod modulus must have degree >= 1")
     if e < 0:
         raise PreconditionError("powmod exponent must be >= 0")
-    acc = Poly.one(base.field)
-    sq = base % mod
-    while e:
-        if e & 1:
-            acc = (acc * sq) % mod
-        e >>= 1
-        if e:
-            sq = (sq * sq) % mod
-    return acc
+    if e == 0:
+        return Poly.one(base.field)
+    return Modulus(mod).pow(base % mod, e)
 
 
 def compose(f, g):
@@ -227,20 +269,26 @@ def fold_mod(f, Q=None):
 
 
 def is_irreducible(f):
-    """Rabin irreducibility test over the coefficient field."""
+    """Rabin's irreducibility test over the coefficient field F_q.
+
+    f of degree n is irreducible iff x^(q^n) = x mod f and gcd(x^(q^(n/l)) - x,
+    f) = 1 for every prime l | n. One Frobenius walk x -> x^q mod f serves
+    every test: the gcds come in ascending order of n/l and the walk stops at
+    the first that fails. It takes at most n steps, and never more than one
+    power of x per test, taken from x, would.
+    """
     n = f.degree
     if n < 1:
         return False
     if n == 1:
         return True
-    field = f.field
-    q = field.order
-    x = Poly.x(field)
-    for ell in numth.factorint(n):
-        h = powmod(x, q ** (n // ell), f) - x
-        if poly_gcd(h, f).degree != 0:
+    x = Poly.x(f.field)
+    checks = {n // ell for ell in numth.factorint(n)}
+    for i, t in enumerate(Modulus(f).frobenius(x)):
+        if i in checks and poly_gcd(t - x, f).degree != 0:
             return False
-    return powmod(x, q ** n, f) == x % f
+        if i == n:
+            return t == x
 
 
 def first_irreducible(field, k):
@@ -338,18 +386,19 @@ def _equal_degree(f, d, rng):
         return [f]
     field = f.field
     q = field.order
+    ring = Modulus(f)
     while True:
         u = Poly(field, [rng.randrange(q) for _ in range(f.degree)])
         if u.degree < 1:
             continue
         if q % 2 == 1:
-            v = powmod(u, (q ** d - 1) // 2, f) - Poly.one(field)
+            v = ring.pow(u, (q ** d - 1) // 2) - Poly.one(field)
         else:
             e = d * field.deg
             v = u
             sq = u
             for _ in range(e - 1):
-                sq = (sq * sq) % f
+                sq = ring.mul(sq, sq)
                 v = v + sq
         g = poly_gcd(v, f)
         if 0 < g.degree < f.degree:

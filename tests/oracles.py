@@ -4,7 +4,7 @@ import numpy as np
 
 from permdyn import numth
 from permdyn.dynamics import star
-from permdyn.polys import Poly, count_irreducibles, powmod
+from permdyn.polys import Poly, count_irreducibles, poly_gcd, powmod
 
 
 def compose_mod(f, g, mod):
@@ -14,6 +14,35 @@ def compose_mod(f, g, mod):
     for c in reversed(f.coeffs):
         acc = (acc * g) % mod + Poly.const(f.field, int(c))
     return acc % mod
+
+
+def loop_powmod(base, e, mod):
+    """base^e mod `mod` by square and multiply, each product reduced by long division."""
+    acc = Poly.one(base.field)
+    sq = base % mod
+    while e:
+        if e & 1:
+            acc = (acc * sq) % mod
+        e >>= 1
+        if e:
+            sq = (sq * sq) % mod
+    return acc
+
+
+def loop_is_irreducible(f):
+    """Rabin's test by one loop_powmod from x for each prime l of the degree n, in
+    ascending order of l, and then x^(q^n) = x mod f."""
+    n = f.degree
+    if n < 1:
+        return False
+    if n == 1:
+        return True
+    q = f.field.order
+    x = Poly.x(f.field)
+    for ell in numth.factorint(n):
+        if poly_gcd(loop_powmod(x, q ** (n // ell), f) - x, f).degree != 0:
+            return False
+    return loop_powmod(x, q ** n, f) == x % f
 
 
 def gcd_generation(ctx, P, f0, max_steps=None):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from permdyn import context
 from permdyn.context import (
     DEFAULT_GUARD, conjugates, distinguished_root, element_degree, embed_poly,
     enumerate_Ck, frobenius, make_field_ctx, minimal_poly, restrict_poly,
@@ -31,6 +32,31 @@ def test_ctx_cache_returns_same_object():
     d = make_field_ctx(2, 1, 4, ext_modulus=f)
     assert c is d
     assert c is not a
+
+
+@pytest.mark.parametrize("pmk,other", [
+    ((2, 1, 16), "x^16+x^5+x^3+x^2+1"),
+    ((3, 2, 3), "x^3+x+[1,1]"),
+], ids=["prime", "tower"])
+@pytest.mark.parametrize("default_first", [True, False], ids=["default_first", "explicit_first"])
+def test_default_modulus_spelled_out_names_the_same_context(monkeypatch, pmk, other,
+                                                            default_first):
+    monkeypatch.setattr(context, "_CTX_CACHE", {})
+    modulus = make_field_ctx(*pmk).ext_modulus
+    monkeypatch.setattr(context, "_CTX_CACHE", {})
+    spellings = [modulus, modulus.coeffs, [int(c) for c in modulus.coeffs]]
+    if default_first:
+        a = make_field_ctx(*pmk)
+        explicit = [make_field_ctx(*pmk, ext_modulus=s) for s in spellings]
+    else:
+        explicit = [make_field_ctx(*pmk, ext_modulus=s) for s in spellings]
+        a = make_field_ctx(*pmk)
+    assert all(b is a for b in explicit)
+    assert {id(c) for c in context._CTX_CACHE.values()} == {id(a)}
+    # a different modulus is a different context
+    c = make_field_ctx(*pmk, ext_modulus=parse_poly(a.Fq, other))
+    assert c is not a and c.key != a.key and c.Fqk is not a.Fqk
+    assert make_field_ctx(*pmk) is a
 
 
 def test_guard():

@@ -1,14 +1,17 @@
 import functools
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from permdyn.context import distinguished_root, make_field_ctx, roots_in_ext
+from permdyn.context import distinguished_root, frobenius_orbits, make_field_ctx, roots_in_ext
 from permdyn.errors import PreconditionError
 from permdyn.numth import euler_phi
 from permdyn.orders import (
     fq_order, mult_order, norm_of, phi_q, poly_order, trace_of,
 )
-from permdyn.polys import Poly, enumerate_irreducibles, poly_gcd, powmod
+from permdyn.polys import Poly, enumerate_irreducibles, factor, poly_gcd, powmod
 from permdyn.textio import parse_poly
 
 from oracles import linearized_eval
@@ -141,3 +144,55 @@ def test_norm_trace_reject_wrong_degree():
         norm_of(CTX24, P(CTX24.Fq, "x+1"))
     with pytest.raises(PreconditionError):
         trace_of(CTX24, P(CTX24.Fq, "x^2+x+1"))
+
+
+# -- properties over towers with m = 1, 2, 3, against the orbit-table root ------
+
+ORDER_TOWERS = [(2, 1, 4), (2, 1, 6), (2, 1, 8), (3, 1, 3), (3, 1, 4), (5, 1, 2), (7, 1, 2),
+                (2, 2, 2), (2, 2, 3), (2, 2, 4), (3, 2, 2), (5, 2, 2), (2, 3, 2), (2, 3, 3)]
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def member_and_root(draw):
+    """A context, a member f of I_k and the root of f that the orbit table lists first."""
+    ctx = make_field_ctx(*draw(st.sampled_from(ORDER_TOWERS)))
+    orbits = frobenius_orbits(ctx)
+    i = draw(st.integers(0, len(orbits.polys) - 1))
+    return ctx, orbits.poly(i), int(orbits.conj[i, 0]), [int(a) for a in orbits.conj[i]]
+
+
+@PROPERTY
+@given(member_and_root())
+def test_mult_order_equals_the_order_of_the_table_root(case):
+    ctx, f, alpha, _ = case
+    if alpha == 0:
+        with pytest.raises(PreconditionError):
+            mult_order(ctx, f)
+        return
+    group = ctx.Q - 1
+    assert mult_order(ctx, f) == group // math.gcd(int(ctx.Fqk.log[alpha]), group)
+
+
+@PROPERTY
+@given(member_and_root())
+def test_fq_order_generates_the_annihilator_of_the_table_root(case):
+    # the monic h | x^k - 1 with L_h(alpha) = 0 form the multiples of the F_q-order
+    ctx, f, alpha, _ = case
+    h = fq_order(ctx, f)
+    xk1 = Poly.one(ctx.Fq).shift(ctx.k) - Poly.one(ctx.Fq)
+    assert h.leading() == 1 and (xk1 % h).is_zero
+    assert linearized_eval(h, ctx.Fqk, alpha) == 0
+    for g, _ in factor(h):
+        assert linearized_eval(h // g, ctx.Fqk, alpha) != 0
+
+
+@PROPERTY
+@given(member_and_root())
+def test_norm_and_trace_equal_the_product_and_sum_of_the_table_orbit(case):
+    ctx, f, _, conj = case
+    F = ctx.Fqk
+    assert norm_of(ctx, f) == functools.reduce(F.mul, conj, 1)
+    assert trace_of(ctx, f) == functools.reduce(F.add, conj, 0)

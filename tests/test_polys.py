@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod, gf_rem
 
+from permdyn import _kernels
 from permdyn.errors import PreconditionError
 from permdyn.fields import GF
 from permdyn.polys import (
-    Poly, compose, count_irreducibles, enumerate_irreducibles, factor,
+    Modulus, Poly, compose, count_irreducibles, enumerate_irreducibles, factor,
     first_irreducible, fold_mod, is_irreducible, poly_divmod, poly_gcd, powmod,
     psi_d, q_associate,
 )
 from permdyn.textio import parse_poly
 
-from oracles import compose_mod, linearized_eval
+from oracles import compose_mod, linearized_eval, loop_is_irreducible, loop_powmod
 
 F2 = GF.prime(2)
 F3 = GF.prime(3)
@@ -254,3 +257,184 @@ def test_linearized_eval_is_additive():
 def test_str_matches_format():
     assert str(P(F3, "2x^2+x+1")) == "2x^2+x+1"
     assert str(Poly.zero(F2)) == "0"
+
+
+# -- the kept-modulus reducer, powmod and Rabin's test --------------------------
+
+def _gf(coeffs):
+    """sympy's galoistools form: descending ints without leading zeros."""
+    return [int(c) for c in np.trim_zeros(np.asarray(coeffs), "b")[::-1]]
+
+
+REDUCER_PRIMES = [2, 3, 5, 7, 65521]
+REDUCER_DEGREES = [1, 2, 3, 4, 5, 7, 8, 13, 16, 31, 64, 127, 300]
+
+
+def _modulus(rng, p, n):
+    """Random coefficients of degree n; the leading one is not 1 unless p == 2."""
+    b = rng.integers(0, p, size=n + 1)
+    b[-1] = rng.integers(2, p) if p > 2 else 1
+    return b
+
+
+@pytest.mark.parametrize("p", REDUCER_PRIMES)
+def test_reducer_equals_long_division_at_every_dividend_length(p):
+    # one reducer per modulus meets the dividend lengths n .. 2n - 1 in
+    # ascending order, so its inverse is lifted in the middle of the chain
+    F = GF.prime(p)
+    rng = np.random.default_rng(p)
+    for n in REDUCER_DEGREES:
+        b = _modulus(rng, p, n)
+        rem = F.kreducer(b)
+        inv_lead = F.inv(int(b[-1]))
+        for length in range(n, 2 * n):
+            a = rng.integers(0, p, size=length)
+            a[-1] = rng.integers(1, p)
+            got = rem(a)
+            assert np.array_equal(got, _kernels.divmod_p(a, b, p, inv_lead)[1])
+            if n <= 31 or length in (n + 1, 2 * n - 1):
+                assert _gf(got) == gf_rem(_gf(a), _gf(b), p, ZZ)
+
+
+@pytest.mark.parametrize("p", REDUCER_PRIMES)
+def test_reducer_on_sparse_and_zero_dividends(p):
+    F = GF.prime(p)
+    rng = np.random.default_rng(100 + p)
+    for n in (1, 2, 5, 16, 127):
+        b = _modulus(rng, p, n)
+        rem = F.kreducer(b)
+        inv_lead = F.inv(int(b[-1]))
+        for length in sorted({n, min(n + 1, 2 * n - 1), (3 * n) // 2, 2 * n - 1}):
+            dividends = [np.zeros(length, dtype=np.int64)]
+            for j in sorted({0, n // 2, length - 1}):
+                a = np.zeros(length, dtype=np.int64)
+                a[j] = rng.integers(1, p)
+                a[-1] = 1  # a monomial, or a binomial x^(length-1) + c x^j
+                dividends.append(a)
+            for a in dividends:
+                got = rem(a)
+                assert np.array_equal(got, _kernels.divmod_p(a, b, p, inv_lead)[1])
+                assert _gf(got) == gf_rem(_gf(a), _gf(b), p, ZZ)
+        assert len(rem(np.zeros(0, dtype=np.int64))) == 0
+
+
+def test_reducer_lifts_the_inverse_only_as_far_as_quotients_need():
+    p, n = 7, 64
+    F = GF.prime(p)
+    b = _modulus(np.random.default_rng(3), p, n)
+    rem = _kernels.RemP(b, p, F.inv(int(b[-1])))
+    rng = np.random.default_rng(4)
+
+    def lifted_after(length):
+        rem(rng.integers(1, p, size=length))
+        return len(rem.h)
+
+    assert lifted_after(n + 1) == 1
+    assert lifted_after(n + 3) == 4
+    assert lifted_after(n + 2) == 4
+    assert lifted_after(2 * n - 1) == n - 1
+    # h is the inverse of the reversed modulus to that precision
+    one = np.zeros(n - 1, dtype=np.int64)
+    one[0] = 1
+    assert np.array_equal(np.convolve(rem.h, b[::-1])[:n - 1] % p, one)
+    with pytest.raises(PreconditionError):
+        rem(np.ones(2 * n, dtype=np.int64))
+
+
+@pytest.mark.parametrize("p", REDUCER_PRIMES)
+def test_powmod_equals_sympy(p):
+    F = GF.prime(p)
+    rng = np.random.default_rng(200 + p)
+    for n in (1, 2, 5, 20, 64, 140):
+        mod = Poly(F, _modulus(rng, p, n))
+        for blen in (0, 1, n + 3, 2 * n + 5):
+            base = Poly(F, rng.integers(0, p, size=blen))
+            for e in (0, 1, 2, 3, p ** 3 + 1, 1 << 20, int(rng.integers(1, 1 << 40))):
+                got = powmod(base, e, mod)
+                assert got.degree < n
+                assert _gf(got.coeffs) == gf_pow_mod(_gf(base.coeffs), e, _gf(mod.coeffs), p, ZZ)
+
+
+F9 = GF.extension(F3, first_irreducible(F3, 2).coeffs)
+
+
+@pytest.mark.parametrize("field", [F4, F9], ids=["F4", "F9"])
+def test_table_mode_powmod_equals_long_division_powmod(field):
+    rng = np.random.default_rng(field.order)
+    for n in (1, 2, 3, 6, 11):
+        for _ in range(3):
+            mod = _random_poly(rng, field, n)
+            if mod.degree < 1:
+                continue
+            base = _random_poly(rng, field, 2 * n)
+            for e in (0, 1, 2, 5, field.order ** n, int(rng.integers(1, 1 << 40))):
+                assert powmod(base, e, mod) == loop_powmod(base, e, mod)
+
+
+def test_modulus_products_and_walk():
+    f = P(F3, "2x^5+x^2+1")
+    ring = Modulus(f)
+    a, b = P(F3, "x^4+2x+1"), P(F3, "2x^3+x^2")
+    assert ring.mul(a, b) == (a * b) % f
+    assert ring.pow(a, 7) == loop_powmod(a, 7, f)
+    walk = ring.frobenius(Poly.x(F3))
+    for i in range(8):
+        assert next(walk) == loop_powmod(Poly.x(F3), 3 ** i, f)
+    with pytest.raises(PreconditionError):
+        Modulus(Poly.const(F3, 2))
+
+
+@pytest.mark.parametrize("p,maxdeg", [(2, 8), (3, 7), (5, 5)])
+def test_is_irreducible_equals_sympy_on_every_monic(p, maxdeg):
+    F = GF.prime(p)
+    for d in range(1, maxdeg + 1):
+        found = 0
+        for enc in range(p ** d, 2 * p ** d):
+            f = Poly.from_encoding(F, enc)
+            want = gf_irreducible_p(_gf(f.coeffs), p, ZZ)
+            assert is_irreducible(f) == want, str(f)
+            found += want
+        assert found == count_irreducibles(p, d)
+
+
+@pytest.mark.parametrize("p,degs", [(3, (8,)), (5, (6, 7, 8))])
+def test_is_irreducible_equals_sympy_on_sampled_monics(p, degs):
+    F = GF.prime(p)
+    rng = np.random.default_rng(p)
+    for d in degs:
+        for enc in rng.integers(p ** d, 2 * p ** d, size=300):
+            f = Poly.from_encoding(F, int(enc))
+            assert is_irreducible(f) == gf_irreducible_p(_gf(f.coeffs), p, ZZ), str(f)
+
+
+@pytest.mark.parametrize("field,maxdeg", [(F4, 5), (F9, 3)], ids=["F4", "F9"])
+def test_is_irreducible_counts_over_towers(field, maxdeg):
+    for d in range(1, maxdeg + 1):
+        assert len(enumerate_irreducibles(field, d)) == count_irreducibles(field.order, d)
+
+
+def test_is_irreducible_walks_no_further_than_one_powmod_per_prime(monkeypatch):
+    # every polynomial product is a kconv; the walk may not take more of them
+    # than one powmod from x for each prime of the degree, plus x^(q^n)
+    calls = [0]
+    kconv = GF.kconv
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return kconv(self, a, b)
+
+    monkeypatch.setattr(GF, "kconv", counted)
+
+    def products(test, f):
+        calls[0] = 0
+        verdict = test(f)
+        return verdict, calls[0]
+
+    total = 0
+    for enc in range(2, 1 << 13):
+        f = Poly.from_encoding(F2, enc)
+        got, walked = products(is_irreducible, f)
+        want, looped = products(loop_is_irreducible, f)
+        assert got == want and walked <= looped, str(f)
+        total += walked
+    assert total > 0
