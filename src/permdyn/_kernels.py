@@ -6,7 +6,10 @@ exist: "prime" (residues mod p, arithmetic done directly) and "table"
 exp/log tables and addition digitwise in base p).
 
 Each kernel is one numpy implementation; the loops that remain run once per
-coefficient and do whole-array work inside. Division comes in two forms.
+coefficient and do whole-array work inside. eval_t runs once per nonzero
+coefficient: it sums the terms in the log domain, so the paper's sparse
+permutations (x^n, L_h, tau_A with a pole at 0) cost their number of terms
+in passes over the points, not their degree. Division comes in two forms.
 divmod_p/divmod_t are long division, one loop step per quotient coefficient:
 the cheapest one-shot division when quotients are short, as in a gcd. RemP
 reduces by a modulus that is kept for a chain of products: after a Newton
@@ -173,13 +176,25 @@ def eval_p(coeffs, xs, p):
 
 
 def eval_t(coeffs, xs, exp, log, p, ndig):
-    acc = np.zeros(len(xs), dtype=np.int64)
-    xnz = xs != 0
+    """Values at xs of the polynomial with ascending coefficients `coeffs`, one pass per term.
+
+    A nonzero x gets the sum of c_e x^e = exp[log c_e + ((e mod (Q - 1)) log x
+    mod (Q - 1))] over the nonzero c_e; x = 0 gets c_0. The cost is one pass
+    over xs per nonzero coefficient, whatever the degree, and e mod (Q - 1)
+    keeps unreduced polynomials (degree >= Q) exact.
+    """
+    qm1 = len(log) - 1
+    check_int64((qm1 - 1) ** 2, "a log-domain exponent product")
     lx = log[xs]
-    for i in range(len(coeffs) - 1, -1, -1):
-        nz = (acc != 0) & xnz
-        acc = np.where(nz, exp[log[np.where(acc != 0, acc, 1)] + lx], 0)
-        c = coeffs[i]
-        if c:
-            acc = vadd(acc, c, p, ndig)
+    idx = np.empty(len(xs), dtype=np.int64)
+    acc = None
+    for e in np.flatnonzero(coeffs):
+        np.multiply(lx, e % qm1, out=idx)
+        np.remainder(idx, qm1, out=idx)
+        idx += log[coeffs[e]]
+        term = exp[idx]
+        acc = term if acc is None else vadd(acc, term, p, ndig)
+    if acc is None:
+        return np.zeros(len(xs), dtype=np.int64)
+    acc[xs == 0] = coeffs[0]
     return acc

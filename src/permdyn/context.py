@@ -220,9 +220,9 @@ def roots_in_ext(ctx, f):
 
 
 def distinguished_root(ctx, f):
-    """The smallest-encoding root of an irreducible f of degree k, read off the orbit table."""
+    """The smallest-encoding root of a monic irreducible f of degree k, read off the orbit table."""
     orbits = frobenius_orbits(ctx)
-    return int(orbits.conj[orbits.index(f.monic()), 0])
+    return int(orbits.conj[orbits.index(f), 0])
 
 
 def embed_poly(ctx, f):

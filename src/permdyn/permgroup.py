@@ -229,8 +229,19 @@ def realize_permutation(ctx, sigma):
 
 
 def moebius_eval(ctx, A, z):
-    """tau_A(z) on F_{q^k} with the pole convention tau_A(-d/c) = a/c."""
+    """tau_A(z) on F_{q^k} with the pole convention tau_A(-d/c) = a/c.
+
+    z is one encoding or an int64 array of them; an array is mapped whole,
+    off the pole as (a z + b)(c z + d)^(Q-2).
+    """
     F = ctx.Fqk
+    if np.ndim(z):
+        zs = np.asarray(z, dtype=np.int64)
+        den = F.vadd(F.vmul_scalar(zs, A.c), A.d)
+        out = F.vmul(F.vadd(F.vmul_scalar(zs, A.a), A.b), F.vpow(den, ctx.Q - 2))
+        if A.c:
+            out[den == 0] = F.mul(A.a, F.inv(A.c))
+        return out
     if A.c == 0:
         return F.mul(F.add(F.mul(A.a, z), A.b), F.inv(A.d))
     den = F.add(F.mul(A.c, z), A.d)
@@ -270,10 +281,8 @@ def moebius_poly_rep(ctx, A):
             pows = np.array([Fq.pow(u, t) for t in range(ctx.q - 1)], dtype=np.int64)
             pole[1:] = pows[idx]
         P = fold_mod(Poly(Fq, [A.b, A.a]) * (inv_part + Poly(Fq, pole).scale(eps)), Q)
-    out = certify_perm(ctx, P)
-    els = ctx.Fqk.elements()
-    expect = np.array([moebius_eval(ctx, A, int(z)) for z in els], dtype=np.int64)
-    if not np.array_equal(perm_table(ctx, out), expect):
+    out, vals = _certified_table(ctx, P)
+    if not np.array_equal(vals, moebius_eval(ctx, A, ctx.Fqk.elements())):
         raise InternalCheckError("Moebius representative disagrees with tau_A")
     return out
 

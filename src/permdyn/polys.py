@@ -365,18 +365,22 @@ def _distinct_degree(f):
     out = []
     h = x
     cur = f
+    # one kept modulus per cofactor, rebuilt only when a factor splits off
+    ring = Modulus(cur)
     i = 0
     while cur.degree > 0:
         i += 1
         if 2 * i > cur.degree:
             out.append((cur.degree, cur))
             break
-        h = powmod(h % cur, q, cur)
+        h = ring.pow(h, q)
         g = poly_gcd(h - x, cur)
         if g.degree > 0:
             out.append((i, g))
             cur = cur // g
-            h = h % cur
+            if cur.degree > 0:
+                ring = Modulus(cur)
+                h = h % cur
     return out
 
 

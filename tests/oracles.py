@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from permdyn import numth
+from permdyn import _kernels, numth
 from permdyn.dynamics import star
 from permdyn.polys import Poly, count_irreducibles, poly_gcd, powmod
 
@@ -114,6 +114,20 @@ def schoolbook_eval(field, coeffs, x):
     acc = 0
     for c in reversed(coeffs):
         acc = digit_add(field, field.mul(acc, int(x)), int(c))
+    return acc
+
+
+def horner_eval_t(coeffs, xs, exp, log, p, ndig):
+    """Table-mode evaluation by Horner's rule over every degree, on whole arrays."""
+    acc = np.zeros(len(xs), dtype=np.int64)
+    xnz = xs != 0
+    lx = log[xs]
+    for i in range(len(coeffs) - 1, -1, -1):
+        nz = (acc != 0) & xnz
+        acc = np.where(nz, exp[log[np.where(acc != 0, acc, 1)] + lx], 0)
+        c = coeffs[i]
+        if c:
+            acc = _kernels.vadd(acc, c, p, ndig)
     return acc
 
 

@@ -143,9 +143,12 @@ def test_roots_and_distinguished_root():
     for f in (parse_poly(ctx.Fq, "x+1"), parse_poly(ctx.Fq, "x^4+1"), Poly.zero(ctx.Fq)):
         with pytest.raises(PreconditionError):
             distinguished_root(ctx, f)
+    # a non-monic f is refused, as diamond, period_Ik and iterate_generation refuse it
     ctx = make_field_ctx(3, 1, 2)
     f = parse_poly(ctx.Fq, "x^2+1")
-    assert distinguished_root(ctx, f.scale(2)) == min(roots_in_ext(ctx, f))
+    assert distinguished_root(ctx, f) == min(roots_in_ext(ctx, f))
+    with pytest.raises(PreconditionError):
+        distinguished_root(ctx, f.scale(2))
 
 
 @pytest.mark.parametrize("a", [-3, -1, 16, 16 + 83])

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_div, gf_eval, gf_mul
 
 import permdyn
-from permdyn import _kernels
+from permdyn import _kernels, numth
+from permdyn.context import make_field_ctx
 from permdyn.fields import GF
+from permdyn.permgroup import Matrix2, moebius_poly_rep
+from permdyn.polys import Poly, q_associate
 
-from oracles import schoolbook_divmod, schoolbook_eval, schoolbook_mul
+from oracles import horner_eval_t, schoolbook_divmod, schoolbook_eval, schoolbook_mul
 
 F4 = GF.extension(GF.prime(2), [1, 1, 1])
 F9 = GF.extension(GF.prime(3), [1, 0, 1])
@@ -121,3 +126,78 @@ def test_divmod_reconstructs_dividend():
     full = np.convolve(q, b) % p
     full[:len(r)] = (full[:len(r)] + r) % p
     assert np.array_equal(full, a)
+
+
+# -- eval_t against Horner's rule on every table-mode tower with Q <= 4096 ------
+
+EVAL_TOWERS = [(p, m, k) for p in range(2, 65) if numth.is_prime(p) for m in (1, 2, 3)
+               for k in range(1, 13) if m * k >= 2 and p ** (m * k) <= 4096]
+
+
+def _points(rng, Q):
+    """Every element when Q <= 256, else 0, 1 and 30 random elements."""
+    if Q <= 256:
+        return np.arange(Q, dtype=np.int64)
+    return np.concatenate([[0, 1], rng.integers(2, Q, size=30)]).astype(np.int64)
+
+
+def _sparse(rng, order, degree, terms):
+    """Coefficients in [0, order) of exactly `degree`, with at most `terms` more nonzero below."""
+    c = np.zeros(degree + 1, dtype=np.int64)
+    c[rng.integers(0, degree + 1, size=terms)] = rng.integers(1, order, size=terms)
+    c[degree] = rng.integers(1, order)
+    return c
+
+
+@pytest.mark.parametrize("tower", EVAL_TOWERS, ids=str)
+def test_eval_t_matches_horner(tower):
+    ctx = make_field_ctx(*tower)
+    F, q, Q = ctx.Fqk, ctx.q, ctx.Q
+    args = (F.exp, F.log, F.p, F.deg)
+    rng = np.random.default_rng(Q + tower[1])
+    xs = _points(rng, Q)
+    # the zero polynomial, stored empty or with zeros, and a constant
+    cases = [np.zeros(0, dtype=np.int64), np.zeros(3, dtype=np.int64), np.array([q - 1])]
+    for n in (1, 2, q, Q - 2, Q - 1, int(rng.integers(2, Q))):
+        cases.append(_sparse(rng, q, n, 0))
+    h = Poly(ctx.Fq, rng.integers(0, q, size=ctx.k))
+    if not h.is_zero:
+        cases.append(q_associate(h).coeffs)
+    # tau(z) = 1 + 1/z is x^(Q-2) + 1; tau(z) = 1/(z + 1) is dense, kept to Q <= 1024
+    # for time, as its certification evaluates all Q terms at all Q points
+    mats = [(1, 1, 1, 0), (0, 1, 1, 1)] if Q <= 1024 else [(1, 1, 1, 0)]
+    for A in mats:
+        cases.append(moebius_poly_rep(ctx, Matrix2(ctx.Fq, *A)).poly.coeffs)
+    cases.append(rng.integers(0, Q, size=min(Q, 256)))
+    # unreduced, exact through e mod (Q - 1): x^(Q-1), x^(2Q-2) and x^(3Q-3) are 1 off 0
+    top = _sparse(rng, Q, 3 * Q, 8)
+    top[[Q - 1, Q, 2 * Q - 2, 2 * Q - 1, 3 * Q - 3]] = rng.integers(1, Q, size=5)
+    cases += [top, _sparse(rng, Q, Q, 4)]
+    if Q <= 64:
+        cases.append(rng.integers(0, Q, size=3 * Q + 1))
+    for c in cases:
+        got = _kernels.eval_t(c, xs, *args)
+        assert np.array_equal(got, horner_eval_t(c, xs, *args)), (tower, c)
+        assert got[0] == (c[0] if len(c) else 0)  # xs[0] is the point 0
+
+
+@st.composite
+def terms_and_points(draw):
+    """A table-mode field, a sparse coefficient array of degree up to 3Q, and points."""
+    F = make_field_ctx(*draw(st.sampled_from(EVAL_TOWERS))).Fqk
+    Q = F.order
+    terms = draw(st.dictionaries(st.integers(0, 3 * Q), st.integers(1, Q - 1), max_size=10))
+    coeffs = np.zeros(max(terms, default=-1) + 1, dtype=np.int64)
+    for e, c in terms.items():
+        coeffs[e] = c
+    xs = draw(st.lists(st.integers(0, Q - 1), min_size=1, max_size=20))
+    return F, coeffs, np.array(xs, dtype=np.int64)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(terms_and_points())
+def test_eval_t_property_over_towers(case):
+    F, coeffs, xs = case
+    args = (F.exp, F.log, F.p, F.deg)
+    assert np.array_equal(_kernels.eval_t(coeffs, xs, *args), horner_eval_t(coeffs, xs, *args))

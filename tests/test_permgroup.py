@@ -194,6 +194,26 @@ def test_moebius_eval_is_bijection():
         assert imgs == list(range(ctx.Q))
 
 
+@pytest.mark.parametrize("tower", [(2, 2, 3), (3, 2, 2), (5, 1, 2)], ids=str)
+def test_moebius_eval_array_equals_scalar(tower):
+    # every matrix of GL_2(F_q) for q = 4 and 5, a seeded sample of 120 for q = 9
+    ctx = make_field_ctx(*tower)
+    mats = []
+    for a, b, c, d in itertools.product(range(ctx.q), repeat=4):
+        try:
+            mats.append(Matrix2(ctx.Fq, a, b, c, d))
+        except PreconditionError:
+            pass
+    if ctx.q == 9:
+        rng = np.random.default_rng(9)
+        mats = [mats[i] for i in rng.choice(len(mats), size=120, replace=False)]
+    els = ctx.Fqk.elements()
+    for A in mats:
+        got = moebius_eval(ctx, A, els)
+        assert got.tolist() == [moebius_eval(ctx, A, z) for z in range(ctx.Q)], A
+        assert moebius_eval(ctx, A, els[::-1]).tolist() == got[::-1].tolist()
+
+
 def test_moebius_poly_rep_affine_case():
     rep = moebius_poly_rep(CTX24, Matrix2(CTX24.Fq, 1, 1, 0, 1))
     assert rep.poly == P(CTX24, "x+1")

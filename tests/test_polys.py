@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod, gf_rem
+from sympy.polys.galoistools import gf_factor, gf_irreducible_p, gf_pow_mod, gf_rem
 
 from permdyn import _kernels
 from permdyn.errors import PreconditionError
@@ -232,6 +232,29 @@ def test_factor_random_products():
         assert rebuilt == f
         degs = [(g.degree, g.encoding()) for g, _ in fac]
         assert degs == sorted(degs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_factor_matches_galoistools(p):
+    # the distinct-degree stage keeps one Modulus per cofactor; every degree
+    # up to 60, and products g^2 h for the multiplicities
+    field = GF.prime(p)
+    rng = np.random.default_rng(100 + p)
+    cases = []
+    for deg in range(1, 61):
+        coeffs = rng.integers(0, p, size=deg + 1)
+        coeffs[-1] = rng.integers(1, p)
+        cases.append(Poly(field, coeffs))
+    while len(cases) < 70:
+        g = _random_poly(rng, field, 8)
+        f = g * g * _random_poly(rng, field, 20)
+        if f.degree >= 1:
+            cases.append(f)
+    for f in cases:
+        _, want = gf_factor(_gf(f.coeffs), p, ZZ)
+        want = sorted(((Poly(field, g[::-1]), m) for g, m in want),
+                      key=lambda t: (t[0].degree, t[0].encoding()))
+        assert factor(f) == want, str(f)
 
 
 def test_q_associate():
