@@ -15,7 +15,14 @@ the cheapest one-shot division when quotients are short, as in a gcd. RemP
 reduces by a modulus that is kept for a chain of products: after a Newton
 lift of the reversed modulus's inverse, paid once per chain, each remainder
 is two convolutions and no loop. Table mode has no such form, since conv_t
-is itself a loop per coefficient. `vadd` and `vneg` are the only
+is itself a loop per coefficient. A Frobenius step t -> t^q mod b needs no
+product at all: every coefficient lies in F_q, so t^q is the spread t(x^q),
+which the caller (polys.Modulus) reduces from the top in blocks of at most
+2n - 1 coefficients, the longest dividend RemP takes. gcd_p/gcd_t run
+Euclid on arrays: each divisor is made monic, each remainder is reduced in
+place by one slice update per quotient coefficient (an XOR when p == 2),
+and the quotient coefficients are Python ints that are never stored.
+`vadd` and `vneg` are the only
 places that add or negate encodings digit by digit, for ints and int64
 arrays alike, and `vsum` the only place that sums an array of them.
 Prime-mode intermediates stay below INT64_BOUND: GF.prime admits only p
@@ -120,15 +127,18 @@ class RemP:
     x^(2 len(h)) only as far as the longest quotient so far needs. A dividend
     a of n + nq coefficients with nq <= n - 1, such as a product of two
     remainders, has the quotient q = rev(rev(a)[:nq] h mod x^nq), and its
-    remainder is the low n coefficients of a - q b. No convolution here is
-    longer in its shorter factor than n - 1, so conv_p's int64 check passes
-    whenever it passes for the product being reduced.
+    remainder is the low n coefficients of a - q b. The product q b is taken
+    by `mul` (conv_p unless given); the products with h are truncated power
+    series, which no convolution here makes longer in its shorter factor than
+    n - 1, so one int64 check, made here, covers them.
     """
 
-    def __init__(self, b, p, inv_lead):
+    def __init__(self, b, p, inv_lead, mul=None):
+        check_int64(max(len(b) - 2, 1) * (p - 1) ** 2, "a product coefficient")
         self.b = b
         self.p = p
         self.h = np.array([inv_lead], dtype=np.int64)
+        self.mul = mul or (lambda u, v: conv_p(u, v, p))
 
     def __call__(self, a):
         b, p = self.b, self.p
@@ -142,11 +152,13 @@ class RemP:
         L = len(self.h)
         while L < nq:
             L = min(2 * L, n - 1)
-            t = -conv_p(b[::-1][:L], self.h, p)[:L] % p
+            t = -np.convolve(b[::-1][:L], self.h)[:L] % p
             t[0] = (t[0] + 2) % p
-            self.h = conv_p(self.h, t, p)[:L]
-        q = conv_p(a[n:][::-1], self.h[:nq], p)[:nq][::-1]
-        return (a[:n] - conv_p(q, b, p)[:n]) % p
+            self.h = np.convolve(self.h, t)[:L] % p
+        q = np.convolve(a[n:][::-1], self.h[:nq])[:nq] % p
+        r = a[:n] - self.mul(q[::-1], b)[:n]
+        r %= p
+        return r
 
 
 def divmod_t(a, b, exp, log, p, ndig, inv_lead):
@@ -166,6 +178,91 @@ def divmod_t(a, b, exp, log, p, ndig, inv_lead):
         prod = np.where(bnz, exp[log[vneg(int(c), p, ndig)] + lb], 0)
         r[i:i + len(b)] = vadd(r[i:i + len(b)], prod, p, ndig)
     return q, r[:len(b) - 1]
+
+
+def gcd_p(a, b, p):
+    """Monic gcd over F_p of two ascending coefficient arrays, not both zero, by Euclid.
+
+    Each divisor is made monic, so a quotient coefficient is the top of the
+    remainder, read as a Python int; the remainder is reduced in place,
+    subtracting c * divisor (an XOR when p == 2, as in vadd).
+    """
+    u, v = _euclid_pair(a, b)
+    if not len(v):
+        return _monic_p(u, p)
+    v = _monic_p(v, p)
+    nu, nv = len(u), len(v)
+    while nv > 1:
+        for i in range(nu - nv, -1, -1):
+            c = u.item(i + nv - 1)
+            if c:
+                seg = u[i:i + nv]
+                if p == 2:
+                    seg ^= v
+                else:
+                    seg -= c * v
+                    seg %= p
+        nu = _trimmed_len(u, nv - 1)
+        if not nu:
+            return v
+        u, v = v, _monic_p(u[:nu], p)
+        nu, nv = nv, nu
+    return v
+
+
+def gcd_t(a, b, exp, log, p, ndig):
+    """gcd_p in table mode: a quotient step adds (-c) * divisor through exp/log and vadd."""
+    u, v = _euclid_pair(a, b)
+    if not len(v):
+        return _monic_t(u, exp, log)
+    v = _monic_t(v, exp, log)
+    nu, nv = len(u), len(v)
+    while nv > 1:
+        vnz = v != 0
+        lv = log[v]
+        for i in range(nu - nv, -1, -1):
+            c = u.item(i + nv - 1)
+            if c:
+                prod = np.where(vnz, exp[log[vneg(c, p, ndig)] + lv], 0)
+                u[i:i + nv] = vadd(u[i:i + nv], prod, p, ndig)
+        nu = _trimmed_len(u, nv - 1)
+        if not nu:
+            return v
+        u, v = v, _monic_t(u[:nu], exp, log)
+        nu, nv = nv, nu
+    return v
+
+
+def _euclid_pair(a, b):
+    """Trimmed copies of a and b, the longer first: Euclid's first dividend and divisor."""
+    a = a[:_trimmed_len(a, len(a))].copy()
+    b = b[:_trimmed_len(b, len(b))].copy()
+    if len(a) < len(b):
+        a, b = b, a
+    if not len(a):
+        raise PreconditionError("gcd(0, 0) is undefined")
+    return a, b
+
+
+def _trimmed_len(a, n):
+    """The length of a[:n] without its trailing zeros."""
+    while n and a.item(n - 1) == 0:
+        n -= 1
+    return n
+
+
+def _monic_p(a, p):
+    lead = a.item(len(a) - 1)
+    return a if lead == 1 else a * pow(lead, p - 2, p) % p
+
+
+def _monic_t(a, exp, log):
+    lead = a.item(len(a) - 1)
+    if lead == 1:
+        return a
+    qm1 = len(log) - 1
+    shift = qm1 - log[lead]
+    return np.where(a != 0, exp[log[a] + shift], 0)
 
 
 def eval_p(coeffs, xs, p):

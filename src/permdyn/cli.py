@@ -317,7 +317,16 @@ def main(argv=None):
         print("error: %s: %s" % (type(exc).__name__, " ".join(str(exc).split())),
               file=sys.stderr)
         return 4
-    print(out)
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (as `| head` does): exit as a process
+        # killed by SIGPIPE would, and point stdout at os.devnull so that the
+        # flush at interpreter exit does not raise again
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0
 
 

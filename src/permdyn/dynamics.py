@@ -21,7 +21,6 @@ from .polys import (
     is_irreducible,
     linearized_modulus,
     poly_gcd,
-    powmod,
     psi_d,
 )
 
@@ -94,22 +93,45 @@ class CycleSpectrum:
         self.mu = self.S[0]
 
 
-def _check_member(ctx, f):
+def _check_member(ctx, f, P=None):
+    """Raise PreconditionError unless f lies in I_k; the message names P when given."""
     if f.field.key != ctx.Fq.key:
-        raise PreconditionError("polynomial does not lie over F_q of the context")
-    if f.degree != ctx.k or f.leading() != 1 or not is_irreducible(f):
-        raise PreconditionError("expected a monic irreducible of degree k")
+        problem = "polynomial does not lie over F_q of the context"
+    elif f.degree != ctx.k or f.leading() != 1 or not is_irreducible(f):
+        problem = "expected a monic irreducible of degree k"
+    else:
+        return
+    raise PreconditionError(problem + ("" if P is None else _where(ctx, P, f)))
+
+
+def _where(ctx, P, f):
+    """The suffix of an error message that names the tower, P and f."""
+    return "; at (p, m, k) = (%d, %d, %d), P = %s, f = %s" % (
+        ctx.p, ctx.m, ctx.k, _brief(P), _brief(f))
+
+
+def _brief(poly):
+    """The text of a polynomial with a few terms, else its degree and number of terms."""
+    terms = np.count_nonzero(poly.coeffs)
+    if terms <= 8:
+        return str(poly)
+    return "<degree %d, %d terms>" % (poly.degree, terms)
 
 
 def star(ctx, P, f):
-    """P*f = gcd(f(P(x)), x^(q^k) - x), the unique degree-k irreducible factor of f(P)."""
+    """P*f = gcd(f(P(x)), x^(q^k) - x), the unique degree-k irreducible factor of f(P).
+
+    x^(q^k) mod f(P) is k steps of the Frobenius walk (Modulus.frobenius).
+    """
     P = _coerce_poly(ctx, P)
-    _check_member(ctx, f)
+    _check_member(ctx, f, P)
     g = compose(f, P)
-    x = Poly.x(ctx.Fq)
-    out = poly_gcd(powmod(x, ctx.Q, g) - x, g).monic()
+    x = Poly.x(ctx.Fq) % g
+    t = next(islice(Modulus(g).frobenius(x), ctx.k, None))
+    out = poly_gcd(t - x, g)
     if out.degree != ctx.k or not is_irreducible(out):
-        raise InternalCheckError("star image is not an irreducible of degree k")
+        raise InternalCheckError("star image is not an irreducible of degree k"
+                                 + _where(ctx, P, f))
     return out
 
 
@@ -261,11 +283,16 @@ def _ik_perm(ctx, P):
     n = len(orbits.coeffs)
     image = orbits.node[embed_poly(ctx, P).eval_many(orbits.conj[:, 0])]
     if not np.array_equal(np.sort(image), np.arange(n)):
-        raise PreconditionError("P does not act bijectively on I_k")
+        # name the first f whose root P maps below degree k or onto the orbit of another's
+        hits = np.bincount(image[image >= 0], minlength=n)
+        bad = np.flatnonzero((image < 0) | (hits[image] > 1))[0]
+        raise PreconditionError("P does not act bijectively on I_k"
+                                + _where(ctx, P, orbits.poly(bad)))
     perm = np.empty(n, dtype=np.int64)
     perm[image] = np.arange(n)
-    if star(ctx, P, orbits.poly(0)) != orbits.poly(perm[0]):
-        raise InternalCheckError("orbit table disagrees with the gcd star")
+    f = orbits.poly(0)
+    if star(ctx, P, f) != orbits.poly(perm[0]):
+        raise InternalCheckError("orbit table disagrees with the gcd star" + _where(ctx, P, f))
     return orbits, perm
 
 

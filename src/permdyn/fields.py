@@ -233,15 +233,22 @@ class GF:
             return _kernels.divmod_p(a, b, self.p, inv_lead)
         return _kernels.divmod_t(a, b, self.exp, self.log, self.p, self.deg, inv_lead)
 
+    def kgcd(self, a, b):
+        """Monic gcd of two coefficient arrays, not both zero, by Euclid on arrays."""
+        if self.mode == "prime":
+            return _kernels.gcd_p(a, b, self.p)
+        return _kernels.gcd_t(a, b, self.exp, self.log, self.p, self.deg)
+
     def kreducer(self, b):
         """The function a -> a mod b for a fixed b of degree >= 1, on products of two remainders.
 
-        Prime mode keeps a Newton inverse of the reversed b (_kernels.RemP);
-        table mode divides by the loop of divmod_t.
+        Prime mode keeps a Newton inverse of the reversed b (_kernels.RemP)
+        and takes the product of quotient and b by kconv; table mode divides
+        by the loop of divmod_t.
         """
         inv_lead = self.inv(int(b[-1]))
         if self.mode == "prime":
-            return _kernels.RemP(b, self.p, inv_lead)
+            return _kernels.RemP(b, self.p, inv_lead, self.kconv)
         return lambda a: _kernels.divmod_t(a, b, self.exp, self.log, self.p, self.deg,
                                            inv_lead)[1]
 

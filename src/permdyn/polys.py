@@ -174,21 +174,18 @@ def poly_divmod(a, b):
 
 
 def poly_gcd(a, b):
-    """Monic greatest common divisor."""
-    if a.is_zero and b.is_zero:
-        raise PreconditionError("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    """Monic greatest common divisor, by Euclid on coefficient arrays (GF.kgcd)."""
+    return Poly(a.field, a.field.kgcd(a.coeffs, b.coeffs))
 
 
 class Modulus:
-    """Products and powers of remainders modulo a fixed polynomial of degree >= 1.
+    """Products, powers and Frobenius walks of remainders modulo a polynomial of degree >= 1.
 
-    Every product is reduced by one remainder function (GF.kreducer), so what
-    it derives from the modulus is paid once for a whole chain of products:
-    in prime mode, a Newton inverse of the reversed modulus, after which each
-    reduction is two convolutions. A one-shot division is cheaper by `%`.
+    Every product and spread is reduced by one remainder function
+    (GF.kreducer), so what it derives from the modulus is paid once for a
+    whole chain: in prime mode, a Newton inverse of the reversed modulus,
+    after which each reduction is two convolutions. A one-shot division is
+    cheaper by `%`.
     """
 
     __slots__ = ("mod", "_rem")
@@ -218,11 +215,52 @@ class Modulus:
             a = self.mul(a, a)
 
     def frobenius(self, t):
-        """The walk t, t^q, t^(q^2), ... mod the modulus, for a remainder t, q = |field|."""
-        q = self.mod.field.order
+        """The walk t, t^q, t^(q^2), ... mod the modulus, for a remainder t, q = |field|.
+
+        Every coefficient c lies in F_q, so c^q = c and t^q is the spread
+        t(x^q). Where _spread_is_cheaper says so, a step forms the spread and
+        reduces it from the top in blocks of 2n - 1 coefficients (n the degree
+        of the modulus), the longest dividend that _kernels.RemP takes;
+        otherwise it is square and multiply.
+        """
+        field = self.mod.field
+        q = field.order
+        if not _spread_is_cheaper(q):
+            while True:
+                yield t
+                t = self.pow(t, q)
         while True:
             yield t
-            t = self.pow(t, q)
+            c = t.coeffs
+            if len(c) > 1:
+                spread = np.zeros((len(c) - 1) * q + 1, dtype=np.int64)
+                spread[::q] = c
+                t = Poly(field, self._reduce(spread))
+
+    def _reduce(self, a):
+        """a mod the modulus for a dividend a of any length, which it overwrites, in blocks
+        from the top."""
+        n = self.mod.degree
+        block = 2 * n - 1
+        while len(a) > block:
+            lo = len(a) - block
+            a[lo:lo + n] = self._rem(a[lo:])
+            a = a[:lo + n]
+        return self._rem(a) if len(a) > n else a
+
+
+def _spread_is_cheaper(q):
+    """Whether t -> t^q modulo a polynomial is cheaper as a spread than by square and multiply.
+
+    The spread of a remainder modulo a polynomial of degree n has
+    (n - 1) q + 1 coefficients, so it takes q - 1 block reductions of two
+    convolutions each. Square and multiply takes bit_length(q) + popcount(q)
+    - 2 steps of a product and a reduction, three convolutions. Table mode,
+    where both are loops of divmod_t or conv_t, meets the same crossover when
+    measured: spreads for q <= 7.
+    """
+    steps = q.bit_length() + bin(q).count("1") - 2
+    return 2 * (q - 1) <= 3 * steps
 
 
 def powmod(base, e, mod):
@@ -242,11 +280,15 @@ def powmod(base, e, mod):
 
 
 def compose(f, g):
-    """f(g(x)), unreduced."""
-    acc = Poly.zero(f.field)
-    for c in reversed(f.coeffs):
-        acc = acc * g + Poly.const(f.field, int(c))
-    return acc
+    """f(g(x)), unreduced, by Horner's rule on coefficient arrays."""
+    field = f.field
+    if f.degree < 1 or g.degree < 1:
+        return Poly.const(field, f(g.coeff(0)))
+    acc = f.coeffs[-1:]
+    for c in f.coeffs[-2::-1].tolist():
+        acc = field.kconv(acc, g.coeffs)
+        acc[0] = field.add(acc.item(0), c)
+    return Poly(field, acc)
 
 
 def fold_mod(f, Q=None):
@@ -359,28 +401,26 @@ def pth_root(f):
 
 def _distinct_degree(f):
     """(degree, product-of-factors) pairs for a squarefree monic f."""
-    field = f.field
-    q = field.order
-    x = Poly.x(field)
+    x = Poly.x(f.field)
     out = []
-    h = x
     cur = f
-    # one kept modulus per cofactor, rebuilt only when a factor splits off
-    ring = Modulus(cur)
+    # one Frobenius walk per cofactor, started afresh only when a factor splits off
+    walk = Modulus(cur).frobenius(x)
+    h = next(walk)
     i = 0
     while cur.degree > 0:
         i += 1
         if 2 * i > cur.degree:
             out.append((cur.degree, cur))
             break
-        h = ring.pow(h, q)
+        h = next(walk)
         g = poly_gcd(h - x, cur)
         if g.degree > 0:
             out.append((i, g))
             cur = cur // g
             if cur.degree > 0:
-                ring = Modulus(cur)
-                h = h % cur
+                walk = Modulus(cur).frobenius(h % cur)
+                h = next(walk)
     return out
 
 

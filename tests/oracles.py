@@ -4,7 +4,8 @@ import numpy as np
 
 from permdyn import _kernels, numth
 from permdyn.dynamics import star
-from permdyn.polys import Poly, count_irreducibles, poly_gcd, powmod
+from permdyn.errors import PreconditionError
+from permdyn.polys import Poly, count_irreducibles, powmod
 
 
 def compose_mod(f, g, mod):
@@ -29,6 +30,15 @@ def loop_powmod(base, e, mod):
     return acc
 
 
+def loop_gcd(a, b):
+    """Monic gcd by Euclid on Poly objects, one long division (`%`) per step."""
+    if a.is_zero and b.is_zero:
+        raise PreconditionError("gcd(0, 0) is undefined")
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
+
+
 def loop_is_irreducible(f):
     """Rabin's test by one loop_powmod from x for each prime l of the degree n, in
     ascending order of l, and then x^(q^n) = x mod f."""
@@ -40,7 +50,7 @@ def loop_is_irreducible(f):
     q = f.field.order
     x = Poly.x(f.field)
     for ell in numth.factorint(n):
-        if poly_gcd(loop_powmod(x, q ** (n // ell), f) - x, f).degree != 0:
+        if loop_gcd(loop_powmod(x, q ** (n // ell), f) - x, f).degree != 0:
             return False
     return loop_powmod(x, q ** n, f) == x % f
 

@@ -277,6 +277,20 @@ def test_console_entry_point():
     assert proc.stdout == "x^4+x^3+1\n"
 
 
+def test_closed_pipe_exits_141_quietly():
+    # the reader stops after one line, as `permdyn enumerate ... | head -1`
+    # does; |I_16| fills more than a pipe buffer, so the write meets the close
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "permdyn.cli", "enumerate", "--p", "2", "--k", "16"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert (first, err) == (b"x^16+x^5+x^3+x+1\n", b"")
+
+
 def test_seed_flag_is_gone(capsys):
     code, _, err = run(capsys, "star", "--p", "2", "--k", "4", "--perm", "x^7",
                        "--f", "x^4+x+1", "--seed", "3")

@@ -1,10 +1,12 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from permdyn import dynamics
 from permdyn.context import (
     distinguished_root, enumerate_Ck, make_field_ctx, minimal_poly,
 )
@@ -114,6 +116,25 @@ def test_star_rejects_nonmembers():
         star(CTX24, x7, P(CTX24, "x^3+x+1"))  # wrong degree
     with pytest.raises(PreconditionError):
         star(CTX33, x7, P(CTX33, "x^3+2x+1"))  # foreign context
+
+
+def test_star_and_ik_errors_name_the_tower_P_and_f(monkeypatch):
+    x7 = _mono(CTX24, 7)
+    where = "; at (p, m, k) = (2, 1, 4), P = x^7, f = "
+    with pytest.raises(PreconditionError, match=re.escape(where + "x^4+x^2+1")):
+        star(CTX24, x7, P(CTX24, "x^4+x^2+1"))
+    # x^3 sends the roots of x^4+x+1 (of order 15) to roots of order 5
+    with pytest.raises(PreconditionError, match=re.escape(
+            "bijectively on I_k; at (p, m, k) = (2, 1, 4), P = x^3, f = x^4+x+1")):
+        graph_Ik(CTX24, Poly.one(CTX24.Fq).shift(3))
+    # a dense P is named by its degree and number of terms
+    dense = P(CTX24, "x^13+x^11+x^10+x^8+x^6+x^5+x^4+x^3+x^2+x")
+    with pytest.raises(PreconditionError, match=re.escape(
+            "P = <degree 13, 10 terms>, f = x^4+1")):
+        star(CTX24, dense, P(CTX24, "x^4+1"))
+    monkeypatch.setattr(dynamics, "star", lambda ctx, P, f: f)
+    with pytest.raises(InternalCheckError, match=re.escape(where + "x^4+x+1")):
+        graph_Ik(CTX24, x7)
 
 
 def test_diamond_inverts_star():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor, gf_irreducible_p, gf_pow_mod, gf_rem
+from sympy.polys.galoistools import (gf_factor, gf_gcd, gf_irreducible_p, gf_pow_mod, gf_rem,
+                                         gf_sub)
 
-from permdyn import _kernels
+from permdyn import _kernels, numth, polys
 from permdyn.errors import PreconditionError
 from permdyn.fields import GF
 from permdyn.polys import (
@@ -13,7 +14,7 @@ from permdyn.polys import (
 )
 from permdyn.textio import parse_poly
 
-from oracles import compose_mod, linearized_eval, loop_is_irreducible, loop_powmod
+from oracles import compose_mod, linearized_eval, loop_gcd, loop_is_irreducible, loop_powmod
 
 F2 = GF.prime(2)
 F3 = GF.prime(3)
@@ -461,3 +462,181 @@ def test_is_irreducible_walks_no_further_than_one_powmod_per_prime(monkeypatch):
         assert got == want and walked <= looped, str(f)
         total += walked
     assert total > 0
+
+
+# -- Euclid on arrays, the spread walk and Rabin's test, against sympy ----------
+
+WALK_DEGREES = [1, 2, 3, 5, 8, 20, 64, 140, 300]
+F25 = GF.extension(GF.prime(5), first_irreducible(GF.prime(5), 2).coeffs)
+
+
+def _gcd_pairs(rng, field, n):
+    """Operand pairs with a of degree n: random, zero, constant, equal degree,
+    one dividing the other, and a common factor of degree about n / 2."""
+    def rand(d):
+        c = rng.integers(0, field.order, size=d + 1)
+        c[-1] = rng.integers(1, field.order)
+        return Poly(field, c)
+
+    a, b, c = rand(n), rand(n), rand(max(n // 2, 1))
+    zero, const = Poly.zero(field), rand(0)
+    return [(a, rand(max(n - 3, 0))), (a, zero), (zero, a), (a, const), (const, zero),
+            (a, b), (a, a.scale(field.order - 1)), (a * c, c), (c, a * c),
+            (a * c, b * c), (a * c * c, c * c * b)]
+
+
+@pytest.mark.parametrize("p", REDUCER_PRIMES)
+def test_gcd_equals_sympy(p):
+    F = GF.prime(p)
+    rng = np.random.default_rng(300 + p)
+    for n in WALK_DEGREES:
+        for a, b in _gcd_pairs(rng, F, n):
+            got = poly_gcd(a, b)
+            assert _gf(got.coeffs) == gf_gcd(_gf(a.coeffs), _gf(b.coeffs), p, ZZ)
+            if n <= 64:
+                assert got == loop_gcd(a, b)
+    with pytest.raises(PreconditionError):
+        F.kgcd(np.zeros(3, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+
+@pytest.mark.parametrize("field,maxdeg", [(F4, 40), (F9, 30), (F25, 20)],
+                         ids=["F4", "F9", "F25"])
+def test_table_mode_gcd_equals_loop_gcd(field, maxdeg):
+    rng = np.random.default_rng(field.order)
+    for n in (1, 2, 3, 5, 8, maxdeg):
+        for a, b in _gcd_pairs(rng, field, n):
+            assert poly_gcd(a, b) == loop_gcd(a, b)
+    with pytest.raises(PreconditionError):
+        poly_gcd(Poly.zero(field), Poly.zero(field))
+
+
+def test_spread_cost_rule_sides():
+    # spreads up to q = 7 in either mode, square and multiply from q = 8 on
+    assert all(polys._spread_is_cheaper(q) for q in (2, 3, 4, 5, 7))
+    assert not any(polys._spread_is_cheaper(q) for q in (8, 9, 11, 13, 16, 25, 27, 65521))
+
+
+def _walk(mod, t, steps):
+    walk = Modulus(mod).frobenius(t)
+    return [next(walk) for _ in range(steps + 1)]
+
+
+# (p, forced side of the cost rule or None for the rule's own choice); a
+# spread over F_65521 has 65520 blocks, so that side is taken at p = 11 and 13
+WALK_CASES = [(p, None) for p in REDUCER_PRIMES] + [
+    (2, False), (3, False), (5, False), (7, False), (11, True), (13, True), (11, None)]
+
+
+@pytest.mark.parametrize("p,spread", WALK_CASES)
+def test_frobenius_walk_equals_sympy(p, spread, monkeypatch):
+    if spread is not None:
+        monkeypatch.setattr(polys, "_spread_is_cheaper", lambda q: spread)
+    F = GF.prime(p)
+    rng = np.random.default_rng(400 + p)
+    for n in WALK_DEGREES:
+        mod = Poly(F, _modulus(rng, p, n))
+        gmod = _gf(mod.coeffs)
+        x = Poly.x(F) % mod
+        steps = 4 if n <= 20 else 2
+        for i, t in enumerate(_walk(mod, x, steps)):
+            if p ** i < 1 << 64:
+                assert _gf(t.coeffs) == gf_pow_mod([1, 0], p ** i, gmod, p, ZZ)
+        start = Poly(F, rng.integers(0, p, size=n))
+        walked = _walk(mod, start, steps)
+        for t, nxt in zip(walked, walked[1:]):
+            assert nxt.degree < n
+            assert _gf(nxt.coeffs) == gf_pow_mod(_gf(t.coeffs), p, gmod, p, ZZ)
+
+
+@pytest.mark.parametrize("spread", [None, True, False], ids=["rule", "spread", "square"])
+@pytest.mark.parametrize("field", [F4, F9, F25], ids=["F4", "F9", "F25"])
+def test_table_mode_walk_equals_loop_powmod(field, spread, monkeypatch):
+    if spread is not None:
+        monkeypatch.setattr(polys, "_spread_is_cheaper", lambda q: spread)
+    rng = np.random.default_rng(500 + field.order)
+    q = field.order
+    for n in (1, 2, 3, 7, 16):
+        mod = _random_poly(rng, field, n)
+        while mod.degree != n:
+            mod = _random_poly(rng, field, n)
+        for start in (Poly.x(field) % mod, Poly(field, rng.integers(0, q, size=n))):
+            walked = _walk(mod, start, 3)
+            for t, nxt in zip(walked, walked[1:]):
+                assert nxt == loop_powmod(t, q, mod)
+
+
+# the largest degree checked against sympy's (pure Python) Rabin test, per p
+IRREDUCIBLE_MAXDEG = {2: 300, 3: 140, 5: 64, 7: 64, 65521: 20}
+
+
+@pytest.mark.parametrize("p", REDUCER_PRIMES)
+def test_is_irreducible_equals_sympy_up_to_high_degree(p):
+    F = GF.prime(p)
+    rng = np.random.default_rng(600 + p)
+    for n in [d for d in WALK_DEGREES if d <= IRREDUCIBLE_MAXDEG[p]]:
+        cases = [Poly(F, np.r_[rng.integers(0, p, size=n), 1]) for _ in range(3)]
+        # an irreducible, found by search, and a product of two of them
+        found = []
+        while len(found) < 2 and n <= 64:
+            f = Poly(F, np.r_[rng.integers(0, p, size=n), 1])
+            if is_irreducible(f):
+                found.append(f)
+        cases += found + ([found[0] * found[1]] if found else [])
+        for f in cases:
+            assert is_irreducible(f) == gf_irreducible_p(_gf(f.coeffs), p, ZZ), str(f)
+
+
+@pytest.mark.parametrize("field,maxdeg", [(F4, 6), (F9, 4), (F25, 3)], ids=["F4", "F9", "F25"])
+def test_table_mode_is_irreducible_equals_loop(field, maxdeg):
+    rng = np.random.default_rng(700 + field.order)
+    for n in range(1, maxdeg + 1):
+        for _ in range(40):
+            f = Poly(field, np.r_[rng.integers(0, field.order, size=n), 1])
+            assert is_irreducible(f) == loop_is_irreducible(f), str(f)
+
+
+def test_is_irreducible_stops_at_the_first_failing_gcd(monkeypatch):
+    # the gcds come in ascending order of n / l, and the walk goes no
+    # further than the first that is not 1; sympy finds which one that is
+    counts = {"gcd": 0, "steps": 0}
+    gcd, frobenius = polys.poly_gcd, Modulus.frobenius
+
+    def counted_gcd(a, b):
+        counts["gcd"] += 1
+        return gcd(a, b)
+
+    def counted_walk(self, t):
+        for u in frobenius(self, t):
+            counts["steps"] += 1
+            yield u
+
+    monkeypatch.setattr(polys, "poly_gcd", counted_gcd)
+    monkeypatch.setattr(Modulus, "frobenius", counted_walk)
+    rng = np.random.default_rng(11)
+    stops = set()
+    for p, degrees in ((2, (4, 6, 12, 30, 60)), (3, (6, 12, 30)), (5, (6, 10))):
+        for n in degrees:
+            points = sorted(n // ell for ell in numth.factorint(n))
+            F = GF.prime(p)
+            # random monics, the square of an irreducible of degree n / 2, and
+            # a product of irreducibles of degrees n / 2 - 1 and n / 2 + 1
+            cases = [Poly(F, np.r_[rng.integers(0, p, size=n), 1]) for _ in range(30)]
+            half = first_irreducible(F, n // 2)
+            cases += [half * half,
+                      first_irreducible(F, n // 2 - 1) * first_irreducible(F, n // 2 + 1)]
+            for f in cases:
+                gf = _gf(f.coeffs)
+                first = next((i for i in points if len(gf_gcd(
+                    gf_sub(gf_pow_mod([1, 0], p ** i, gf, p, ZZ), [1, 0], p, ZZ),
+                    gf, p, ZZ)) > 1), None)
+                stops.add(None if first is None else points.index(first))
+                counts["gcd"] = counts["steps"] = 0
+                verdict = is_irreducible(f)
+                if first is None:
+                    assert counts["gcd"] == len(points) and counts["steps"] == n + 1
+                    assert verdict == gf_irreducible_p(gf, p, ZZ)
+                else:
+                    assert not verdict
+                    assert counts["gcd"] == points.index(first) + 1
+                    assert counts["steps"] == first + 1
+    assert stops == {None, 0, 1, 2}  # every outcome, up to the third gcd for n = 30, 60
