@@ -8,6 +8,7 @@ import sys
 
 from .context import DEFAULT_GUARD, frobenius_orbits, make_field_ctx
 from .dynamics import (
+    _where,
     diamond,
     fixed_count_formula,
     fixed_points_direct,
@@ -130,7 +131,8 @@ def _cmd_fixed(args, ctx):
     if args.method in ("formula", "both"):
         n = fixed_count_formula(ctx, P)
         if count is not None and n != count:
-            raise InternalCheckError("formula count disagrees with direct enumeration")
+            raise InternalCheckError("formula count disagrees with direct enumeration"
+                                     + _where(ctx, P))
         count = n
     if args.output == "json":
         return json.dumps({

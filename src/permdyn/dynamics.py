@@ -6,11 +6,13 @@ from itertools import islice
 
 import numpy as np
 
-from .context import element_degree, embed_poly, enumerate_Ck, frobenius_orbits
+from .context import (
+    element_degree, embed_poly, enumerate_Ck, frobenius_orbits, restrict_poly,
+)
 from .errors import InternalCheckError, PreconditionError
 from .numth import divisors, euler_phi, is_prime, moebius_sum, mult_order_int
 from .orders import fq_order, mult_order, norm_of, phi_q, poly_order, trace_of
-from .permgroup import _coerce_poly, pgl2_order
+from .permgroup import Matrix2, _coerce_poly, pgl2_order
 from .polys import (
     Modulus,
     Poly,
@@ -104,10 +106,17 @@ def _check_member(ctx, f, P=None):
     raise PreconditionError(problem + ("" if P is None else _where(ctx, P, f)))
 
 
-def _where(ctx, P, f):
-    """The suffix of an error message that names the tower, P and f."""
-    return "; at (p, m, k) = (%d, %d, %d), P = %s, f = %s" % (
-        ctx.p, ctx.m, ctx.k, _brief(P), _brief(f))
+def _where(ctx, P, f=None):
+    """The suffix of an error message that names the tower, P and, when given, f.
+
+    A Moebius map given by its matrix is named as A = M[a,b,c,d].
+    """
+    if isinstance(P, Matrix2):
+        named = "A = M[%d,%d,%d,%d]" % (P.a, P.b, P.c, P.d)
+    else:
+        named = "P = " + _brief(_coerce_poly(ctx, P))
+    return "; at (p, m, k) = (%d, %d, %d), %s%s" % (
+        ctx.p, ctx.m, ctx.k, named, "" if f is None else ", f = " + _brief(f))
 
 
 def _brief(poly):
@@ -141,7 +150,7 @@ def diamond(ctx, P, f):
     orbits = frobenius_orbits(ctx)
     node = orbits.node[embed_poly(ctx, P)(int(orbits.conj[orbits.index(f), 0]))]
     if node < 0:
-        raise InternalCheckError("diamond image does not have degree k")
+        raise InternalCheckError("diamond image does not have degree k" + _where(ctx, P, f))
     return orbits.poly(node)
 
 
@@ -182,7 +191,7 @@ def fixed_count_formula(ctx, P):
     for t in islice(ring.frobenius(x % psi), k):
         R = ring.mul(R, t - Pm)
     if poly_gcd(R, psi).degree != total * k:
-        raise InternalCheckError("fixed-point count evaluations disagree")
+        raise InternalCheckError("fixed-point count evaluations disagree" + _where(ctx, P))
     return total
 
 
@@ -276,7 +285,8 @@ def _ik_perm(ctx, P):
     """The orbit table and the star action of P as an index array on its polys.
 
     P commutes with Frobenius, so P*f is the orbit of P^(-1)(a) for a root a of f:
-    the star map inverts i -> node[P(conj[i, 0])]. One edge is checked against star.
+    the star map inverts i -> node[P(conj[i, 0])]. One edge, from the first
+    f to its image g, is checked modulo g (_check_edge), without forming f(P).
     """
     P = _coerce_poly(ctx, P)
     orbits = frobenius_orbits(ctx)
@@ -290,10 +300,37 @@ def _ik_perm(ctx, P):
                                 + _where(ctx, P, orbits.poly(bad)))
     perm = np.empty(n, dtype=np.int64)
     perm[image] = np.arange(n)
-    f = orbits.poly(0)
-    if star(ctx, P, f) != orbits.poly(perm[0]):
-        raise InternalCheckError("orbit table disagrees with the gcd star" + _where(ctx, P, f))
+    _check_edge(ctx, P, orbits.poly(0), orbits.poly(perm[0]))
     return orbits, perm
+
+
+def _check_edge(ctx, P, f, g):
+    """Raise InternalCheckError unless g = P*f, for a P that acts bijectively on C_k.
+
+    The checks are that f and g are monic irreducibles of degree k (Rabin's
+    test) and that f(P mod g) = 0 mod g, a Horner pass of k products modulo g
+    after P is reduced modulo g (Modulus.rem). They pin g: P has coefficients
+    in F_q, so it maps F_{q^d} into itself for every d | k, and a root b of
+    f(P) in F_{q^k} has P(b) of degree k, so b lies in C_k. P is a bijection
+    of C_k, so the roots of f(P) in F_{q^k} are exactly the preimage of the
+    roots of f, one Frobenius orbit, and f(P) has exactly one irreducible
+    factor of degree k, P*f. An irreducible g of degree k that divides f(P)
+    is that factor. The cost is O(k)-degree products: about
+    deg(P).bit_length() per term of a sparse P, or one block reduction per
+    k - 1 coefficients of a dense one.
+    """
+    for h in (f, g):
+        if h.degree != ctx.k or h.leading() != 1 or not is_irreducible(h):
+            raise InternalCheckError("orbit table holds %s, not a monic irreducible of "
+                                     "degree k" % h + _where(ctx, P, f))
+    ring = Modulus(g)
+    Pg = ring.rem(restrict_poly(ctx, P))
+    acc = Poly.zero(g.field)
+    for c in f.coeffs[::-1].tolist():
+        acc = ring.mul(acc, Pg) + Poly.const(g.field, c)
+    if not acc.is_zero:
+        raise InternalCheckError("orbit table image %s does not divide f(P)" % g
+                                 + _where(ctx, P, f))
 
 
 def _star_walk(ctx, P, f, max_steps=None):
@@ -340,7 +377,8 @@ def period_Ck(ctx, P, alpha):
         cur = Pe(cur)
         n += 1
         if n > ctx.Q:
-            raise InternalCheckError("orbit of alpha did not close")
+            raise InternalCheckError("orbit of alpha did not close" + _where(ctx, P)
+                                     + ", alpha = %d" % alpha)
     return n
 
 
@@ -434,7 +472,8 @@ def moebius_star(ctx, A, f):
             numpow = numpow * num
     out = acc.monic()
     if out.degree != k or not is_irreducible(out):
-        raise InternalCheckError("Moebius star image is not an irreducible of degree k")
+        raise InternalCheckError("Moebius star image is not an irreducible of degree k"
+                                 + _where(ctx, A, f))
     return out
 
 

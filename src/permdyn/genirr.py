@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 from .context import frobenius_orbits, make_field_ctx
-from .dynamics import _star_walk
+from .dynamics import _star_walk, _where
 from .errors import InternalCheckError, PreconditionError
 from .numth import factorint, is_prime, mult_order_int
 from .orders import poly_order
@@ -55,7 +55,8 @@ def iterate_generation(ctx, P, f0, max_steps=None, bound_claimed=None):
     path, period = _star_walk(ctx, P, f0, max_steps)
     produced = [frobenius_orbits(ctx).poly(i) for i in path]
     if period is not None and bound_claimed is not None and period < math.ceil(bound_claimed):
-        raise InternalCheckError("period fell below the claimed lower bound")
+        raise InternalCheckError("period fell below the claimed lower bound"
+                                 + _where(ctx, P, f0))
     return GenReport(f0, P, produced, period, bound_claimed)
 
 

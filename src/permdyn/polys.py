@@ -214,6 +214,28 @@ class Modulus:
                 return acc
             a = self.mul(a, a)
 
+    def rem(self, a):
+        """a mod the modulus, for a polynomial a of any degree over the modulus's field.
+
+        A sparse a is reduced term by term, each power of x by pow; a dense a
+        from the top in blocks (_reduce). The cost rule weighs about
+        deg(a).bit_length() products per term against one block reduction per
+        n - 1 coefficients above the n-th, n the degree of the modulus; a
+        modulus of degree 1 takes no blocks.
+        """
+        n = self.mod.degree
+        if a.degree < n:
+            return a
+        exps = np.flatnonzero(a.coeffs)
+        if n > 1 and a.degree - n < (n - 1) * len(exps) * a.degree.bit_length():
+            return Poly(a.field, self._reduce(a.coeffs.copy()))
+        x = Poly.x(a.field) % self.mod
+        out = Poly.zero(a.field)
+        for e in exps.tolist():
+            c = int(a.coeffs[e])
+            out = out + (Poly.const(a.field, c) if e == 0 else self.pow(x, e).scale(c))
+        return out
+
     def frobenius(self, t):
         """The walk t, t^q, t^(q^2), ... mod the modulus, for a remainder t, q = |field|.
 

@@ -1,14 +1,17 @@
+import copy
 import itertools
 import json
 import math
+import random
 import re
 
 import numpy as np
 import pytest
 
-from permdyn import dynamics
+from permdyn import cli, dynamics
 from permdyn.context import (
-    distinguished_root, enumerate_Ck, make_field_ctx, minimal_poly,
+    distinguished_root, embed_poly, enumerate_Ck, frobenius_orbits, make_field_ctx,
+    minimal_poly,
 )
 from permdyn.dynamics import (
     CycleSpectrum, FunctionalGraph, diamond, fixed_count_formula,
@@ -19,13 +22,14 @@ from permdyn.dynamics import (
     spectrum_Ik, star,
 )
 from permdyn.errors import InternalCheckError, PreconditionError
-from permdyn.genirr import bound_linearized
+from permdyn.genirr import bound_linearized, choose_LH, iterate_generation
+from permdyn.numth import is_prime
 from permdyn.orders import mult_order, norm_of, trace_of
 from permdyn.permgroup import (
     Matrix2, certify_perm, moebius_poly_rep, perm_table, realize_permutation,
 )
 from permdyn.polys import (
-    Poly, compose, enumerate_irreducibles, poly_gcd, q_associate,
+    Poly, compose, enumerate_irreducibles, factor, poly_gcd, q_associate,
 )
 from permdyn.textio import parse_poly
 
@@ -132,9 +136,120 @@ def test_star_and_ik_errors_name_the_tower_P_and_f(monkeypatch):
     with pytest.raises(PreconditionError, match=re.escape(
             "P = <degree 13, 10 terms>, f = x^4+1")):
         star(CTX24, dense, P(CTX24, "x^4+1"))
-    monkeypatch.setattr(dynamics, "star", lambda ctx, P, f: f)
+    # a table whose node swaps two images: still a bijection, but edge 0 is wrong
+    orbits = frobenius_orbits(CTX24)
+    bad = copy.copy(orbits)
+    bad.node = orbits.node.copy()
+    imgs = embed_poly(CTX24, x7.poly).eval_many(orbits.conj[:, 0])
+    i0 = int(np.flatnonzero(orbits.node[imgs] == 0)[0])
+    a, b = imgs[i0], imgs[(i0 + 1) % len(imgs)]
+    bad.node[a], bad.node[b] = orbits.node[b], orbits.node[a]
+    monkeypatch.setattr(dynamics, "frobenius_orbits", lambda ctx: bad)
     with pytest.raises(InternalCheckError, match=re.escape(where + "x^4+x+1")):
         graph_Ik(CTX24, x7)
+
+
+# every tower with k >= 2 and q^k <= 4096
+EDGE_TOWERS = [(p, m, k) for p in range(2, 65) if is_prime(p)
+               for m in range(1, 7) for k in range(2, 13) if p ** (m * k) <= 4096]
+
+
+def _edge_battery(ctx):
+    """x^n for the least n >= 2 coprime to Q - 1 and not a power of p, L[h] for the
+    least h with two or more terms coprime to x^k - 1, and M[1,1,1,0]."""
+    n = next(n for n in itertools.count(2) if math.gcd(n, ctx.Q - 1) == 1
+             and n not in (ctx.p ** j for j in range(n.bit_length())))
+    one = Poly.one(ctx.Fq)
+    xk1 = one.shift(ctx.k) - one
+    h = next(h for h in (Poly.from_encoding(ctx.Fq, e) for e in itertools.count(ctx.q + 1))
+             if np.count_nonzero(h.coeffs) > 1 and poly_gcd(h, xk1).degree == 0)
+    return [_mono(ctx, n), certify_perm(ctx, q_associate(h)),
+            moebius_poly_rep(ctx, Matrix2(ctx.Fq, 1, 1, 1, 0))]
+
+
+def _edge_rejects(ctx, P, f, g):
+    with pytest.raises(InternalCheckError, match=re.escape("; at (p, m, k) = (%d, %d, %d)"
+                                                           % (ctx.p, ctx.m, ctx.k))):
+        dynamics._check_edge(ctx, P, f, g)
+
+
+@pytest.mark.parametrize("pmk", EDGE_TOWERS, ids=lambda pmk: "%d-%d-%d" % pmk)
+def test_edge_check_accepts_only_the_gcd_star(pmk):
+    ctx = make_field_ctx(*pmk)
+    irr = frobenius_orbits(ctx).polys
+    rng = random.Random("edge %d %d %d" % pmk)
+    battery = _edge_battery(ctx)
+    if pmk == (2, 1, 11):
+        battery.append(choose_LH(2, 11))
+    x_k = Poly.one(ctx.Fq).shift(ctx.k)
+    others = 0
+    for i, pp in enumerate(battery):
+        for f in dict.fromkeys([irr[0], rng.choice(irr)]):
+            img = star(ctx, pp, f)
+            dynamics._check_edge(ctx, pp.poly, f, img)
+            # every other member of I_k on small towers, a seeded sample on large ones
+            for g in rng.sample(irr, min(len(irr), 12)):
+                if g != img:
+                    _edge_rejects(ctx, pp.poly, f, g)
+            _edge_rejects(ctx, pp.poly, f, x_k)                  # reducible, degree k
+            _edge_rejects(ctx, pp.poly, f, img * img)            # degree 2k
+            if i == 0:
+                # irreducible factors of f(x^n) of another degree divide f(P)
+                for g, _ in factor(compose(f, pp.poly)):
+                    if g.degree != ctx.k:
+                        others += 1
+                        _edge_rejects(ctx, pp.poly, f, g)
+    if pmk[0] ** (pmk[1] * pmk[2]) >= 64:
+        assert others > 0
+
+
+@pytest.mark.parametrize("pmk", [(2, 1, 8), (3, 1, 5), (2, 2, 4)])
+def test_star_permutation_of_a_realized_sigma_is_its_inverse(pmk):
+    # the main theorem: a P realizing sigma sends the roots of f_i to those of
+    # f_sigma(i), so P*f_sigma(i) = f_i; the realized P is dense, of degree near Q
+    ctx = make_field_ctx(*pmk)
+    n = len(frobenius_orbits(ctx).polys)
+    for seed in (1, 2):
+        sigma = list(range(n))
+        random.Random(seed).shuffle(sigma)
+        _, perm = dynamics._ik_perm(ctx, realize_permutation(ctx, sigma))
+        assert perm.tolist() == np.argsort(sigma).tolist()
+
+
+def test_internal_check_errors_name_the_tower(monkeypatch, capsys):
+    x7 = _mono(CTX24, 7)
+    f = P(CTX24, "x^4+x+1")
+    tower = "; at (p, m, k) = (2, 1, 4), "
+    with pytest.raises(InternalCheckError, match=re.escape(tower + "P = x^7, f = x^4+x+1")):
+        iterate_generation(CTX24, x7, f, bound_claimed=100)
+    # x^3 does not permute F_16: a root of x^4+x+1 has order 15, its images order 5
+    alpha = distinguished_root(CTX24, f)
+    with pytest.raises(InternalCheckError, match=re.escape(
+            tower + "P = x^3, alpha = %d" % alpha)):
+        period_Ck(CTX24, Poly.one(CTX24.Fq).shift(3), alpha)
+    answers = iter([True, False])
+    with monkeypatch.context() as mp:
+        mp.setattr(dynamics, "is_irreducible", lambda h: next(answers))
+        with pytest.raises(InternalCheckError, match=re.escape(
+                tower + "A = M[1,1,1,0], f = x^4+x+1")):
+            moebius_star(CTX24, Matrix2(CTX24.Fq, 1, 1, 1, 0), f)
+    with monkeypatch.context() as mp:
+        real = dynamics.moebius_sum
+        mp.setattr(dynamics, "moebius_sum", lambda k, fn: real(k, fn) + 1)
+        with pytest.raises(InternalCheckError, match=re.escape(tower + "P = x^7")):
+            fixed_count_formula(CTX24, x7)
+    with monkeypatch.context() as mp:
+        bad = copy.copy(frobenius_orbits(CTX24))
+        bad.node = np.full_like(bad.node, -1)
+        mp.setattr(dynamics, "frobenius_orbits", lambda ctx: bad)
+        with pytest.raises(InternalCheckError, match=re.escape(
+                tower + "P = x^7, f = x^4+x+1")):
+            diamond(CTX24, x7, f)
+    monkeypatch.setattr(cli, "fixed_count_formula", lambda ctx, P: -1)
+    code = cli.main(["fixed", "--p", "2", "--k", "4", "--perm", "x^7", "--method", "both"])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        "error: formula count disagrees with direct enumeration" + tower + "P = x^7\n")
 
 
 def test_diamond_inverts_star():
