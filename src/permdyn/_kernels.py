@@ -10,18 +10,18 @@ coefficient and do whole-array work inside. eval_t runs once per nonzero
 coefficient: it sums the terms in the log domain, so the paper's sparse
 permutations (x^n, L_h, tau_A with a pole at 0) cost their number of terms
 in passes over the points, not their degree. Division comes in two forms.
-divmod_p/divmod_t are long division, one loop step per quotient coefficient:
-the cheapest one-shot division when quotients are short, as in a gcd. RemP
-reduces by a modulus that is kept for a chain of products: after a Newton
-lift of the reversed modulus's inverse, paid once per chain, each remainder
-is two convolutions and no loop. Table mode has no such form, since conv_t
-is itself a loop per coefficient. A Frobenius step t -> t^q mod b needs no
+Long division is one top-down loop per mode (_divide_p, _divide_t): it
+reduces a remainder in place by a monic divisor, one slice update per
+quotient coefficient (an XOR when p == 2). divmod_p/divmod_t and Euclid
+(gcd_p/gcd_t, one loop for both modes) run on it; it is the cheapest
+one-shot division when quotients are short, as in a gcd. RemP reduces by a
+modulus that is kept for a chain of products: after a Newton lift of the
+reversed modulus's inverse, paid once per chain, each block of 2n - 1
+coefficients, taken from the top of a dividend of any length, is two
+convolutions and no loop. Table mode has no such form, since conv_t is
+itself a loop per coefficient. A Frobenius step t -> t^q mod b needs no
 product at all: every coefficient lies in F_q, so t^q is the spread t(x^q),
-which the caller (polys.Modulus) reduces from the top in blocks of at most
-2n - 1 coefficients, the longest dividend RemP takes. gcd_p/gcd_t run
-Euclid on arrays: each divisor is made monic, each remainder is reduced in
-place by one slice update per quotient coefficient (an XOR when p == 2),
-and the quotient coefficients are Python ints that are never stored.
+which the kept modulus reduces like any other dividend.
 `vadd` and `vneg` are the only
 places that add or negate encodings digit by digit, for ints and int64
 arrays alike, and `vsum` the only place that sums an array of them.
@@ -108,47 +108,93 @@ def conv_t(a, b, exp, log, p, ndig):
 
 
 def divmod_p(a, b, p, inv_lead):
-    nq = len(a) - len(b) + 1
-    q = np.zeros(nq, dtype=np.int64)
+    q = np.zeros(len(a) - len(b) + 1, dtype=np.int64)
     r = a.copy()
-    for i in range(nq - 1, -1, -1):
-        c = (r[i + len(b) - 1] * inv_lead) % p
+    _divide_p(r, len(r), _monic_p(b, p), p, q)
+    return q * inv_lead % p, r[:len(b) - 1]
+
+
+def divmod_t(a, b, exp, log, p, ndig, inv_lead):
+    q = np.zeros(len(a) - len(b) + 1, dtype=np.int64)
+    r = a.copy()
+    _divide_t(r, len(r), _monic_t(b, exp, log), exp, log, p, ndig, q)
+    return np.where(q != 0, exp[log[q] + log[inv_lead]], 0), r[:len(b) - 1]
+
+
+def _divide_p(u, n, v, p, quot=None):
+    """Reduce u[:n] in place modulo a monic v, from the top; store the quotient in quot if given.
+
+    A quotient coefficient is the top of the remainder, read as a Python int,
+    and c * v is subtracted by one slice update (an XOR when p == 2, as in vadd).
+    """
+    nv = len(v)
+    for i in range(n - nv, -1, -1):
+        c = u.item(i + nv - 1)
         if c:
-            q[i] = c
-            r[i:i + len(b)] = (r[i:i + len(b)] - c * b) % p
-    return q, r[:len(b) - 1]
+            if quot is not None:
+                quot[i] = c
+            seg = u[i:i + nv]
+            if p == 2:
+                seg ^= v
+            else:
+                seg -= c * v
+                seg %= p
+
+
+def _divide_t(u, n, v, exp, log, p, ndig, quot=None):
+    """_divide_p in table mode: subtracting c * v is adding (-c) * v through exp/log and vadd."""
+    nv = len(v)
+    vnz = v != 0
+    lv = log[v]
+    for i in range(n - nv, -1, -1):
+        c = u.item(i + nv - 1)
+        if c:
+            if quot is not None:
+                quot[i] = c
+            prod = np.where(vnz, exp[log[vneg(c, p, ndig)] + lv], 0)
+            u[i:i + nv] = vadd(u[i:i + nv], prod, p, ndig)
 
 
 class RemP:
-    """Remainders modulo a fixed b of degree n >= 1 (prime mode), two convolutions each.
+    """Remainders modulo a fixed b of degree n >= 2 (prime mode), for a dividend of any length.
 
     It keeps h = rev(b)^-1 mod x^len(h), rev(b) being b with its coefficients
     reversed, and lifts it by the Newton step h <- h (2 - rev(b) h) mod
-    x^(2 len(h)) only as far as the longest quotient so far needs. A dividend
-    a of n + nq coefficients with nq <= n - 1, such as a product of two
-    remainders, has the quotient q = rev(rev(a)[:nq] h mod x^nq), and its
-    remainder is the low n coefficients of a - q b. The product q b is taken
-    by `mul` (conv_p unless given); the products with h are truncated power
+    x^(2 len(h)) only as far as the longest quotient so far needs, at most
+    n - 1. A dividend is reduced from the top in blocks of at most 2n - 1
+    coefficients. A block of n + nq coefficients, 1 <= nq <= n - 1, has the
+    quotient q = rev(rev(a)[:nq] h mod x^nq), and its remainder is the low n
+    coefficients of a - q b: two convolutions. The product q b is taken by
+    `mul` (conv_p unless given); the products with h are truncated power
     series, which no convolution here makes longer in its shorter factor than
-    n - 1, so one int64 check, made here, covers them.
+    n - 1, so one int64 check, made here, covers them. A dividend of at most n
+    coefficients is returned as it is.
     """
 
     def __init__(self, b, p, inv_lead, mul=None):
-        check_int64(max(len(b) - 2, 1) * (p - 1) ** 2, "a product coefficient")
+        if len(b) < 3:
+            raise PreconditionError("a kept modulus for RemP has degree >= 2")
+        check_int64((len(b) - 2) * (p - 1) ** 2, "a product coefficient")
         self.b = b
         self.p = p
         self.h = np.array([inv_lead], dtype=np.int64)
         self.mul = mul or (lambda u, v: conv_p(u, v, p))
 
     def __call__(self, a):
+        n = len(self.b) - 1
+        block = 2 * n - 1
+        if len(a) > block:
+            a = a.copy()
+        while len(a) > block:
+            lo = len(a) - block
+            a[lo:lo + n] = self._block(a[lo:])
+            a = a[:lo + n]
+        return self._block(a) if len(a) > n else a
+
+    def _block(self, a):
         b, p = self.b, self.p
         n = len(b) - 1
         nq = len(a) - n
-        if nq <= 0:
-            return a
-        if nq > n - 1:
-            raise PreconditionError("a dividend for a kept modulus of degree %d has at most "
-                                    "%d coefficients, not %d" % (n, 2 * n - 1, len(a)))
         L = len(self.h)
         while L < nq:
             L = min(2 * L, n - 1)
@@ -161,74 +207,35 @@ class RemP:
         return r
 
 
-def divmod_t(a, b, exp, log, p, ndig, inv_lead):
-    nq = len(a) - len(b) + 1
-    q = np.zeros(nq, dtype=np.int64)
-    r = a.copy()
-    bnz = b != 0
-    lb = log[b]
-    linv = log[inv_lead]
-    for i in range(nq - 1, -1, -1):
-        top = r[i + len(b) - 1]
-        if top == 0:
-            continue
-        c = exp[log[top] + linv]
-        q[i] = c
-        # subtracting c*b is adding (-c)*b
-        prod = np.where(bnz, exp[log[vneg(int(c), p, ndig)] + lb], 0)
-        r[i:i + len(b)] = vadd(r[i:i + len(b)], prod, p, ndig)
-    return q, r[:len(b) - 1]
-
-
 def gcd_p(a, b, p):
-    """Monic gcd over F_p of two ascending coefficient arrays, not both zero, by Euclid.
-
-    Each divisor is made monic, so a quotient coefficient is the top of the
-    remainder, read as a Python int; the remainder is reduced in place,
-    subtracting c * divisor (an XOR when p == 2, as in vadd).
-    """
-    u, v = _euclid_pair(a, b)
-    if not len(v):
-        return _monic_p(u, p)
-    v = _monic_p(v, p)
-    nu, nv = len(u), len(v)
-    while nv > 1:
-        for i in range(nu - nv, -1, -1):
-            c = u.item(i + nv - 1)
-            if c:
-                seg = u[i:i + nv]
-                if p == 2:
-                    seg ^= v
-                else:
-                    seg -= c * v
-                    seg %= p
-        nu = _trimmed_len(u, nv - 1)
-        if not nu:
-            return v
-        u, v = v, _monic_p(u[:nu], p)
-        nu, nv = nv, nu
-    return v
+    """Monic gcd over F_p of two ascending coefficient arrays, not both zero."""
+    return _euclid(a, b, lambda u, n, v: _divide_p(u, n, v, p), lambda u: _monic_p(u, p))
 
 
 def gcd_t(a, b, exp, log, p, ndig):
-    """gcd_p in table mode: a quotient step adds (-c) * divisor through exp/log and vadd."""
+    """gcd_p in table mode."""
+    return _euclid(a, b, lambda u, n, v: _divide_t(u, n, v, exp, log, p, ndig),
+                   lambda u: _monic_t(u, exp, log))
+
+
+def _euclid(a, b, divide, monic):
+    """Monic gcd of two coefficient arrays, not both zero, by Euclid.
+
+    Each divisor is made monic by `monic`, and each remainder is reduced in
+    place by `divide(u, n, v)`, which reduces u[:n] modulo the monic v; the
+    quotient is never stored.
+    """
     u, v = _euclid_pair(a, b)
     if not len(v):
-        return _monic_t(u, exp, log)
-    v = _monic_t(v, exp, log)
+        return monic(u)
+    v = monic(v)
     nu, nv = len(u), len(v)
     while nv > 1:
-        vnz = v != 0
-        lv = log[v]
-        for i in range(nu - nv, -1, -1):
-            c = u.item(i + nv - 1)
-            if c:
-                prod = np.where(vnz, exp[log[vneg(c, p, ndig)] + lv], 0)
-                u[i:i + nv] = vadd(u[i:i + nv], prod, p, ndig)
+        divide(u, nu, v)
         nu = _trimmed_len(u, nv - 1)
         if not nu:
             return v
-        u, v = v, _monic_t(u[:nu], exp, log)
+        u, v = v, monic(u[:nu])
         nu, nv = nv, nu
     return v
 

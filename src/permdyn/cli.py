@@ -6,7 +6,7 @@ import math
 import re
 import sys
 
-from .context import DEFAULT_GUARD, frobenius_orbits, make_field_ctx
+from .context import DEFAULT_GUARD, base_field, frobenius_orbits, make_field_ctx
 from .dynamics import (
     _where,
     diamond,
@@ -19,11 +19,10 @@ from .dynamics import (
     star,
 )
 from .errors import GuardExceeded, InternalCheckError, MalformedInput, PreconditionError
-from .fields import GF
 from .genirr import bound_linearized, bound_monomial, iterate_generation, tau
 from .numth import is_prime
 from .permgroup import Matrix2, certify_perm, moebius_poly_rep, realize_permutation
-from .polys import Poly, first_irreducible, q_associate
+from .polys import Poly, q_associate
 from .textio import parse_int, parse_poly
 
 __all__ = ["parse_perm_expr", "main"]
@@ -36,17 +35,10 @@ class _Parser(argparse.ArgumentParser):
         raise MalformedInput(message)
 
 
-def _base_field(args):
-    Fp = GF.prime(args.p)
-    if args.m == 1:
-        return Fp
-    return GF.extension(Fp, first_irreducible(Fp, args.m).coeffs)
-
-
 def _build_ctx(args):
     ext = None
     if args.modulus is not None:
-        ext = parse_poly(_base_field(args), args.modulus, args.guard_override)
+        ext = parse_poly(base_field(args.p, args.m), args.modulus, args.guard_override)
     return make_field_ctx(args.p, args.m, args.k, ext_modulus=ext, guard=args.guard_override)
 
 
@@ -230,7 +222,7 @@ def _cmd_bounds(args, ctx):
     else:
         if args.g is None:
             raise MalformedInput("--family linearized needs --g")
-        g = parse_poly(_base_field(args), args.g, args.guard_override)
+        g = parse_poly(base_field(args.p, args.m), args.g, args.guard_override)
         bound = bound_linearized(q, args.k, g)
     if args.output == "json":
         return json.dumps({"family": args.family, "bound": str(bound)})

@@ -6,6 +6,8 @@ of a subfield keeps the same encoding in the extension, so subfield
 membership is an order comparison.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import numth
@@ -32,6 +34,14 @@ class FieldCtx:
 _CTX_CACHE = {}
 
 
+@lru_cache(maxsize=None)
+def base_field(p, m):
+    """The canonical F_q, q = p^m: F_p, or F_p[z] modulo the lex-smallest monic irreducible
+    of degree m (built once per (p, m))."""
+    Fp = GF.prime(p)
+    return Fp if m == 1 else GF.extension(Fp, first_irreducible(Fp, m).coeffs)
+
+
 def make_field_ctx(p, m, k, ext_modulus=None, guard=DEFAULT_GUARD):
     """Build the tower context for q = p^m and the degree-k extension.
 
@@ -54,9 +64,9 @@ def make_field_ctx(p, m, k, ext_modulus=None, guard=DEFAULT_GUARD):
     if cache_key in _CTX_CACHE:
         return _CTX_CACHE[cache_key]
 
-    Fp = GF.prime(p)
-    base_modulus = None if m == 1 else first_irreducible(Fp, m)
-    Fq = Fp if m == 1 else GF.extension(Fp, base_modulus.coeffs)
+    Fq = base_field(p, m)
+    Fp = Fq.base or Fq
+    base_modulus = None if m == 1 else Poly(Fp, Fq.modulus)
     if ext_modulus is None:
         ext_modulus = first_irreducible(Fq, k)
     else:

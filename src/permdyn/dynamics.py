@@ -19,6 +19,7 @@ from .polys import (
     compose,
     count_irreducibles,
     factor,
+    frobenius_gcd,
     irreducible_Ek,
     is_irreducible,
     linearized_modulus,
@@ -130,14 +131,11 @@ def _brief(poly):
 def star(ctx, P, f):
     """P*f = gcd(f(P(x)), x^(q^k) - x), the unique degree-k irreducible factor of f(P).
 
-    x^(q^k) mod f(P) is k steps of the Frobenius walk (Modulus.frobenius).
+    x^(q^k) mod f(P) is k steps of the Frobenius walk (polys.frobenius_gcd).
     """
     P = _coerce_poly(ctx, P)
     _check_member(ctx, f, P)
-    g = compose(f, P)
-    x = Poly.x(ctx.Fq) % g
-    t = next(islice(Modulus(g).frobenius(x), ctx.k, None))
-    out = poly_gcd(t - x, g)
+    out = frobenius_gcd(compose(f, P), ctx.k)
     if out.degree != ctx.k or not is_irreducible(out):
         raise InternalCheckError("star image is not an irreducible of degree k"
                                  + _where(ctx, P, f))
@@ -178,9 +176,7 @@ def fixed_count_formula(ctx, P):
             return q ** d
         if A.degree == 0:
             return 0
-        xA = x % A
-        t = next(islice(Modulus(A).frobenius(xA), d, None))
-        return poly_gcd(t - xA, A).degree
+        return frobenius_gcd(A, d).degree
 
     total = moebius_sum(k, roots)
 

@@ -240,17 +240,16 @@ class GF:
         return _kernels.gcd_t(a, b, self.exp, self.log, self.p, self.deg)
 
     def kreducer(self, b):
-        """The function a -> a mod b for a fixed b of degree >= 1, on products of two remainders.
+        """The function a -> a mod b for a fixed b of degree >= 1 and a dividend of any length.
 
-        Prime mode keeps a Newton inverse of the reversed b (_kernels.RemP)
-        and takes the product of quotient and b by kconv; table mode divides
-        by the loop of divmod_t.
+        A prime-mode b of degree >= 2 keeps a Newton inverse of the reversed b
+        (_kernels.RemP) and takes the product of quotient and b by kconv. At
+        degree 1, where that inverse is empty, and in table mode, it is long
+        division. A dividend shorter than b is returned as it is.
         """
-        inv_lead = self.inv(int(b[-1]))
-        if self.mode == "prime":
-            return _kernels.RemP(b, self.p, inv_lead, self.kconv)
-        return lambda a: _kernels.divmod_t(a, b, self.exp, self.log, self.p, self.deg,
-                                           inv_lead)[1]
+        if self.mode == "prime" and len(b) > 2:
+            return _kernels.RemP(b, self.p, self.inv(int(b[-1])), self.kconv)
+        return lambda a: a if len(a) < len(b) else self.kdivmod(a, b)[1]
 
     def keval(self, coeffs, xs):
         if self.mode == "prime":

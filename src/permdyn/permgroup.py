@@ -6,7 +6,9 @@ interpolation, Moebius-map representatives, and the degree-preserving form.
 
 import numpy as np
 
-from .context import embed_poly, enumerate_Ck, frobenius_orbits, make_field_ctx, restrict_poly
+from .context import (
+    base_field, embed_poly, enumerate_Ck, frobenius_orbits, make_field_ctx, restrict_poly,
+)
 from .errors import InternalCheckError, PreconditionError
 from .polys import Poly, fold_mod, poly_gcd, pth_root
 
@@ -252,39 +254,37 @@ def moebius_eval(ctx, A, z):
 
 def moebius_poly_rep(ctx, A):
     """The element of G_k whose evaluation map is tau_A on F_{q^k}."""
-    Fq = ctx.Fq
-    if A.field.key != Fq.key:
+    if A.field.key != ctx.Fq.key:
         raise PreconditionError("matrix entries must lie in F_q of the context")
-    Q = ctx.Q
-    if A.c == 0:
-        dinv = Fq.inv(A.d)
-        P = Poly(Fq, [Fq.mul(A.b, dinv), Fq.mul(A.a, dinv)])
-    else:
-        u = Fq.neg(Fq.mul(A.d, Fq.inv(A.c)))
-        eps = Fq.mul(A.a, Fq.inv(A.det()))
-        base = Poly(Fq, [A.d, A.c])
-        inv_part = Poly.one(Fq)
-        sq = base
-        e = Q - 2
-        while e:
-            if e & 1:
-                inv_part = fold_mod(inv_part * sq, Q)
-            e >>= 1
-            if e:
-                sq = fold_mod(sq * sq, Q)
-        pole = np.zeros(Q, dtype=np.int64)
-        if u == 0:
-            pole[Q - 1] = 1
-            pole[0] = Fq.neg(1)
-        else:
-            idx = (Q - 1 - np.arange(1, Q, dtype=np.int64)) % (ctx.q - 1)
-            pows = np.array([Fq.pow(u, t) for t in range(ctx.q - 1)], dtype=np.int64)
-            pole[1:] = pows[idx]
-        P = fold_mod(Poly(Fq, [A.b, A.a]) * (inv_part + Poly(Fq, pole).scale(eps)), Q)
-    out, vals = _certified_table(ctx, P)
+    out, vals = _certified_table(ctx, _moebius_poly(ctx, A))
     if not np.array_equal(vals, moebius_eval(ctx, A, ctx.Fqk.elements())):
         raise InternalCheckError("Moebius representative disagrees with tau_A")
     return out
+
+
+def _moebius_poly(ctx, A):
+    """The polynomial of degree < Q over F_q whose map is tau_A, in closed form; not certified."""
+    Fq, Q = ctx.Fq, ctx.Q
+    if A.c == 0:
+        dinv = Fq.inv(A.d)
+        return Poly(Fq, [Fq.mul(A.b, dinv), Fq.mul(A.a, dinv)])
+    # tau_A(z) = a/c - (det A / c) (cz + d)^(Q-2): off the pole the power is
+    # 1/(cz + d), at the pole 0, which leaves a/c. In characteristic p,
+    # (1 + t)^(Q-2) = (1 + t^Q)(1 + t)^(-2), so (cx + d)^(Q-2) is the sum over
+    # j <= Q-2 of (j + 1) (-c)^j d^(Q-2-j) x^j, whose scalar powers repeat
+    # with period q - 1 in j; d = 0 leaves the single term j = Q-2.
+    scale = Fq.neg(Fq.mul(A.det(), Fq.inv(A.c)))
+    if A.d == 0:
+        coeffs = np.zeros(Q - 1, dtype=np.int64)
+        coeffs[-1] = Fq.mul(scale, Fq.pow(A.c, Q - 2))
+    else:
+        r = Fq.neg(Fq.mul(A.c, Fq.inv(A.d)))
+        cycle = np.array([Fq.pow(r, t) for t in range(ctx.q - 1)], dtype=np.int64)
+        j = np.arange(Q - 1, dtype=np.int64)
+        coeffs = Fq.vmul(Fq.vmul_scalar(cycle[j % (ctx.q - 1)], Fq.mul(scale, Fq.pow(A.d, Q - 2))),
+                         (j + 1) % ctx.p)
+    coeffs[0] = Fq.add(int(coeffs[0]), Fq.mul(A.a, Fq.inv(A.c)))
+    return Poly(Fq, coeffs)
 
 
 def pgl2_order(A):
@@ -337,10 +337,10 @@ def check_degree_preserving(F, bound):
         H = G - Poly.const(G.field, c)
         if (H // poly_gcd(H, dG)).degree != 1:
             return False
+    if base_field(p, m).key != F.field.key:
+        raise PreconditionError("F is not over the canonical F_q")
     for j in range(1, bound + 1):
         ctx = make_field_ctx(p, m, j)
-        if ctx.Fq.key != F.field.key:
-            raise PreconditionError("F is not over the canonical F_q")
         C = enumerate_Ck(ctx)
         vals = ctx.Fqk.keval(F.coeffs, C)
         if not _distinct(vals, ctx.Q) or np.any(frobenius_orbits(ctx).node[vals] < 0):

@@ -8,6 +8,7 @@ degree -1.
 """
 
 import random
+from itertools import islice
 
 import numpy as np
 
@@ -218,17 +219,16 @@ class Modulus:
         """a mod the modulus, for a polynomial a of any degree over the modulus's field.
 
         A sparse a is reduced term by term, each power of x by pow; a dense a
-        from the top in blocks (_reduce). The cost rule weighs about
+        by the remainder function at once. The cost rule weighs about
         deg(a).bit_length() products per term against one block reduction per
-        n - 1 coefficients above the n-th, n the degree of the modulus; a
-        modulus of degree 1 takes no blocks.
+        n - 1 coefficients above the n-th, n the degree of the modulus.
         """
         n = self.mod.degree
         if a.degree < n:
             return a
         exps = np.flatnonzero(a.coeffs)
-        if n > 1 and a.degree - n < (n - 1) * len(exps) * a.degree.bit_length():
-            return Poly(a.field, self._reduce(a.coeffs.copy()))
+        if a.degree - n < (n - 1) * len(exps) * a.degree.bit_length():
+            return Poly(a.field, self._rem(a.coeffs))
         x = Poly.x(a.field) % self.mod
         out = Poly.zero(a.field)
         for e in exps.tolist():
@@ -241,9 +241,7 @@ class Modulus:
 
         Every coefficient c lies in F_q, so c^q = c and t^q is the spread
         t(x^q). Where _spread_is_cheaper says so, a step forms the spread and
-        reduces it from the top in blocks of 2n - 1 coefficients (n the degree
-        of the modulus), the longest dividend that _kernels.RemP takes;
-        otherwise it is square and multiply.
+        reduces it; otherwise it is square and multiply.
         """
         field = self.mod.field
         q = field.order
@@ -257,29 +255,19 @@ class Modulus:
             if len(c) > 1:
                 spread = np.zeros((len(c) - 1) * q + 1, dtype=np.int64)
                 spread[::q] = c
-                t = Poly(field, self._reduce(spread))
-
-    def _reduce(self, a):
-        """a mod the modulus for a dividend a of any length, which it overwrites, in blocks
-        from the top."""
-        n = self.mod.degree
-        block = 2 * n - 1
-        while len(a) > block:
-            lo = len(a) - block
-            a[lo:lo + n] = self._rem(a[lo:])
-            a = a[:lo + n]
-        return self._rem(a) if len(a) > n else a
+                t = Poly(field, self._rem(spread))
 
 
 def _spread_is_cheaper(q):
     """Whether t -> t^q modulo a polynomial is cheaper as a spread than by square and multiply.
 
     The spread of a remainder modulo a polynomial of degree n has
-    (n - 1) q + 1 coefficients, so it takes q - 1 block reductions of two
-    convolutions each. Square and multiply takes bit_length(q) + popcount(q)
-    - 2 steps of a product and a reduction, three convolutions. Table mode,
-    where both are loops of divmod_t or conv_t, meets the same crossover when
-    measured: spreads for q <= 7.
+    (n - 1) q + 1 coefficients, so in prime mode it takes q - 1 block
+    reductions of two convolutions each (_kernels.RemP). Square and multiply
+    takes bit_length(q) + popcount(q) - 2 steps of a product and a
+    reduction, three convolutions. Table mode, where both are loops of
+    divmod_t or conv_t, meets the same crossover when measured: spreads for
+    q <= 7.
     """
     steps = q.bit_length() + bin(q).count("1") - 2
     return 2 * (q - 1) <= 3 * steps
@@ -301,6 +289,12 @@ def powmod(base, e, mod):
     return Modulus(mod).pow(base % mod, e)
 
 
+def frobenius_gcd(a, d):
+    """gcd(x^(q^d) - x, a) for a of degree >= 1, q = |field|, by d steps of the Frobenius walk."""
+    x = Poly.x(a.field) % a
+    return poly_gcd(next(islice(Modulus(a).frobenius(x), d, None)) - x, a)
+
+
 def compose(f, g):
     """f(g(x)), unreduced, by Horner's rule on coefficient arrays."""
     field = f.field
@@ -313,16 +307,14 @@ def compose(f, g):
     return Poly(field, acc)
 
 
-def fold_mod(f, Q=None):
-    """Reduce f modulo x^Q - x by exponent folding (Q defaults to |field|).
+def fold_mod(f, Q):
+    """Reduce f modulo x^Q - x by exponent folding.
 
     Exponent t >= 1 folds to 1 + (t - 1) mod (Q - 1), which preserves the
-    induced map on the Q-element field without materializing x^Q - x. An
-    explicit Q supports polynomials whose coefficients live in a subfield.
+    induced map on the Q-element field without materializing x^Q - x. Q may
+    be the order of an extension of f's field, as for the members of G_k.
     """
     field = f.field
-    if Q is None:
-        Q = field.order
     if f.degree < Q:
         return f
     # row r holds the coefficients of x^(1 + r(Q - 1)) .. x^((r + 1)(Q - 1)), zero-padded
@@ -355,20 +347,23 @@ def is_irreducible(f):
             return t == x
 
 
+def _irreducibles(field, k):
+    """The monic irreducibles of degree k, lazily, ascending by coefficient encoding."""
+    lead = field.order ** k
+    return (f for f in (Poly.from_encoding(field, enc + lead) for enc in range(lead))
+            if is_irreducible(f))
+
+
 def first_irreducible(field, k):
     """Monic irreducible of degree k with the smallest coefficient encoding."""
-    for enc in range(field.order ** k):
-        f = Poly.from_encoding(field, enc + field.order ** k)
-        if is_irreducible(f):
-            return f
+    for f in _irreducibles(field, k):
+        return f
     raise PreconditionError("no irreducible of degree %d found" % k)
 
 
 def enumerate_irreducibles(field, k):
     """All monic irreducibles of degree k, ascending by coefficient encoding."""
-    lead = field.order ** k
-    return [f for enc in range(lead)
-            for f in [Poly.from_encoding(field, enc + lead)] if is_irreducible(f)]
+    return list(_irreducibles(field, k))
 
 
 def count_irreducibles(q, k):
@@ -471,17 +466,17 @@ def _equal_degree(f, d, rng):
             return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
 
 
-def factor(f, seed=0):
+def factor(f):
     """Monic irreducible factorization as a list of (factor, multiplicity).
 
     The output is sorted by (degree, coefficient encoding), so it does not
-    depend on the seed of the splitting randomness.
+    depend on the splitting randomness, which is seeded with 0.
     """
     if f.is_zero:
         raise PreconditionError("cannot factor the zero polynomial")
     if f.degree == 0:
         return []
-    rng = random.Random(seed)
+    rng = random.Random(0)
     found = []
     for mult, g in _squarefree_parts(f.monic()):
         for d, prod in _distinct_degree(g):

@@ -5,7 +5,7 @@ import numpy as np
 from permdyn import _kernels, numth
 from permdyn.dynamics import star
 from permdyn.errors import PreconditionError
-from permdyn.polys import Poly, count_irreducibles, powmod
+from permdyn.polys import Poly, count_irreducibles, fold_mod, powmod
 
 
 def compose_mod(f, g, mod):
@@ -53,6 +53,40 @@ def loop_is_irreducible(f):
         if loop_gcd(loop_powmod(x, q ** (n // ell), f) - x, f).degree != 0:
             return False
     return loop_powmod(x, q ** n, f) == x % f
+
+
+def squaring_moebius_rep(ctx, A):
+    """The polynomial of degree < Q over F_q whose map is tau_A, by a squaring chain.
+
+    For c != 0 it is (ax + b) ((cx + d)^(Q-2) + (a / det A) pole), with the
+    power taken by square and multiply modulo x^Q - x (fold_mod) and `pole`
+    the polynomial that is 1 at the pole u = -d/c and 0 elsewhere:
+    1 - (x - u)^(Q-1), expanded. Not certified.
+    """
+    Fq, Q = ctx.Fq, ctx.Q
+    if A.c == 0:
+        dinv = Fq.inv(A.d)
+        return Poly(Fq, [Fq.mul(A.b, dinv), Fq.mul(A.a, dinv)])
+    u = Fq.neg(Fq.mul(A.d, Fq.inv(A.c)))
+    eps = Fq.mul(A.a, Fq.inv(A.det()))
+    inv_part = Poly.one(Fq)
+    sq = Poly(Fq, [A.d, A.c])
+    e = Q - 2
+    while e:
+        if e & 1:
+            inv_part = fold_mod(inv_part * sq, Q)
+        e >>= 1
+        if e:
+            sq = fold_mod(sq * sq, Q)
+    pole = np.zeros(Q, dtype=np.int64)
+    if u == 0:
+        pole[Q - 1] = 1
+        pole[0] = Fq.neg(1)
+    else:
+        idx = (Q - 1 - np.arange(1, Q, dtype=np.int64)) % (ctx.q - 1)
+        pows = np.array([Fq.pow(u, t) for t in range(ctx.q - 1)], dtype=np.int64)
+        pole[1:] = pows[idx]
+    return fold_mod(Poly(Fq, [A.b, A.a]) * (inv_part + Poly(Fq, pole).scale(eps)), Q)
 
 
 def gcd_generation(ctx, P, f0, max_steps=None):

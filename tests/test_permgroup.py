@@ -9,10 +9,13 @@ from permdyn.permgroup import (
     Matrix2, PermPoly, certify_perm, check_degree_preserving, frobenius_stable,
     gk_compose, gk_inverse, is_degree_preserving_form, lagrange_interpolate_all,
     moebius_eval, moebius_poly_rep, perm_table, pgl2_order, realize_permutation,
-    _interpolate_perm,
+    _interpolate_perm, _moebius_poly,
 )
+from permdyn.numth import is_prime
 from permdyn.polys import Poly, enumerate_irreducibles
 from permdyn.textio import parse_poly
+
+from oracles import squaring_moebius_rep
 
 CTX24 = make_field_ctx(2, 1, 4)
 CTX25 = make_field_ctx(2, 1, 5)
@@ -234,6 +237,38 @@ def test_moebius_poly_rep_matches_eval_map():
             if seen >= 10:
                 break
         assert seen
+
+
+# every tower with k >= 2 and q^k <= 4096
+MOEBIUS_TOWERS = [(p, m, k) for p in range(2, 65) if is_prime(p)
+                  for m in range(1, 7) for k in range(2, 13) if p ** (m * k) <= 4096]
+
+
+def _moebius_matrices(ctx):
+    """Every invertible matrix when q <= 4, else 20 seeded ones, taking in turn
+    c = 0, then d = 0 with c != 0, then c, d != 0."""
+    F, q = ctx.Fq, ctx.q
+    if q <= 4:
+        quads = itertools.product(range(q), repeat=4)
+        return [Matrix2(F, *v) for v in quads if F.sub(F.mul(v[0], v[3]), F.mul(v[1], v[2]))]
+    rng = np.random.default_rng(1000 * q + ctx.k)
+    out = []
+    while len(out) < 20:
+        a, b, c, d = (int(v) for v in rng.integers(0, q, size=4))
+        c, d = [(0, d), (c or 1, 0), (c or 1, d or 1)][len(out) % 3]
+        if F.sub(F.mul(a, d), F.mul(b, c)):
+            out.append(Matrix2(F, a, b, c, d))
+    return out
+
+
+@pytest.mark.parametrize("pmk", MOEBIUS_TOWERS, ids=lambda pmk: "%d-%d-%d" % pmk)
+def test_moebius_closed_form_equals_the_squaring_chain(pmk):
+    ctx = make_field_ctx(*pmk)
+    matrices = _moebius_matrices(ctx)
+    assert {(A.c == 0, A.d == 0) for A in matrices} >= {(True, False), (False, True),
+                                                        (False, False)}
+    for A in matrices:
+        assert _moebius_poly(ctx, A) == squaring_moebius_rep(ctx, A), A
 
 
 def test_moebius_rep_respects_composition_on_Ck():

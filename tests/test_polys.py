@@ -303,20 +303,25 @@ def _modulus(rng, p, n):
 
 @pytest.mark.parametrize("p", REDUCER_PRIMES)
 def test_reducer_equals_long_division_at_every_dividend_length(p):
-    # one reducer per modulus meets the dividend lengths n .. 2n - 1 in
-    # ascending order, so its inverse is lifted in the middle of the chain
+    # one reducer per modulus meets the dividend lengths n .. 4n in ascending
+    # order, so its inverse is lifted in the middle of the chain, and the
+    # lengths from 2n on are reduced in blocks from the top (every 5th length
+    # there above degree 64, and the last)
     F = GF.prime(p)
     rng = np.random.default_rng(p)
     for n in REDUCER_DEGREES:
         b = _modulus(rng, p, n)
         rem = F.kreducer(b)
         inv_lead = F.inv(int(b[-1]))
-        for length in range(n, 2 * n):
+        step = 1 if n <= 64 else 5
+        for length in [*range(n, 2 * n), *range(2 * n, 4 * n, step), 4 * n]:
             a = rng.integers(0, p, size=length)
             a[-1] = rng.integers(1, p)
+            kept = a.copy()
             got = rem(a)
+            assert np.array_equal(a, kept)
             assert np.array_equal(got, _kernels.divmod_p(a, b, p, inv_lead)[1])
-            if n <= 31 or length in (n + 1, 2 * n - 1):
+            if n <= 31 or length in (n + 1, 2 * n - 1, 2 * n, 4 * n):
                 assert _gf(got) == gf_rem(_gf(a), _gf(b), p, ZZ)
 
 
@@ -361,8 +366,35 @@ def test_reducer_lifts_the_inverse_only_as_far_as_quotients_need():
     one = np.zeros(n - 1, dtype=np.int64)
     one[0] = 1
     assert np.array_equal(np.convolve(rem.h, b[::-1])[:n - 1] % p, one)
-    with pytest.raises(PreconditionError):
-        rem(np.ones(2 * n, dtype=np.int64))
+    # a dividend of any length is reduced in blocks, and h stays within n - 1
+    a = rng.integers(0, p, size=5 * n)
+    assert np.array_equal(rem(a), _kernels.divmod_p(a, b, p, F.inv(int(b[-1])))[1])
+    assert len(rem.h) == n - 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
+def test_modulus_of_degree_one(p):
+    # x - r: the reducer is long division, a remainder is the value at r, and
+    # the Frobenius walk of the constant r stays at r
+    F = GF.prime(p)
+    rng = np.random.default_rng(400 + p)
+    for r in sorted({0, 1, p - 1, int(rng.integers(0, p))}):
+        b = np.array([F.neg(r), 1], dtype=np.int64)
+        rem = F.kreducer(b)
+        for length in range(1, 13):
+            a = rng.integers(0, p, size=length)
+            got = rem(a)
+            if length > 1:
+                assert np.array_equal(got, _kernels.divmod_p(a, b, p, 1)[1])
+            assert _gf(got) == gf_rem(_gf(a), _gf(b), p, ZZ)
+        ring = Modulus(Poly(F, b))
+        for _ in range(5):
+            dense = Poly(F, rng.integers(1, p, size=int(rng.integers(2, 40))))
+            sparse = Poly(F, [int(rng.integers(1, p))] + [0] * int(rng.integers(1, 200)) + [1])
+            for a in (dense, sparse):
+                assert ring.rem(a) == Poly.const(F, a(r))
+        walk = ring.frobenius(Poly.x(F) % ring.mod)
+        assert [next(walk) for _ in range(6)] == [Poly.const(F, r)] * 6
 
 
 @pytest.mark.parametrize("p", REDUCER_PRIMES)
