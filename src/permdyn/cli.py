@@ -6,7 +6,7 @@ import math
 import re
 import sys
 
-from .context import DEFAULT_GUARD, base_field, frobenius_orbits, make_field_ctx
+from .context import DEFAULT_GUARD, base_field, check_tower, frobenius_orbits, make_field_ctx
 from .dynamics import (
     _where,
     diamond,
@@ -20,7 +20,6 @@ from .dynamics import (
 )
 from .errors import GuardExceeded, InternalCheckError, MalformedInput, PreconditionError
 from .genirr import bound_linearized, bound_monomial, iterate_generation, tau
-from .numth import is_prime
 from .permgroup import Matrix2, certify_perm, moebius_poly_rep, realize_permutation
 from .polys import Poly, q_associate
 from .textio import parse_int, parse_poly
@@ -38,7 +37,8 @@ class _Parser(argparse.ArgumentParser):
 def _build_ctx(args):
     ext = None
     if args.modulus is not None:
-        ext = parse_poly(base_field(args.p, args.m), args.modulus, args.guard_override)
+        ext = parse_poly(base_field(args.p, args.m, args.guard_override), args.modulus,
+                         args.guard_override)
     return make_field_ctx(args.p, args.m, args.k, ext_modulus=ext, guard=args.guard_override)
 
 
@@ -204,11 +204,7 @@ def _cmd_realize(args, ctx):
 
 
 def _cmd_bounds(args, ctx):
-    # the checks make_field_ctx makes, without building F_{q^k}
-    if args.m < 1 or args.k < 1:
-        raise PreconditionError("m and k must be positive")
-    if not is_prime(args.p):
-        raise PreconditionError("%d is not prime" % args.p)
+    check_tower(args.p, args.m, args.k)  # no F_{q^k} is built, so no guard applies
     q = args.p ** args.m
     if args.family == "tau":
         ceiling = math.ceil(tau(args.p, args.k) / args.k)
@@ -222,7 +218,8 @@ def _cmd_bounds(args, ctx):
     else:
         if args.g is None:
             raise MalformedInput("--family linearized needs --g")
-        g = parse_poly(base_field(args.p, args.m), args.g, args.guard_override)
+        g = parse_poly(base_field(args.p, args.m, args.guard_override), args.g,
+                       args.guard_override)
         bound = bound_linearized(q, args.k, g)
     if args.output == "json":
         return json.dumps({"family": args.family, "bound": str(bound)})

@@ -34,12 +34,31 @@ class FieldCtx:
 _CTX_CACHE = {}
 
 
-@lru_cache(maxsize=None)
-def base_field(p, m):
+def base_field(p, m, guard=DEFAULT_GUARD):
     """The canonical F_q, q = p^m: F_p, or F_p[z] modulo the lex-smallest monic irreducible
-    of degree m (built once per (p, m))."""
+    of degree m (built once per (p, m)). A proper extension with q above the guard raises
+    GuardExceeded before its tables are built."""
+    if m > 1 and p ** m > guard:
+        raise GuardExceeded("q = %d exceeds the exhaustive-operation guard %d" % (p ** m, guard))
+    return _base_field(p, m)
+
+
+@lru_cache(maxsize=None)
+def _base_field(p, m):
     Fp = GF.prime(p)
     return Fp if m == 1 else GF.extension(Fp, first_irreducible(Fp, m).coeffs)
+
+
+def check_tower(p, m, k, guard=None):
+    """Raise unless m, k >= 1, then q^k is within the guard (when one applies), then p is
+    prime; this order fixes the exit code of an input that fails several checks."""
+    if m < 1 or k < 1:
+        raise PreconditionError("m and k must be positive")
+    if guard is not None and (p ** m) ** k > guard:
+        raise GuardExceeded("q^k = %d exceeds the exhaustive-operation guard %d"
+                            % ((p ** m) ** k, guard))
+    if not numth.is_prime(p):
+        raise PreconditionError("%d is not prime" % p)
 
 
 def make_field_ctx(p, m, k, ext_modulus=None, guard=DEFAULT_GUARD):
@@ -50,13 +69,9 @@ def make_field_ctx(p, m, k, ext_modulus=None, guard=DEFAULT_GUARD):
     constant term upward by integer encoding), so construction is
     deterministic. A supplied modulus must be monic, degree k, irreducible.
     """
-    if m < 1 or k < 1:
-        raise PreconditionError("m and k must be positive")
+    check_tower(p, m, k, guard)
     q = p ** m
     Q = q ** k
-    if Q > guard:
-        raise GuardExceeded("q^k = %d exceeds the exhaustive-operation guard %d" % (Q, guard))
-
     cache_key = (p, m, k,
                  None if ext_modulus is None
                  else tuple(int(c) for c in (ext_modulus.coeffs if isinstance(ext_modulus, Poly)
@@ -64,7 +79,7 @@ def make_field_ctx(p, m, k, ext_modulus=None, guard=DEFAULT_GUARD):
     if cache_key in _CTX_CACHE:
         return _CTX_CACHE[cache_key]
 
-    Fq = base_field(p, m)
+    Fq = base_field(p, m, guard)
     Fp = Fq.base or Fq
     base_modulus = None if m == 1 else Poly(Fp, Fq.modulus)
     if ext_modulus is None:

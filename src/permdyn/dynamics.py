@@ -10,9 +10,10 @@ from .context import (
     element_degree, embed_poly, enumerate_Ck, frobenius_orbits, restrict_poly,
 )
 from .errors import InternalCheckError, PreconditionError
-from .numth import divisors, euler_phi, is_prime, moebius_sum, mult_order_int
+from .numth import (check_coprime_exponent, divisors, euler_phi, is_prime, moebius_sum,
+                    mult_order_int, prime_norm_index)
 from .orders import fq_order, mult_order, norm_of, phi_q, poly_order, trace_of
-from .permgroup import Matrix2, _coerce_poly, pgl2_order
+from .permgroup import Matrix2, _coerce_poly, _distinct, pgl2_order
 from .polys import (
     Modulus,
     Poly,
@@ -194,8 +195,7 @@ def fixed_count_formula(ctx, P):
 def fixed_count_monomial(ctx, n):
     """Fixed-point count of x^n on I_k, by the closed arithmetic form."""
     q, k = ctx.q, ctx.k
-    if math.gcd(n, q ** k - 1) != 1:
-        raise PreconditionError("n must be coprime to q^k - 1")
+    check_coprime_exponent(q, k, n)
     # when k = 1, f = x is fixed too: its root 0 lies outside the multiplicative group
     return int(k == 1) + moebius_sum(k, lambda d, i: math.gcd(q ** i - n, q ** d - 1))
 
@@ -205,18 +205,15 @@ def fixed_count_linearized(ctx, h):
     q, k = ctx.q, ctx.k
     if h.field.key != ctx.Fq.key:
         raise PreconditionError("h must lie over F_q of the context")
-    h = h % linearized_modulus(h, k)
+    h = h % linearized_modulus(h, k, q)
     one = Poly.one(ctx.Fq)
     return moebius_sum(k, lambda d, i: q ** poly_gcd(one.shift(i) - h, one.shift(d) - one).degree)
 
 
 def fixed_count_prime_monomial(q, k, n):
     """Fixed-point count of x^n on I_k in the case (q^k - 1)/(q - 1) prime."""
-    r = (q ** k - 1) // (q - 1)
-    if not is_prime(r):
-        raise PreconditionError("(q^k - 1)/(q - 1) must be prime")
-    if math.gcd(n, q ** k - 1) != 1:
-        raise PreconditionError("n must be coprime to q^k - 1")
+    r = prime_norm_index(q, k)
+    check_coprime_exponent(q, k, n)
     if n % r not in {pow(q, i, r) for i in range(k)}:
         return 0
     quo, rem = divmod(r - 1, k)
@@ -228,12 +225,10 @@ def fixed_count_prime_monomial(q, k, n):
 def fixed_count_prime_linearized(q, k, f):
     """Fixed-point count of the q-associate map of f on I_k in the prime-k case."""
     field = f.field
-    if field.order != q:
-        raise PreconditionError("f must lie over F_q")
+    f = f % linearized_modulus(f, k, q)
     if not is_prime(k):
         raise PreconditionError("k must be prime")
     T = irreducible_Ek(field, k)
-    f = f % linearized_modulus(f, k)
     one = Poly.one(field)
     is_power = np.count_nonzero(f.coeffs) == 1 and f.leading() == 1
     if q % 2 == 0 and k == 2:
@@ -272,7 +267,7 @@ def _ck_perm(ctx, P):
     P = _coerce_poly(ctx, P)
     els = enumerate_Ck(ctx)
     imgs = embed_poly(ctx, P).eval_many(els)
-    if not np.array_equal(np.sort(imgs), els):
+    if not _distinct(imgs, ctx.Q) or np.any(frobenius_orbits(ctx).node[imgs] < 0):
         raise PreconditionError("P does not permute C_k")
     return els, np.searchsorted(els, imgs)
 
@@ -288,12 +283,12 @@ def _ik_perm(ctx, P):
     orbits = frobenius_orbits(ctx)
     n = len(orbits.coeffs)
     image = orbits.node[embed_poly(ctx, P).eval_many(orbits.conj[:, 0])]
-    if not np.array_equal(np.sort(image), np.arange(n)):
-        # name the first f whose root P maps below degree k or onto the orbit of another's
-        hits = np.bincount(image[image >= 0], minlength=n)
-        bad = np.flatnonzero((image < 0) | (hits[image] > 1))[0]
+    # the first f whose root P maps below degree k or onto the orbit of another's
+    hits = np.bincount(image[image >= 0], minlength=n)
+    bad = np.flatnonzero((image < 0) | (hits[image] > 1))
+    if len(bad):
         raise PreconditionError("P does not act bijectively on I_k"
-                                + _where(ctx, P, orbits.poly(bad)))
+                                + _where(ctx, P, orbits.poly(bad[0])))
     perm = np.empty(n, dtype=np.int64)
     perm[image] = np.arange(n)
     _check_edge(ctx, P, orbits.poly(0), orbits.poly(perm[0]))
@@ -395,8 +390,7 @@ def spectrum_Ik(ctx, P):
 
 def monomial_cycle_structure(q, k, n):
     """Cycle summary of x^n on C_k from orders of n modulo divisors of q^k - 1."""
-    if math.gcd(n, q ** k - 1) != 1:
-        raise PreconditionError("n must be coprime to q^k - 1")
+    check_coprime_exponent(q, k, n)
     agg = {}
     for e in divisors(q ** k - 1):
         if mult_order_int(q, e) != k:
@@ -408,12 +402,9 @@ def monomial_cycle_structure(q, k, n):
 
 def linearized_cycle_structure(q, k, f):
     """Cycle summary of the q-associate map of f on C_k from divisors of x^k - 1."""
-    field = f.field
-    if field.order != q:
-        raise PreconditionError("f must lie over F_q")
-    x = Poly.x(field)
+    x = Poly.x(f.field)
     agg = {}
-    for g in _monic_divisors(linearized_modulus(f, k)):
+    for g in _monic_divisors(linearized_modulus(f, k, q)):
         if (1 if g.degree == 0 else poly_order(x, g)) != k:
             continue
         o = 1 if g.degree == 0 else poly_order(f, g)
@@ -516,8 +507,7 @@ def invariant_report(ctx, P, f):
     }
     n = _monomial_exponent(P)
     if n is not None:
-        if math.gcd(n, ctx.Q - 1) != 1:
-            raise PreconditionError("monomial exponent is not coprime to q^k - 1")
+        check_coprime_exponent(ctx.q, ctx.k, n)
         n0 = pow(n, -1, ctx.Q - 1)
         report["ord_preserved"] = mult_order(ctx, Pf) == mult_order(ctx, f)
         report["norm_relation"] = norm_of(ctx, Pf) == ctx.Fq.pow(norm_of(ctx, f), n0)

@@ -187,14 +187,6 @@ class GF:
         ly = self.log[np.where(ys != 0, ys, 1)]
         return np.where(nz, self.exp[lx + ly], 0)
 
-    def vmul_scalar(self, xs, c):
-        if self.mode == "prime":
-            return xs * c % self.p
-        if c == 0:
-            return np.zeros_like(xs)
-        nz = xs != 0
-        return np.where(nz, self.exp[self.log[np.where(nz, xs, 1)] + self.log[c]], 0)
-
     def vsum(self, xs):
         """Field sum of an array of encodings along axis 0."""
         return _kernels.vsum(xs, self.p, self.deg)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from .context import frobenius_orbits, make_field_ctx
 from .dynamics import _star_walk, _where
 from .errors import InternalCheckError, PreconditionError
-from .numth import factorint, is_prime, mult_order_int
+from .numth import check_coprime_exponent, factorint, is_prime, mult_order_int, prime_norm_index
 from .orders import poly_order
 from .permgroup import certify_perm
 from .polys import Poly, irreducible_Ek, linearized_modulus, q_associate
@@ -62,21 +62,15 @@ def iterate_generation(ctx, P, f0, max_steps=None, bound_claimed=None):
 
 def bound_monomial(q, k, n):
     """Period lower bound ord_r(n)/k for P = x^n, with r = (q^k - 1)/(q - 1) prime."""
-    r = (q ** k - 1) // (q - 1)
-    if not is_prime(r):
-        raise PreconditionError("(q^k - 1)/(q - 1) must be prime")
-    if math.gcd(n, q ** k - 1) != 1:
-        raise PreconditionError("n must be coprime to q^k - 1")
+    r = prime_norm_index(q, k)
+    check_coprime_exponent(q, k, n)
     return Fraction(mult_order_int(n, r), k)
 
 
 def bound_linearized(q, k, g):
     """Period lower bound O(g, E_k)/k for the q-associate map of g, E_k irreducible."""
-    field = g.field
-    if field.order != q:
-        raise PreconditionError("g must lie over F_q")
-    Ek = irreducible_Ek(field, k)
-    linearized_modulus(g, k)
+    Ek = irreducible_Ek(g.field, k)
+    linearized_modulus(g, k, q)
     return Fraction(poly_order(g, Ek), k)
 
 
@@ -122,7 +116,7 @@ def choose_LH(q, k):
             raise PreconditionError("no a with encoding >= 2 and a^k != 1 exists in F_q")
         H = Poly.x(field) - Poly.const(field, a)
     try:
-        linearized_modulus(H, k)
+        linearized_modulus(H, k, q)
     except PreconditionError:
         raise InternalCheckError("H is not coprime to x^k - 1") from None
     return certify_perm(ctx, q_associate(H))

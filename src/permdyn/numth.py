@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from .errors import InternalCheckError
+from .errors import InternalCheckError, PreconditionError
 
 _TRIAL_BOUND = 10 ** 6
 
@@ -107,6 +107,20 @@ def euler_phi(n):
     """Euler totient of n >= 1."""
     return reduce(lambda acc, pe: acc // pe[0] * (pe[0] - 1),
                   factorint(n).items(), n)
+
+
+def check_coprime_exponent(q, k, n):
+    """Raise PreconditionError unless gcd(n, q^k - 1) = 1, so that x^n permutes F_{q^k}."""
+    if math.gcd(n, q ** k - 1) != 1:
+        raise PreconditionError("n must be coprime to q^k - 1")
+
+
+def prime_norm_index(q, k):
+    """r = (q^k - 1)/(q - 1), once it is checked to be prime."""
+    r = (q ** k - 1) // (q - 1)
+    if not is_prime(r):
+        raise PreconditionError("(q^k - 1)/(q - 1) must be prime")
+    return r
 
 
 def moebius_sum(k, term):

@@ -14,8 +14,7 @@ from .polys import Modulus, Poly, factor, is_irreducible, poly_gcd, powmod
 
 def mult_order(ctx, f):
     """Order of the roots of an irreducible f: least e with x^e = 1 mod f."""
-    if not is_irreducible(f):
-        raise PreconditionError("mult_order needs an irreducible polynomial")
+    _check_irreducible(ctx, f, "mult_order needs")
     if f.degree == 1 and f.coeff(0) == 0:
         raise PreconditionError("mult_order is undefined for f = x")
     x = Poly.x(f.field)
@@ -41,8 +40,7 @@ def fq_order(ctx, f):
     arithmetic is needed. Computed by stripping irreducible factors from
     x^k - 1.
     """
-    if not is_irreducible(f):
-        raise PreconditionError("fq_order needs an irreducible polynomial")
+    _check_irreducible(ctx, f, "fq_order needs")
     field = f.field
     k = ctx.k
     xk1 = Poly(field, [field.neg(1)] + [0] * (k - 1) + [1])
@@ -92,9 +90,15 @@ def trace_of(ctx, f):
     return ctx.Fq.neg(_monic_of_degree_k(ctx, f).coeff(ctx.k - 1))
 
 
-def _monic_of_degree_k(ctx, f):
+def _check_irreducible(ctx, f, needs):
+    if f.field.key != ctx.Fq.key:
+        raise PreconditionError("polynomial does not lie over F_q of the context")
     if not is_irreducible(f):
-        raise PreconditionError("norm/trace need an irreducible polynomial")
+        raise PreconditionError(needs + " an irreducible polynomial")
+
+
+def _monic_of_degree_k(ctx, f):
+    _check_irreducible(ctx, f, "norm/trace need")
     if f.degree != ctx.k:
         raise PreconditionError("polynomial degree %d does not match k = %d"
                                 % (f.degree, ctx.k))

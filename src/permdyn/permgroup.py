@@ -210,7 +210,7 @@ def _sigma_mapping(sigma, n):
         if not (0 <= a < n and 0 <= b < n) or a in mapping:
             raise PreconditionError("sigma is not a permutation table of I_k")
         mapping[a] = b
-    if len(mapping) != n or sorted(mapping.values()) != list(range(n)):
+    if len(mapping) != n or not _distinct(np.fromiter(mapping.values(), np.int64, n), n):
         raise PreconditionError("sigma is not a permutation table of I_k")
     return mapping
 
@@ -233,23 +233,16 @@ def realize_permutation(ctx, sigma):
 def moebius_eval(ctx, A, z):
     """tau_A(z) on F_{q^k} with the pole convention tau_A(-d/c) = a/c.
 
-    z is one encoding or an int64 array of them; an array is mapped whole,
-    off the pole as (a z + b)(c z + d)^(Q-2).
+    z is an int64 array of encodings, mapped whole, or one encoding, for
+    which an int is returned. Off the pole tau_A(z) = (a z + b)(c z + d)^(Q-2).
     """
     F = ctx.Fqk
-    if np.ndim(z):
-        zs = np.asarray(z, dtype=np.int64)
-        den = F.vadd(F.vmul_scalar(zs, A.c), A.d)
-        out = F.vmul(F.vadd(F.vmul_scalar(zs, A.a), A.b), F.vpow(den, ctx.Q - 2))
-        if A.c:
-            out[den == 0] = F.mul(A.a, F.inv(A.c))
-        return out
-    if A.c == 0:
-        return F.mul(F.add(F.mul(A.a, z), A.b), F.inv(A.d))
-    den = F.add(F.mul(A.c, z), A.d)
-    if den == 0:
-        return F.mul(A.a, F.inv(A.c))
-    return F.mul(F.add(F.mul(A.a, z), A.b), F.inv(den))
+    zs = np.atleast_1d(np.asarray(z, dtype=np.int64))
+    den = F.vadd(F.vmul(zs, A.c), A.d)
+    out = F.vmul(F.vadd(F.vmul(zs, A.a), A.b), F.vpow(den, ctx.Q - 2))
+    if A.c:
+        out[den == 0] = F.mul(A.a, F.inv(A.c))
+    return out if np.ndim(z) else int(out[0])
 
 
 def moebius_poly_rep(ctx, A):
@@ -274,14 +267,17 @@ def _moebius_poly(ctx, A):
     # j <= Q-2 of (j + 1) (-c)^j d^(Q-2-j) x^j, whose scalar powers repeat
     # with period q - 1 in j; d = 0 leaves the single term j = Q-2.
     scale = Fq.neg(Fq.mul(A.det(), Fq.inv(A.c)))
-    if A.d == 0:
+    if Q == 2:
+        # (cx + d)^0 = 1 is 1 at the pole too; over F_2, cx + d is 1 off the pole and 0 on it
+        coeffs = Fq.vmul(np.array([A.d, A.c], dtype=np.int64), scale)
+    elif A.d == 0:
         coeffs = np.zeros(Q - 1, dtype=np.int64)
         coeffs[-1] = Fq.mul(scale, Fq.pow(A.c, Q - 2))
     else:
         r = Fq.neg(Fq.mul(A.c, Fq.inv(A.d)))
         cycle = np.array([Fq.pow(r, t) for t in range(ctx.q - 1)], dtype=np.int64)
         j = np.arange(Q - 1, dtype=np.int64)
-        coeffs = Fq.vmul(Fq.vmul_scalar(cycle[j % (ctx.q - 1)], Fq.mul(scale, Fq.pow(A.d, Q - 2))),
+        coeffs = Fq.vmul(Fq.vmul(cycle[j % (ctx.q - 1)], Fq.mul(scale, Fq.pow(A.d, Q - 2))),
                          (j + 1) % ctx.p)
     coeffs[0] = Fq.add(int(coeffs[0]), Fq.mul(A.a, Fq.inv(A.c)))
     return Poly(Fq, coeffs)

@@ -103,7 +103,7 @@ class Poly:
     def scale(self, c):
         if c == 0:
             return Poly.zero(self.field)
-        return Poly(self.field, self.field.vmul_scalar(self.coeffs, c))
+        return Poly(self.field, self.field.vmul(self.coeffs, c))
 
     def shift(self, n):
         """Multiply by x^n."""
@@ -374,20 +374,21 @@ def count_irreducibles(q, k):
 
 
 def psi_d(field, d):
-    """Product of all monic irreducibles of degree exactly d over the field."""
-    q = field.order
-    coeffs = np.zeros(q ** d + 1, dtype=np.int64)
-    coeffs[-1] = 1
-    coeffs[1] = field.neg(1)
-    out = Poly(field, coeffs)
+    """Product of all monic irreducibles of degree exactly d over the field.
+
+    It is the product over e | d of (x^(q^e) - x)^moebius(d/e): the binomials
+    with moebius +1 are multiplied, then divided once by those with -1.
+    """
+    one, x = Poly.one(field), Poly.x(field)
+    parts = {1: one, -1: one}
     for e in numth.divisors(d):
-        if e == d:
-            continue
-        quo, rem = poly_divmod(out, psi_d(field, e))
-        if not rem.is_zero:
-            raise ArithmeticError("splitting polynomial division left a remainder")
-        out = quo
-    return out
+        mu = numth.moebius(d // e)
+        if mu:
+            parts[mu] = parts[mu] * (one.shift(field.order ** e) - x)
+    quo, rem = poly_divmod(parts[1], parts[-1])
+    if not rem.is_zero:
+        raise ArithmeticError("splitting polynomial division left a remainder")
+    return quo
 
 
 def _squarefree_parts(f):
@@ -500,8 +501,11 @@ def q_associate(h):
     return Poly(h.field, out)
 
 
-def linearized_modulus(h, k):
-    """x^k - 1 over the field of h, once h is checked to be coprime to it (so L_h permutes)."""
+def linearized_modulus(h, k, q):
+    """x^k - 1 over the field of h, once h is checked to lie over a field of order q and
+    to be coprime to x^k - 1 (so L_h permutes)."""
+    if h.field.order != q:
+        raise PreconditionError("the polynomial must lie over F_q")
     one = Poly.one(h.field)
     xk1 = one.shift(k) - one
     if h.is_zero or poly_gcd(h, xk1).degree != 0:

@@ -55,6 +55,17 @@ def loop_is_irreducible(f):
     return loop_powmod(x, q ** n, f) == x % f
 
 
+def recursive_psi_d(field, d):
+    """Psi_d as (x^(q^d) - x) divided by Psi_e for every proper divisor e of d, each Psi_e
+    computed the same way."""
+    one = Poly.one(field)
+    out = one.shift(field.order ** d) - Poly.x(field)
+    for e in numth.divisors(d)[:-1]:
+        out, rem = divmod(out, recursive_psi_d(field, e))
+        assert rem.is_zero
+    return out
+
+
 def squaring_moebius_rep(ctx, A):
     """The polynomial of degree < Q over F_q whose map is tau_A, by a squaring chain.
 

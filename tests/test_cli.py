@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -414,3 +415,27 @@ def test_linearized_perm_above_the_guard_exits_3(capsys):
     # L[x^21] has degree 2^21 > 2^20
     code, out, err = run(capsys, "fixed", "--p", "2", "--k", "4", "--perm", "L[x^21]")
     assert (code, out) == (3, "")
+
+
+@pytest.mark.parametrize("argv", [
+    "enumerate --p 2 --m 22 --k 1 --modulus x+1",
+    "bounds --p 2 --m 22 --k 7 --family linearized --g x+1",
+], ids=["modulus", "bounds"])
+def test_guard_refuses_F_q_before_its_tables(capsys, argv):
+    # the exp/log tables of F_{2^22} take 64 MB
+    tracemalloc.start()
+    try:
+        code = main(argv.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "q = 4194304 exceeds" in capsys.readouterr().err
+    assert peak < 16 << 20
+
+
+def test_bounds_over_a_large_prime_q_builds_no_table(capsys):
+    code, out, _ = run(capsys, "bounds", "--p", "2000003", "--k", "3",
+                       "--family", "linearized", "--g", "x+2")
+    assert code == 0
+    assert out == "bound = 4000004\n"

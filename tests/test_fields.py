@@ -275,7 +275,7 @@ def test_vector_ops_match_scalar(field):
     va = field.vadd(xs, ys)
     vm = field.vmul(xs, ys)
     vn = field.vneg(xs)
-    vs = field.vmul_scalar(xs, 2 % field.order)
+    vs = field.vmul(xs, 2 % field.order)
     vp = field.vpow(xs, 3)
     for i in range(len(xs)):
         a, b = int(xs[i]), int(ys[i])

@@ -2,10 +2,11 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from permdyn.context import make_field_ctx
-from permdyn.dynamics import graph_Ik
+from permdyn.context import frobenius_orbits, make_field_ctx
+from permdyn.dynamics import graph_Ik, spectrum_Ik
 from permdyn.errors import (
     GuardExceeded, InternalCheckError, PreconditionError,
 )
@@ -225,3 +226,36 @@ def test_monomial_primitive_ratio():
         rep = iterate_generation(CTX25, pp, f)
         assert rep.period == 6
         assert len(rep.produced) == 6 >= len(seeds) // (2 - 1)
+
+
+@pytest.mark.parametrize("tower", [(2, 2, 2), (2, 3, 3), (2, 4, 2), (3, 3, 3)], ids=str)
+def test_bound_monomial_holds_over_towers(tower):
+    # (q^k - 1)/(q - 1) is prime on each tower: 5, 73, 17 and 757
+    ctx = make_field_ctx(*tower)
+    f0 = frobenius_orbits(ctx).poly(0)
+    for n in range(1, 60):
+        if math.gcd(n, ctx.Q - 1) != 1:
+            continue
+        b = bound_monomial(ctx.q, ctx.k, n)
+        P = _mono(ctx, n)
+        assert spectrum_Ik(ctx, P).mu >= math.ceil(b), n
+        assert iterate_generation(ctx, P, f0, bound_claimed=b).period >= math.ceil(b)
+
+
+@pytest.mark.parametrize("tower", [(2, 3, 3), (2, 3, 5), (2, 5, 3)], ids=str)
+def test_bound_linearized_holds_over_towers(tower):
+    # E_k is irreducible over F_q on each tower: q has order k - 1 modulo k
+    ctx = make_field_ctx(*tower)
+    f0 = frobenius_orbits(ctx).poly(0)
+    rng = np.random.default_rng(sum(tower))
+    tried = 0
+    while tried < 40:
+        h = Poly(ctx.Fq, rng.integers(0, ctx.q, size=ctx.k))
+        try:
+            b = bound_linearized(ctx.q, ctx.k, h)
+        except PreconditionError:  # h shares a root with x^k - 1
+            continue
+        tried += 1
+        P = certify_perm(ctx, q_associate(h))
+        assert spectrum_Ik(ctx, P).mu >= math.ceil(b), h
+        assert iterate_generation(ctx, P, f0, bound_claimed=b).period >= math.ceil(b)

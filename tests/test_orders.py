@@ -196,3 +196,12 @@ def test_norm_and_trace_equal_the_product_and_sum_of_the_table_orbit(case):
     F = ctx.Fqk
     assert norm_of(ctx, f) == functools.reduce(F.mul, conj, 1)
     assert trace_of(ctx, f) == functools.reduce(F.add, conj, 0)
+
+
+def test_orders_refuse_a_polynomial_over_another_field():
+    # x^3+2x+1 is irreducible of degree 3 over F_3; the context's F_q is F_2
+    ctx = make_field_ctx(2, 1, 3)
+    f = P(CTX33.Fq, "x^3+2x+1")
+    for op in (norm_of, trace_of, mult_order, fq_order):
+        with pytest.raises(PreconditionError, match="does not lie over F_q"):
+            op(ctx, f)

@@ -311,3 +311,18 @@ def test_check_degree_preserving():
     F3 = CTX33.Fq
     assert check_degree_preserving(parse_poly(F3, "2x^3+1"), 3)
     assert not check_degree_preserving(parse_poly(F3, "x^2"), 3)
+
+
+def test_moebius_poly_rep_at_Q_2():
+    # over F_2 the power (cx + d)^(Q-2) = 1 does not vanish at the pole
+    ctx = make_field_ctx(2, 1, 1)
+    seen = 0
+    for a, b, c, d in itertools.product(range(2), repeat=4):
+        try:
+            A = Matrix2(ctx.Fq, a, b, c, d)
+        except PreconditionError:
+            continue
+        seen += 1
+        rep = moebius_poly_rep(ctx, A)
+        assert [rep.poly(z) for z in (0, 1)] == [moebius_eval(ctx, A, z) for z in (0, 1)], A
+    assert seen == 6  # |GL_2(F_2)|

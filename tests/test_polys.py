@@ -5,6 +5,7 @@ from sympy.polys.galoistools import (gf_factor, gf_gcd, gf_irreducible_p, gf_pow
                                          gf_sub)
 
 from permdyn import _kernels, numth, polys
+from permdyn.context import base_field
 from permdyn.errors import PreconditionError
 from permdyn.fields import GF
 from permdyn.polys import (
@@ -14,7 +15,8 @@ from permdyn.polys import (
 )
 from permdyn.textio import parse_poly
 
-from oracles import compose_mod, linearized_eval, loop_gcd, loop_is_irreducible, loop_powmod
+from oracles import (compose_mod, linearized_eval, loop_gcd, loop_is_irreducible, loop_powmod,
+                     recursive_psi_d)
 
 F2 = GF.prime(2)
 F3 = GF.prime(3)
@@ -199,6 +201,13 @@ def test_psi_d_is_product_of_irreducibles():
         for f in enumerate_irreducibles(F2, d):
             prod = prod * f
         assert psi == prod
+
+
+@pytest.mark.parametrize("p,m,d", [(2, 1, 11), (2, 1, 12), (3, 1, 8), (3, 2, 4), (5, 1, 6),
+                                   (2, 2, 5), (2, 3, 3), (7, 1, 2)], ids=str)
+def test_psi_d_equals_the_recursive_division(p, m, d):
+    field = base_field(p, m)
+    assert psi_d(field, d) == recursive_psi_d(field, d)
 
 
 def test_xq_minus_x_factors_into_low_degrees():
