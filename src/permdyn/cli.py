@@ -22,7 +22,7 @@ from .errors import GuardExceeded, InternalCheckError, MalformedInput, Precondit
 from .genirr import bound_linearized, bound_monomial, iterate_generation, tau
 from .permgroup import Matrix2, certify_perm, moebius_poly_rep, realize_permutation
 from .polys import Poly, q_associate
-from .textio import parse_int, parse_poly
+from .textio import parse_int, parse_poly, split_outside_brackets
 
 __all__ = ["parse_perm_expr", "main"]
 
@@ -40,26 +40,6 @@ def _build_ctx(args):
         ext = parse_poly(base_field(args.p, args.m, args.guard_override), args.modulus,
                          args.guard_override)
     return make_field_ctx(args.p, args.m, args.k, ext_modulus=ext, guard=args.guard_override)
-
-
-def _split_entries(text):
-    parts, cur, depth = [], [], 0
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise MalformedInput("unbalanced brackets in matrix entries")
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise MalformedInput("unbalanced brackets in matrix entries")
-    parts.append("".join(cur))
-    return parts
 
 
 def _scalar(field, text, guard):
@@ -90,7 +70,7 @@ def parse_perm_expr(ctx, expr, guard=DEFAULT_GUARD):
             raise GuardExceeded("L[h] has degree q^%d, above the guard %d" % (h.degree, guard))
         return certify_perm(ctx, q_associate(h))
     if s.startswith("M[") and s.endswith("]"):
-        entries = _split_entries(s[2:-1])
+        entries = [t for _, t in split_outside_brackets(s[2:-1], ",")]
         if len(entries) != 4:
             raise MalformedInput("M[a,b,c,d] takes exactly four entries")
         a, b, c, d = (_scalar(ctx.Fq, t, guard) for t in entries)
@@ -174,9 +154,10 @@ def _sigma_indices(ctx, raw, guard):
     orbits = frobenius_orbits(ctx)
 
     def to_index(v):
-        if isinstance(v, int):
-            return v
-        return orbits.index(parse_poly(ctx.Fq, str(v), guard))
+        if isinstance(v, bool) or not isinstance(v, (int, str)):
+            raise MalformedInput("sigma entry %s is neither an index nor a polynomial"
+                                 % json.dumps(v))
+        return v if isinstance(v, int) else orbits.index(parse_poly(ctx.Fq, v, guard))
 
     if isinstance(raw, dict):
         pairs = [(parse_int(a) if a.lstrip("-").isdigit() else a, b) for a, b in raw.items()]

@@ -261,6 +261,8 @@ def restrict_poly(ctx, f):
     """Reinterpret a Poly over F_{q^k} with subfield coefficients as over F_q."""
     if f.field.key == ctx.Fq.key:
         return f
+    if f.field.key != ctx.Fqk.key:
+        raise PreconditionError("polynomial lies over neither F_q nor F_{q^k} of the context")
     if not f.is_zero and np.any(f.coeffs >= ctx.q):
         raise PreconditionError("polynomial has a coefficient outside F_q")
     return Poly(ctx.Fq, f.coeffs)

@@ -6,14 +6,12 @@ from itertools import islice
 
 import numpy as np
 
-from .context import (
-    element_degree, embed_poly, enumerate_Ck, frobenius_orbits, restrict_poly,
-)
+from .context import element_degree, embed_poly, enumerate_Ck, frobenius_orbits
 from .errors import InternalCheckError, PreconditionError
 from .numth import (check_coprime_exponent, divisors, euler_phi, is_prime, moebius_sum,
                     mult_order_int, prime_norm_index)
 from .orders import fq_order, mult_order, norm_of, phi_q, poly_order, trace_of
-from .permgroup import Matrix2, _coerce_poly, _distinct, pgl2_order
+from .permgroup import Matrix2, PermPoly, _coerce_poly, _distinct, certify_perm, pgl2_order
 from .polys import (
     Modulus,
     Poly,
@@ -108,6 +106,20 @@ def _check_member(ctx, f, P=None):
     raise PreconditionError(problem + ("" if P is None else _where(ctx, P, f)))
 
 
+def _member(ctx, P, f=None):
+    """P as an element of G_k: a PermPoly of the context as it is, any other P certified.
+
+    A refusal names the tower, P and, when given, f.
+    """
+    if isinstance(P, PermPoly):
+        _coerce_poly(ctx, P)  # refuses a PermPoly of another context
+        return P
+    try:
+        return certify_perm(ctx, P)
+    except PreconditionError as exc:
+        raise PreconditionError(str(exc) + _where(ctx, P, f)) from None
+
+
 def _where(ctx, P, f=None):
     """The suffix of an error message that names the tower, P and, when given, f.
 
@@ -134,8 +146,8 @@ def star(ctx, P, f):
 
     x^(q^k) mod f(P) is k steps of the Frobenius walk (polys.frobenius_gcd).
     """
-    P = _coerce_poly(ctx, P)
     _check_member(ctx, f, P)
+    P = _member(ctx, P, f).poly
     out = frobenius_gcd(compose(f, P), ctx.k)
     if out.degree != ctx.k or not is_irreducible(out):
         raise InternalCheckError("star image is not an irreducible of degree k"
@@ -145,7 +157,7 @@ def star(ctx, P, f):
 
 def diamond(ctx, P, f):
     """Minimal polynomial of P(alpha) for a root alpha of f, read off the orbit table."""
-    P = _coerce_poly(ctx, P)
+    P = _member(ctx, P, f).poly
     orbits = frobenius_orbits(ctx)
     node = orbits.node[embed_poly(ctx, P)(int(orbits.conj[orbits.index(f), 0]))]
     if node < 0:
@@ -165,7 +177,7 @@ def fixed_count_formula(ctx, P):
     Both the divisor sum and deg gcd(prod_i (x^(q^i) - P), Psi_k) / k are
     evaluated; disagreement is a hard error.
     """
-    P = _coerce_poly(ctx, P)
+    P = _member(ctx, P).poly
     q, k = ctx.q, ctx.k
     x = Poly.x(ctx.Fq)
     one = Poly.one(ctx.Fq)
@@ -264,11 +276,11 @@ def _cycles(perm):
 
 def _ck_perm(ctx, P):
     """C_k in ascending encodings and the evaluation map of P as an index array on it."""
-    P = _coerce_poly(ctx, P)
+    P = _member(ctx, P).poly
     els = enumerate_Ck(ctx)
     imgs = embed_poly(ctx, P).eval_many(els)
     if not _distinct(imgs, ctx.Q) or np.any(frobenius_orbits(ctx).node[imgs] < 0):
-        raise PreconditionError("P does not permute C_k")
+        raise InternalCheckError("P does not permute C_k" + _where(ctx, P))
     return els, np.searchsorted(els, imgs)
 
 
@@ -279,16 +291,12 @@ def _ik_perm(ctx, P):
     the star map inverts i -> node[P(conj[i, 0])]. One edge, from the first
     f to its image g, is checked modulo g (_check_edge), without forming f(P).
     """
-    P = _coerce_poly(ctx, P)
+    P = _member(ctx, P).poly
     orbits = frobenius_orbits(ctx)
     n = len(orbits.coeffs)
     image = orbits.node[embed_poly(ctx, P).eval_many(orbits.conj[:, 0])]
-    # the first f whose root P maps below degree k or onto the orbit of another's
-    hits = np.bincount(image[image >= 0], minlength=n)
-    bad = np.flatnonzero((image < 0) | (hits[image] > 1))
-    if len(bad):
-        raise PreconditionError("P does not act bijectively on I_k"
-                                + _where(ctx, P, orbits.poly(bad[0])))
+    if np.any(image < 0) or not _distinct(image, n):
+        raise InternalCheckError("P does not act bijectively on I_k" + _where(ctx, P))
     perm = np.empty(n, dtype=np.int64)
     perm[image] = np.arange(n)
     _check_edge(ctx, P, orbits.poly(0), orbits.poly(perm[0]))
@@ -315,7 +323,7 @@ def _check_edge(ctx, P, f, g):
             raise InternalCheckError("orbit table holds %s, not a monic irreducible of "
                                      "degree k" % h + _where(ctx, P, f))
     ring = Modulus(g)
-    Pg = ring.rem(restrict_poly(ctx, P))
+    Pg = ring.rem(P)
     acc = Poly.zero(g.field)
     for c in f.coeffs[::-1].tolist():
         acc = ring.mul(acc, Pg) + Poly.const(g.field, c)
@@ -357,7 +365,7 @@ def graph_Ik(ctx, P):
 
 def period_Ck(ctx, P, alpha):
     """Least n >= 1 whose n-th iterate of P fixes alpha."""
-    P = _coerce_poly(ctx, P)
+    P = _member(ctx, P).poly
     alpha = int(alpha)
     if element_degree(ctx, alpha) != ctx.k:
         raise PreconditionError("alpha does not have degree k over F_q")
@@ -497,7 +505,7 @@ def invariant_report(ctx, P, f):
     a^(n0) with n*n0 = 1 mod q^k - 1; q-associate maps of h preserve the
     additive order and send the trace a to h(1)^(-1) a.
     """
-    P = _coerce_poly(ctx, P)
+    P = _member(ctx, P, f)
     Pf = star(ctx, P, f)
     report = {
         "ord_preserved": None,
@@ -505,14 +513,13 @@ def invariant_report(ctx, P, f):
         "norm_relation": None,
         "trace_relation": None,
     }
-    n = _monomial_exponent(P)
+    n = _monomial_exponent(P.poly)
     if n is not None:
-        check_coprime_exponent(ctx.q, ctx.k, n)
         n0 = pow(n, -1, ctx.Q - 1)
         report["ord_preserved"] = mult_order(ctx, Pf) == mult_order(ctx, f)
         report["norm_relation"] = norm_of(ctx, Pf) == ctx.Fq.pow(norm_of(ctx, f), n0)
         return report
-    h = _linearized_associate(P)
+    h = _linearized_associate(P.poly)
     if h is not None:
         c = ctx.Fq.inv(h(1))
         report["fq_order_preserved"] = fq_order(ctx, Pf) == fq_order(ctx, f)

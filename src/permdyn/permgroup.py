@@ -4,6 +4,8 @@ Frobenius stability, realization of arbitrary permutations of I_k by
 interpolation, Moebius-map representatives, and the degree-preserving form.
 """
 
+import operator
+
 import numpy as np
 
 from .context import (
@@ -21,7 +23,11 @@ __all__ = [
 
 
 class PermPoly:
-    """A certified element of G_k: reduced poly over F_q plus its context key."""
+    """A certified element of G_k: reduced poly over F_q plus its context key.
+
+    Dynamics trusts a PermPoly of its context. One is made only by certify_perm,
+    gk_compose, gk_inverse, realize_permutation or moebius_poly_rep.
+    """
 
     __slots__ = ("poly", "ctx_key")
 
@@ -196,23 +202,19 @@ def lagrange_interpolate_all(ctx, values):
     return out
 
 
-def _sigma_mapping(sigma, n):
-    if isinstance(sigma, dict):
-        pairs = sigma.items()
-    else:
-        sigma = list(sigma)
-        if sigma and not hasattr(sigma[0], "__len__"):
-            pairs = enumerate(sigma)
-        else:
-            pairs = [(int(a), int(b)) for a, b in sigma]
-    mapping = {}
-    for a, b in pairs:
-        if not (0 <= a < n and 0 <= b < n) or a in mapping:
-            raise PreconditionError("sigma is not a permutation table of I_k")
-        mapping[a] = b
-    if len(mapping) != n or not _distinct(np.fromiter(mapping.values(), np.int64, n), n):
+def _sigma_images(sigma, n):
+    """sigma (pairs, dict, or image list of integer indices) as its image list on range(n)."""
+    try:
+        pairs = list(sigma.items() if isinstance(sigma, dict) else sigma)
+        if pairs and not hasattr(pairs[0], "__len__"):
+            pairs = list(enumerate(pairs))
+        mapping = {operator.index(a): operator.index(b) for a, b in pairs}
+    except (TypeError, ValueError):  # an entry that is not an integer, or a pair that is not two
+        pairs, mapping = [], {}
+    images = [mapping.get(a, -1) for a in range(n)]
+    if len(pairs) != n or min(images) < 0 or max(images) >= n or not _distinct(images, n):
         raise PreconditionError("sigma is not a permutation table of I_k")
-    return mapping
+    return images
 
 
 def realize_permutation(ctx, sigma):
@@ -224,9 +226,8 @@ def realize_permutation(ctx, sigma):
     every element outside C_k.
     """
     conj = frobenius_orbits(ctx).conj
-    mapping = _sigma_mapping(sigma, len(conj))
     table = np.arange(ctx.Q, dtype=np.int64)
-    table[conj] = conj[[mapping[i] for i in range(len(conj))]]
+    table[conj] = conj[_sigma_images(sigma, len(conj))]
     return _interpolate_perm(ctx, table)
 
 

@@ -35,28 +35,36 @@ def parse_int(text, guard=None):
         raise MalformedInput("bad number %r" % text) from None
 
 
-def _split_terms(s):
-    terms = []
-    sign, cur, depth = 1, "", 0
-    for ch in s:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch in "+-" and depth == 0:
-            if cur:
-                terms.append((sign, cur))
-                sign, cur = 1, ""
-            if ch == "-":
-                sign = -sign
-            continue
-        cur += ch
-    if cur:
-        terms.append((sign, cur))
-    elif not terms:
-        raise MalformedInput("empty polynomial text")
+def split_outside_brackets(text, seps):
+    """Cut text at each character of seps outside [...] brackets.
+
+    Returns (separator, piece) pairs, the separator before each piece ("" for
+    the first). Unbalanced brackets raise MalformedInput.
+    """
+    pieces, sep, start, depth = [], "", 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "[") - (ch == "]")
+        if depth < 0:
+            break
+        if ch in seps and depth == 0:
+            pieces.append((sep, text[start:i]))
+            sep, start = ch, i + 1
     if depth != 0:
-        raise MalformedInput("unbalanced brackets in polynomial text")
+        raise MalformedInput("unbalanced brackets")
+    return pieces + [(sep, text[start:])]
+
+
+def _split_terms(s):
+    """(sign, term) pairs of polynomial text; a run of signs multiplies out."""
+    pieces = split_outside_brackets(s, "+-")
+    if pieces[-1][0] and not pieces[-1][1]:
+        raise MalformedInput("polynomial text ends in a sign")
+    terms, sign = [], 1
+    for sep, piece in pieces:
+        sign = -sign if sep == "-" else sign
+        if piece:
+            terms.append((sign, piece))
+            sign = 1
     return terms
 
 

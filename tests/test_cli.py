@@ -231,6 +231,31 @@ def test_exit_code_malformed(capsys):
     assert code == 1  # --n missing
 
 
+@pytest.mark.parametrize("argv", [
+    ("star", "--p", "2", "--k", "4", "--perm", "M[[1,0,0,1]", "--f", "x^4+x+1"),
+    ("star", "--p", "2", "--k", "4", "--perm", "M[1,0,0,1]]", "--f", "x^4+x+1"),
+    ("star", "--p", "2", "--k", "4", "--perm", "x^7", "--f", "x^4+x+1+"),
+    ("diamond", "--p", "3", "--k", "3", "--perm", "x^5", "--f", "x^3+2x+1-"),
+    ("fixed", "--p", "2", "--k", "4", "--perm", "L[x+1+]"),
+    ("fixed", "--p", "2", "--k", "4", "--perm", "x^4+x^2+"),
+    ("generate", "--p", "2", "--k", "4", "--perm", "x^7", "--seed-poly", "x^4+x+1-"),
+])
+def test_unbalanced_or_sign_ended_text_exits_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("raw", [[1.0, 0], {"0": [1], "1": 0}, [True, False], [[0, 1], 1],
+                                 [None, 0], {"x^3+x+1": 1.5, "1": 0}], ids=json.dumps)
+def test_sigma_entries_other_than_ints_and_strings_exit_1(tmp_path, capsys, raw):
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "realize", "--p", "2", "--k", "3", "--sigma", str(sigma))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: sigma entry ")
+
+
 def test_exit_code_precondition(capsys):
     code, _, err = run(capsys, "star", "--p", "2", "--k", "4",
                        "--perm", "x^3", "--f", "x^4+x+1")

@@ -11,7 +11,7 @@ import pytest
 from permdyn import cli, dynamics
 from permdyn.context import (
     distinguished_root, embed_poly, enumerate_Ck, frobenius_orbits, make_field_ctx,
-    minimal_poly,
+    minimal_poly, restrict_poly,
 )
 from permdyn.dynamics import (
     CycleSpectrum, FunctionalGraph, diamond, fixed_count_formula,
@@ -26,7 +26,7 @@ from permdyn.genirr import bound_linearized, choose_LH, iterate_generation
 from permdyn.numth import is_prime
 from permdyn.orders import mult_order, norm_of, trace_of
 from permdyn.permgroup import (
-    Matrix2, certify_perm, moebius_poly_rep, perm_table, realize_permutation,
+    Matrix2, PermPoly, certify_perm, moebius_poly_rep, perm_table, realize_permutation,
 )
 from permdyn.polys import (
     Poly, compose, enumerate_irreducibles, factor, poly_gcd, q_associate,
@@ -127,10 +127,10 @@ def test_star_and_ik_errors_name_the_tower_P_and_f(monkeypatch):
     where = "; at (p, m, k) = (2, 1, 4), P = x^7, f = "
     with pytest.raises(PreconditionError, match=re.escape(where + "x^4+x^2+1")):
         star(CTX24, x7, P(CTX24, "x^4+x^2+1"))
-    # x^3 sends the roots of x^4+x+1 (of order 15) to roots of order 5
-    with pytest.raises(PreconditionError, match=re.escape(
-            "bijectively on I_k; at (p, m, k) = (2, 1, 4), P = x^3, f = x^4+x+1")):
-        graph_Ik(CTX24, Poly.one(CTX24.Fq).shift(3))
+    # a forged x^3 passes the gate; it sends the roots of x^4+x+1 (of order 15) to order 5
+    with pytest.raises(InternalCheckError, match=re.escape(
+            "bijectively on I_k; at (p, m, k) = (2, 1, 4), P = x^3") + "$"):
+        graph_Ik(CTX24, PermPoly(Poly.one(CTX24.Fq).shift(3), CTX24.key))
     # a dense P is named by its degree and number of terms
     dense = P(CTX24, "x^13+x^11+x^10+x^8+x^6+x^5+x^4+x^3+x^2+x")
     with pytest.raises(PreconditionError, match=re.escape(
@@ -147,6 +147,60 @@ def test_star_and_ik_errors_name_the_tower_P_and_f(monkeypatch):
     monkeypatch.setattr(dynamics, "frobenius_orbits", lambda ctx: bad)
     with pytest.raises(InternalCheckError, match=re.escape(where + "x^4+x+1")):
         graph_Ik(CTX24, x7)
+
+
+# the twelve dynamics entries that take P, called with f in I_k and its distinguished root
+GATED = {
+    "star": lambda ctx, P, f: star(ctx, P, f),
+    "diamond": lambda ctx, P, f: diamond(ctx, P, f),
+    "fixed_count_formula": lambda ctx, P, f: fixed_count_formula(ctx, P),
+    "fixed_points_direct": lambda ctx, P, f: [str(g) for g in fixed_points_direct(ctx, P)],
+    "graph_Ck": lambda ctx, P, f: graph_Ck(ctx, P).cycles,
+    "graph_Ik": lambda ctx, P, f: graph_Ik(ctx, P).cycles,
+    "spectrum_Ck": lambda ctx, P, f: spectrum_Ck(ctx, P).lengths,
+    "spectrum_Ik": lambda ctx, P, f: spectrum_Ik(ctx, P).lengths,
+    "period_Ck": lambda ctx, P, f: period_Ck(ctx, P, distinguished_root(ctx, f)),
+    "period_Ik": lambda ctx, P, f: period_Ik(ctx, P, f),
+    "iterate_generation": lambda ctx, P, f: iterate_generation(ctx, P, f).produced,
+    "invariant_report": lambda ctx, P, f: invariant_report(ctx, P, f),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(GATED))
+def test_every_entry_refuses_a_P_outside_G_k(entry):
+    f = P(CTX24, "x^4+x+1")
+    with pytest.raises(PreconditionError, match=re.escape(
+            "polynomial does not permute F_{q^k}; at (p, m, k) = (2, 1, 4), P = x^3")):
+        GATED[entry](CTX24, Poly.one(CTX24.Fq).shift(3), f)
+    # x^7 over F_3 permutes F_16 read as over F_2, but it is not a polynomial over F_2
+    with pytest.raises(PreconditionError, match="neither F_q nor F_"):
+        GATED[entry](CTX24, Poly.one(CTX33.Fq).shift(7), f)
+
+
+def test_certify_and_restrict_refuse_a_polynomial_over_another_field():
+    x7 = Poly.one(CTX33.Fq).shift(7)
+    for call in (certify_perm, restrict_poly):
+        with pytest.raises(PreconditionError, match="neither F_q nor F_"):
+            call(CTX24, x7)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("pmk", [(2, 1, 4), (3, 1, 3), (2, 2, 3)], ids=str)
+def test_raw_and_certified_P_give_equal_answers(pmk):
+    # x^n, L[h] and M[1,1,1,0], each raw as it is and raw plus x^Q - x (zero on F_{q^k})
+    ctx = make_field_ctx(*pmk)
+    f = frobenius_orbits(ctx).poly(0)
+    one = Poly.one(ctx.Fq)
+    for pp in _edge_battery(ctx):
+        for raw in (pp.poly, pp.poly + one.shift(ctx.Q) - one.shift(1)):
+            for entry, call in GATED.items():
+                assert _outcome(call, ctx, raw, f) == _outcome(call, ctx, pp, f), entry
 
 
 # every tower with k >= 2 and q^k <= 4096
@@ -222,11 +276,11 @@ def test_internal_check_errors_name_the_tower(monkeypatch, capsys):
     tower = "; at (p, m, k) = (2, 1, 4), "
     with pytest.raises(InternalCheckError, match=re.escape(tower + "P = x^7, f = x^4+x+1")):
         iterate_generation(CTX24, x7, f, bound_claimed=100)
-    # x^3 does not permute F_16: a root of x^4+x+1 has order 15, its images order 5
+    # a forged x^3 passes the gate: a root of x^4+x+1 has order 15, its images order 5
     alpha = distinguished_root(CTX24, f)
     with pytest.raises(InternalCheckError, match=re.escape(
             tower + "P = x^3, alpha = %d" % alpha)):
-        period_Ck(CTX24, Poly.one(CTX24.Fq).shift(3), alpha)
+        period_Ck(CTX24, PermPoly(Poly.one(CTX24.Fq).shift(3), CTX24.key), alpha)
     answers = iter([True, False])
     with monkeypatch.context() as mp:
         mp.setattr(dynamics, "is_irreducible", lambda h: next(answers))

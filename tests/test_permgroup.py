@@ -148,6 +148,24 @@ def test_realize_rejects_bad_sigma():
             realize_permutation(CTX24, bad)
 
 
+@pytest.mark.parametrize("bad", [[[0, 1], 1], [(0, 1, 2), (1, 0, 2)], [0.0, 1.0],
+                                 {0: 1, 1: "x"}, [0, [1]], ["x", "y"], 5, [(0.0, 1), (1, 0)],
+                                 [10 ** 30, 0], {0: 1, 10 ** 30: 0}],
+                         ids=repr)
+def test_realize_refuses_a_table_of_other_things_than_indices(bad):
+    ctx = make_field_ctx(2, 1, 3)
+    with pytest.raises(PreconditionError, match="sigma is not a permutation table of I_k"):
+        realize_permutation(ctx, bad)
+
+
+def test_realize_accepts_numpy_integers():
+    ctx = make_field_ctx(2, 1, 3)
+    want = realize_permutation(ctx, [1, 0])
+    assert realize_permutation(ctx, np.array([1, 0])) == want
+    assert realize_permutation(ctx, np.array([[0, 1], [1, 0]])) == want
+    assert realize_permutation(ctx, {np.int64(0): np.int32(1), np.int64(1): np.int8(0)}) == want
+
+
 def test_matrix2_basics():
     F3 = CTX33.Fq
     A = Matrix2(F3, 1, 2, 1, 1)

@@ -28,6 +28,10 @@ def test_parse_signs_and_unicode_minus():
     assert parse_poly(F3, "x^3−x+1") == Poly(F3, [1, 2, 0, 1])
     assert parse_poly(F3, "-x") == Poly(F3, [0, 2])
     assert parse_poly(F3, "x-x") == Poly.zero(F3)
+    # a run of signs multiplies out
+    assert parse_poly(F3, "x^4--x") == parse_poly(F3, "x^4+x")
+    assert parse_poly(F3, "x^4-+x") == parse_poly(F3, "x^4-x")
+    assert parse_poly(F3, "--x") == Poly(F3, [0, 1])
 
 
 def test_parse_coefficient_forms():
@@ -53,7 +57,8 @@ def test_parse_csv_forms():
         parse_poly(F2, "1,zz")
 
 
-@pytest.mark.parametrize("bad", ["", "  ", "x^", "x^^2", "y+1", "x^2+*", "[1,1", "x**2"])
+@pytest.mark.parametrize("bad", ["", "  ", "x^", "x^^2", "y+1", "x^2+*", "[1,1", "x**2",
+                                 "x^4+x+1+", "x+1-", "x]+[1", "+"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(MalformedInput):
         parse_poly(F2, bad)
