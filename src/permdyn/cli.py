@@ -22,7 +22,7 @@ from .errors import GuardExceeded, InternalCheckError, MalformedInput, Precondit
 from .genirr import bound_linearized, bound_monomial, iterate_generation, tau
 from .permgroup import Matrix2, certify_perm, moebius_poly_rep, realize_permutation
 from .polys import Poly, q_associate
-from .textio import parse_int, parse_poly, split_outside_brackets
+from .textio import format_coeffs, parse_int, parse_poly, split_outside_brackets
 
 __all__ = ["parse_perm_expr", "main"]
 
@@ -79,10 +79,11 @@ def parse_perm_expr(ctx, expr, guard=DEFAULT_GUARD):
 
 
 def _cmd_enumerate(args, ctx):
-    polys = frobenius_orbits(ctx).polys
+    orbits = frobenius_orbits(ctx)
+    names = format_coeffs(orbits.field, orbits.coeffs)
     if args.output == "json":
-        return json.dumps([str(f) for f in polys])
-    return "\n".join(str(f) for f in polys)
+        return json.dumps(names)
+    return "\n".join(names)
 
 
 def _cmd_apply(args, ctx):
@@ -98,7 +99,8 @@ def _cmd_fixed(args, ctx):
     fixed = None
     count = None
     if args.method in ("direct", "both"):
-        fixed = fixed_points_direct(ctx, P)
+        polys = fixed_points_direct(ctx, P)
+        fixed = format_coeffs(ctx.Fq, [f.coeffs for f in polys]) if polys else []
         count = len(fixed)
     if args.method in ("formula", "both"):
         n = fixed_count_formula(ctx, P)
@@ -107,12 +109,8 @@ def _cmd_fixed(args, ctx):
                                      + _where(ctx, P))
         count = n
     if args.output == "json":
-        return json.dumps({
-            "fixed": None if fixed is None else [str(f) for f in fixed],
-            "count": count,
-        })
-    lines = [str(f) for f in fixed] if fixed else []
-    lines.append("%d fixed points" % count)
+        return json.dumps({"fixed": fixed, "count": count})
+    lines = (fixed or []) + ["%d fixed points" % count]
     return "\n".join(lines)
 
 

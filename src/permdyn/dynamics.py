@@ -25,6 +25,7 @@ from .polys import (
     poly_gcd,
     psi_d,
 )
+from .textio import format_coeffs
 
 __all__ = [
     "FunctionalGraph",
@@ -52,7 +53,13 @@ __all__ = [
 
 
 class FunctionalGraph:
-    """Cycle decomposition of a permutation acting on a finite node set."""
+    """Cycle decomposition of a permutation acting on a finite node set.
+
+    `cycles` lists the nodes of each cycle; the graphs of dynamics order the
+    cycles by their least node index and walk each from that node (_cycles).
+    `summary` holds (length, count) pairs in the order the lengths first
+    occur among the cycles.
+    """
 
     __slots__ = ("nodes", "cycles", "summary")
 
@@ -88,9 +95,9 @@ class CycleSpectrum:
     __slots__ = ("lengths", "S", "mu")
 
     def __init__(self, lengths):
-        if not lengths:
+        if not len(lengths):
             raise PreconditionError("spectrum of an empty graph is undefined")
-        self.lengths = sorted(int(n) for n in lengths)
+        self.lengths = sorted(np.asarray(lengths, dtype=np.int64).tolist())
         self.S = sorted(set(self.lengths))
         self.mu = self.S[0]
 
@@ -257,21 +264,69 @@ def fixed_count_prime_linearized(q, k, f):
     return 0
 
 
+def _cycle_walk(perm):
+    """(least, ahead) for a permutation of range(n) given as its image array: the least
+    index of each index's cycle, and the number of steps of perm from the index to it.
+
+    Pointer doubling: after s rounds, jump is perm^(2^s), least[i] is the least
+    of the window i, perm[i], ..., perm^(2^s - 1)[i], and ahead[i] the step of
+    its first occurrence there; the next window joins the windows at i and at
+    jump[i]. The windows cover every cycle exactly when no least[jump[i]] is
+    below least[i]. jump permutes each cycle, so the values along i, jump[i],
+    jump[jump[i]], ... would then never fall and must all be equal; those
+    windows tile the cycle of i, so their shared least index is the cycle's.
+    A cycle of length L is done after ceil(log2 L) rounds of three gathers.
+    The arrays are int32 while every step count fits (span < 2n): the
+    gathers are random reads, and halving the bytes they touch made a
+    uniform random permutation of 2^20 indices about four times faster.
+    """
+    n = len(perm)
+    dtype = np.int32 if n < 2 ** 30 else np.int64
+    least = np.arange(n, dtype=dtype)
+    ahead = np.zeros_like(least)
+    jump = perm.astype(dtype)
+    buf = np.empty_like(least)
+    span = 1
+    while True:
+        nxt = least.take(jump, out=buf, mode="clip")
+        later = nxt < least
+        if not later.any():
+            return least, ahead
+        np.minimum(least, nxt, out=least)
+        # ahead = where(later, span + ahead[jump], ahead), without a branch per element
+        ahead.take(jump, out=buf, mode="clip")
+        buf += span
+        buf -= ahead
+        buf *= later
+        ahead += buf
+        jump, buf = jump.take(jump, out=buf, mode="clip"), jump
+        span *= 2
+
+
 def _cycles(perm):
-    """Cycles of a permutation of range(n) given as its image array, each from its least index."""
-    perm = perm.tolist()
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
-        cyc = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            cyc.append(i)
-            i = perm[i]
-        if cyc:
-            cycles.append(cyc)
-    return cycles
+    """The cycles of a permutation of range(n) given as its image array: (order, lengths).
+
+    order lists the indices cycle by cycle, the cycles by least index and each
+    walked from it; lengths holds the cycle lengths in that order. An index
+    that is `ahead` steps before its cycle's least index sits (length - ahead)
+    mod length places after it, and each cycle's block starts after the blocks
+    of the cycles with a lesser least index.
+    """
+    least, ahead = _cycle_walk(perm)
+    counts = np.bincount(least, minlength=len(perm))
+    length = counts[least]
+    place = (np.cumsum(counts) - counts)[least] + np.remainder(-ahead, length)
+    order = np.empty_like(place)
+    order[place] = np.arange(len(perm))
+    return order, counts[counts > 0]
+
+
+def _graph(nodes, perm):
+    """The FunctionalGraph of perm on the list of nodes, sharing the node objects."""
+    order, lengths = _cycles(perm)
+    flat = np.array(nodes, dtype=object)[order].tolist()
+    ends = np.cumsum(lengths).tolist()
+    return FunctionalGraph(nodes, [flat[a:b] for a, b in zip([0] + ends, ends)])
 
 
 def _ck_perm(ctx, P):
@@ -279,9 +334,11 @@ def _ck_perm(ctx, P):
     P = _member(ctx, P).poly
     els = enumerate_Ck(ctx)
     imgs = embed_poly(ctx, P).eval_many(els)
-    if not _distinct(imgs, ctx.Q) or np.any(frobenius_orbits(ctx).node[imgs] < 0):
+    in_ck = frobenius_orbits(ctx).node >= 0
+    if not _distinct(imgs, ctx.Q) or not np.all(in_ck[imgs]):
         raise InternalCheckError("P does not permute C_k" + _where(ctx, P))
-    return els, np.searchsorted(els, imgs)
+    # the position of each element of C_k among the ascending encodings
+    return els, (np.cumsum(in_ck) - 1)[imgs]
 
 
 def _ik_perm(ctx, P):
@@ -326,7 +383,9 @@ def _check_edge(ctx, P, f, g):
     Pg = ring.rem(P)
     acc = Poly.zero(g.field)
     for c in f.coeffs[::-1].tolist():
-        acc = ring.mul(acc, Pg) + Poly.const(g.field, c)
+        acc = ring.mul(acc, Pg)
+        if c:
+            acc = acc + Poly.const(g.field, c)
     if not acc.is_zero:
         raise InternalCheckError("orbit table image %s does not divide f(P)" % g
                                  + _where(ctx, P, f))
@@ -352,15 +411,13 @@ def _star_walk(ctx, P, f, max_steps=None):
 def graph_Ck(ctx, P):
     """Functional graph of the evaluation map of P on C_k."""
     els, perm = _ck_perm(ctx, P)
-    keys = els.tolist()
-    return FunctionalGraph(keys, [[keys[i] for i in c] for c in _cycles(perm)])
+    return _graph(els.tolist(), perm)
 
 
 def graph_Ik(ctx, P):
     """Functional graph of f -> P*f on I_k."""
     orbits, perm = _ik_perm(ctx, P)
-    names = [str(f) for f in orbits.polys]
-    return FunctionalGraph(names, [[names[i] for i in c] for c in _cycles(perm)])
+    return _graph(format_coeffs(orbits.field, orbits.coeffs), perm)
 
 
 def period_Ck(ctx, P, alpha):
@@ -388,12 +445,18 @@ def period_Ik(ctx, P, f):
 
 def spectrum_Ck(ctx, P):
     """Cycle-length spectrum of the evaluation map of P on C_k."""
-    return CycleSpectrum([len(c) for c in _cycles(_ck_perm(ctx, P)[1])])
+    return CycleSpectrum(_cycle_lengths(_ck_perm(ctx, P)[1]))
 
 
 def spectrum_Ik(ctx, P):
     """Cycle-length spectrum of the star action of P on I_k."""
-    return CycleSpectrum([len(c) for c in _cycles(_ik_perm(ctx, P)[1])])
+    return CycleSpectrum(_cycle_lengths(_ik_perm(ctx, P)[1]))
+
+
+def _cycle_lengths(perm):
+    """The cycle lengths of a permutation of range(n), as the sizes of its least-index labels."""
+    counts = np.bincount(_cycle_walk(perm)[0])
+    return counts[counts > 0]
 
 
 def monomial_cycle_structure(q, k, n):

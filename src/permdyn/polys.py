@@ -218,22 +218,35 @@ class Modulus:
     def rem(self, a):
         """a mod the modulus, for a polynomial a of any degree over the modulus's field.
 
-        A sparse a is reduced term by term, each power of x by pow; a dense a
-        by the remainder function at once. The cost rule weighs about
-        deg(a).bit_length() products per term against one block reduction per
-        n - 1 coefficients above the n-th, n the degree of the modulus.
+        A sparse a is reduced term by term: one chain of squarings x, x^2, x^4,
+        ... modulo the modulus serves every term, and x^e is the product of the
+        squares at the set bits of e. A dense a is reduced by the remainder
+        function at once. The cost rule weighs about deg(a).bit_length() plus
+        the total popcount of the exponents in products against one block
+        reduction per n - 1 coefficients above the n-th, n the degree of the
+        modulus.
         """
         n = self.mod.degree
         if a.degree < n:
             return a
         exps = np.flatnonzero(a.coeffs)
-        if a.degree - n < (n - 1) * len(exps) * a.degree.bit_length():
+        # every exponent but 0 has a set bit, so a dense a is told apart before
+        # its bits are counted
+        bits = len(exps) - 1
+        if a.degree - n >= (n - 1) * (a.degree.bit_length() + bits):
+            bits = sum(e.bit_count() for e in exps.tolist())
+        if a.degree - n < (n - 1) * (a.degree.bit_length() + bits):
             return Poly(a.field, self._rem(a.coeffs))
-        x = Poly.x(a.field) % self.mod
-        out = Poly.zero(a.field)
-        for e in exps.tolist():
-            c = int(a.coeffs[e])
-            out = out + (Poly.const(a.field, c) if e == 0 else self.pow(x, e).scale(c))
+        squares = [Poly.x(a.field) % self.mod]
+        for _ in range(1, a.degree.bit_length()):
+            squares.append(self.mul(squares[-1], squares[-1]))
+        out = Poly.const(a.field, int(a.coeffs[0]))
+        for e in exps[exps > 0].tolist():
+            term = None
+            for j in range(e.bit_length()):
+                if e >> j & 1:
+                    term = squares[j] if term is None else self.mul(term, squares[j])
+            out = out + term.scale(int(a.coeffs[e]))
         return out
 
     def frobenius(self, t):

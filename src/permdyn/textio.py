@@ -10,10 +10,13 @@ The printer emits human form with canonical coefficients.
 
 import re
 
+import numpy as np
+
 from .errors import GuardExceeded, MalformedInput
 from .polys import Poly
 
-_TERM_RE = re.compile(r"^(?:\[([^\]]*)\]|(\d+))?\*?(?:(x)(?:\^(\d+))?)?$")
+# a coefficient, then x with an optional exponent; "*" only between the two
+_TERM_RE = re.compile(r"^(?:(?:\[([^\]]*)\]|(\d+))(?:\*(?=x))?)?(?:(x)(?:\^(\d+))?)?$")
 
 # int() refuses decimal text longer than this (Python's default digit limit)
 MAX_DIGITS = 4300
@@ -96,8 +99,10 @@ def parse_poly(field, text, max_degree=None):
             raise MalformedInput("bad polynomial term %r" % term)
         bracket, number, xpart, exp = m.groups()
         if bracket is not None:
+            if not bracket.strip():
+                raise MalformedInput("empty bracket in %r" % term)
             enc = 0
-            digits = bracket.split(",") if bracket.strip() else []
+            digits = bracket.split(",")
             if len(digits) > field.deg:
                 raise MalformedInput("too many digits in %r" % term)
             for j, d in enumerate(digits):
@@ -122,32 +127,55 @@ def parse_poly(field, text, max_degree=None):
 
 def format_poly(f):
     """Human form, terms in descending degree with canonical coefficients."""
-    if f.is_zero:
-        return "0"
-    field = f.field
-    parts = []
-    for i in range(f.degree, -1, -1):
-        c = f.coeff(i)
-        if c == 0:
-            continue
-        if i == 0:
-            xs = ""
-        elif i == 1:
-            xs = "x"
-        else:
-            xs = "x^%d" % i
-        if c == 1 and i > 0:
-            parts.append(xs)
-            continue
-        if field.deg > 1 and c >= field.p:
-            digits = field.decompose(c)
-            while len(digits) > 1 and digits[-1] == 0:
-                digits.pop()
-            cs = "[" + ",".join(str(d) for d in digits) + "]"
-        else:
-            cs = str(c)
-        parts.append(cs + xs)
-    return "+".join(parts)
+    return format_coeffs(f.field, f.coeffs[None, :])[0]
+
+
+def format_coeffs(field, rows):
+    """Human form of each row of a 2-D array of ascending coefficient encodings.
+
+    Terms run in descending degree; zero coefficients are left out, and a
+    coefficient 1 is written only in the constant term. A row of zeros is
+    "0". Each coefficient value that occurs is given its text once, so no
+    Poly is built per row. Each term is written with a trailing "+", and the
+    rows are joined into one string, split, and stripped of it.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    n, D = rows.shape
+    if D == 0:
+        return ["0"] * n
+    # the values that occur, and the place of each entry's value among them
+    seen = np.bincount(rows.ravel()) > 0
+    vals = np.flatnonzero(seen).tolist()
+    slot = (np.cumsum(seen) - 1)[rows]
+    texts = [_coeff_text(field, c) for c in vals]
+    const = np.array([t + "+" if c else "" for c, t in zip(vals, texts)], dtype=object)
+    scalar = np.array(["" if c == 1 else t for c, t in zip(vals, texts)], dtype=object)
+    powers = np.array(["+", "x+"] + ["x^%d+" % i for i in range(2, D)], dtype=object)[:D]
+    if len(vals) <= n:
+        # the text of every (value, degree) pair takes no more room than the rows
+        table = scalar[:, None] + powers
+        table[:, 0] = const
+        if vals[0] == 0:
+            table[0] = ""
+        terms = table[slot, np.arange(D)]
+    else:
+        terms = scalar[slot] + powers
+        terms[:, 0] = const[slot[:, 0]]
+        terms[rows == 0] = ""
+    lines = np.full((n, D + 1), "\n", dtype=object)
+    lines[:, 1:] = terms[:, ::-1]
+    return [s[:-1] or "0" for s in "".join(lines.ravel().tolist()).split("\n")[1:]]
+
+
+def _coeff_text(field, c):
+    """The text of a coefficient encoding: below p its decimal text, else the bracketed
+    list of its ascending base-p digits up to the last nonzero one."""
+    if c < field.p:
+        return str(c)
+    digits = field.decompose(c)
+    while digits[-1] == 0:
+        digits.pop()
+    return "[" + ",".join(map(str, digits)) + "]"
 
 
 def format_poly_csv(f):

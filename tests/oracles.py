@@ -118,6 +118,49 @@ def gcd_generation(ctx, P, f0, max_steps=None):
     return produced, None
 
 
+def loop_cycles(perm):
+    """Cycles of a permutation of range(n) given as its image array, each walked from its
+    least index, in order of that index: one Python step per element."""
+    perm = perm.tolist()
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        cyc = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            cyc.append(i)
+            i = perm[i]
+        if cyc:
+            cycles.append(cyc)
+    return cycles
+
+
+def loop_format_poly(f):
+    """Human form of a Poly, one loop step per degree from the top."""
+    if f.is_zero:
+        return "0"
+    field = f.field
+    parts = []
+    for i in range(f.degree, -1, -1):
+        c = f.coeff(i)
+        if c == 0:
+            continue
+        xs = "" if i == 0 else "x" if i == 1 else "x^%d" % i
+        if c == 1 and i > 0:
+            parts.append(xs)
+            continue
+        if field.deg > 1 and c >= field.p:
+            digits = field.decompose(c)
+            while len(digits) > 1 and digits[-1] == 0:
+                digits.pop()
+            cs = "[" + ",".join(str(d) for d in digits) + "]"
+        else:
+            cs = str(c)
+        parts.append(cs + xs)
+    return "+".join(parts)
+
+
 def linearized_eval(h, ext, alpha):
     """Evaluate L_h at alpha, an element of the extension field `ext`.
 

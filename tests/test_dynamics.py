@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from permdyn import cli, dynamics
 from permdyn.context import (
@@ -32,6 +34,8 @@ from permdyn.polys import (
     Poly, compose, enumerate_irreducibles, factor, poly_gcd, q_associate,
 )
 from permdyn.textio import parse_poly
+
+from oracles import loop_cycles
 
 CTX24 = make_field_ctx(2, 1, 4)
 CTX33 = make_field_ctx(3, 1, 3)
@@ -649,3 +653,37 @@ def test_invariant_report_rejects_other_families():
     swap = realize_permutation(CTX24, {0: 1, 1: 0, 2: 2})
     with pytest.raises(PreconditionError):
         invariant_report(CTX24, swap, I24[0])
+
+
+@st.composite
+def permutation_arrays(draw):
+    """The image array of a permutation of range(n), 1 <= n <= 5000: the identity, one
+    n-cycle, an involution, or a uniform permutation, drawn from a seeded generator."""
+    n = draw(st.integers(1, 5000))
+    kind = draw(st.sampled_from(("identity", "n-cycle", "involution", "uniform")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    perm = np.arange(n)
+    walk = rng.permutation(n)
+    if kind == "n-cycle":
+        perm[walk] = np.roll(walk, -1)
+    elif kind == "involution":
+        half = draw(st.integers(0, n // 2))
+        perm[walk[:half]] = walk[half:2 * half]
+        perm[walk[half:2 * half]] = walk[:half]
+    elif kind == "uniform":
+        perm = walk
+    return perm
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(permutation_arrays())
+@example(np.arange(1))
+@example(np.arange(5000))
+@example(np.roll(np.arange(5000), 1))
+@example(np.arange(5000)[::-1].copy())
+def test_cycles_equal_the_loop_walk(perm):
+    cycles = loop_cycles(perm)
+    order, lengths = dynamics._cycles(perm)
+    assert order.tolist() == [i for cyc in cycles for i in cyc]
+    assert lengths.tolist() == [len(cyc) for cyc in cycles]
+    assert sorted(dynamics._cycle_lengths(perm).tolist()) == sorted(map(len, cycles))

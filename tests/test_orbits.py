@@ -8,6 +8,7 @@ stars, the divisor-sum fixed-point count, and roots found by evaluating at
 every element.
 """
 
+import json
 import math
 
 import numpy as np
@@ -17,15 +18,18 @@ from hypothesis import strategies as st
 
 from permdyn.context import (distinguished_root, embed_poly, enumerate_Ck, frobenius_orbits,
                              make_field_ctx, minimal_poly, roots_in_ext)
-from permdyn.dynamics import (diamond, fixed_count_formula, fixed_points_direct, graph_Ik,
-                              period_Ik, star)
+from permdyn.dynamics import (_ck_perm, _ik_perm, diamond, fixed_count_formula,
+                              fixed_points_direct, graph_Ck, graph_Ik, period_Ik, spectrum_Ck,
+                              spectrum_Ik, star)
 from permdyn.errors import PreconditionError
 from permdyn.genirr import iterate_generation
 from permdyn.permgroup import (Matrix2, certify_perm, moebius_poly_rep, perm_table,
                                realize_permutation)
 from permdyn.polys import Poly, enumerate_irreducibles, poly_gcd, q_associate
 
-from oracles import gcd_generation
+from permdyn.textio import format_coeffs
+
+from oracles import gcd_generation, loop_cycles, loop_format_poly
 
 TOWERS = [(2, 1, k) for k in range(2, 7)] + [
     (3, 1, 3), (2, 2, 3), (3, 2, 2), (5, 2, 2), (2, 3, 2),
@@ -152,3 +156,38 @@ def test_realize_permutation_carries_roots(data):
     roots = [roots_in_ext(ctx, f) for f in irr]
     for i, j in enumerate(sigma):
         assert np.array_equal(np.sort(table[roots[i]]), roots[j])
+
+
+def _loop_graph_json(nodes, perm):
+    """FunctionalGraph.to_json text of perm on nodes, from loop_cycles and a dict count."""
+    cycles = [[nodes[i] for i in cyc] for cyc in loop_cycles(perm)]
+    counts = {}
+    for cyc in cycles:
+        counts[len(cyc)] = counts.get(len(cyc), 0) + 1
+    return json.dumps({"nodes": nodes, "cycles": cycles, "summary": list(counts.items())})
+
+
+@PROPERTY
+@given(tower_and_perm())
+def test_graphs_and_spectra_equal_the_loop_walk(case):
+    ctx, P = case
+    els = enumerate_Ck(ctx)
+    ck = np.searchsorted(els, perm_table(ctx, P)[els])
+    assert np.array_equal(_ck_perm(ctx, P)[1], ck)
+    ik = _ik_perm(ctx, P)[1]
+    names = [loop_format_poly(f) for f in frobenius_orbits(ctx).polys]
+    assert graph_Ck(ctx, P).to_json() == _loop_graph_json(els.tolist(), ck)
+    assert graph_Ik(ctx, P).to_json() == _loop_graph_json(names, ik)
+    for spectrum, perm in ((spectrum_Ck, ck), (spectrum_Ik, ik)):
+        lengths = sorted(len(cyc) for cyc in loop_cycles(perm))
+        got = spectrum(ctx, P)
+        assert (got.lengths, got.S, got.mu) == (lengths, sorted(set(lengths)), lengths[0])
+
+
+@pytest.mark.parametrize("pmk", [(2, 1, 8), (3, 1, 5), (2, 2, 4), (2, 3, 3), (3, 2, 3),
+                                 (5, 2, 2)], ids=["F2", "F3", "F4", "F8", "F9", "F25"])
+def test_ik_names_equal_the_loop_format(pmk):
+    orbits = frobenius_orbits(make_field_ctx(*pmk))
+    names = [loop_format_poly(f) for f in orbits.polys]
+    assert format_coeffs(orbits.field, orbits.coeffs) == names
+    assert [str(f) for f in orbits.polys] == names

@@ -21,6 +21,7 @@ from oracles import (compose_mod, linearized_eval, loop_gcd, loop_is_irreducible
 F2 = GF.prime(2)
 F3 = GF.prime(3)
 F4 = GF.extension(F2, [1, 1, 1])
+F9 = GF.extension(F3, first_irreducible(F3, 2).coeffs)
 
 
 def P(field, text):
@@ -406,6 +407,61 @@ def test_modulus_of_degree_one(p):
         assert [next(walk) for _ in range(6)] == [Poly.const(F, r)] * 6
 
 
+def _sparse_dividends(rng, field, maxdeg=4096):
+    """q-associates of random h, and random polynomials of 1 to 6 terms and degree
+    maxdeg/2 to maxdeg."""
+    q = field.order
+    out = []
+    for d in range(1, int(np.log(maxdeg) / np.log(q) + 1e-9) + 1):
+        h = rng.integers(0, q, size=d + 1)
+        h[-1] = rng.integers(1, q)
+        out.append(q_associate(Poly(field, h)))
+    for terms in (1, 2, 3, 6):
+        a = np.zeros(int(rng.integers(maxdeg // 2, maxdeg + 1)) + 1, dtype=np.int64)
+        a[rng.choice(len(a) - 1, terms - 1, replace=False)] = rng.integers(1, q, size=terms - 1)
+        a[-1] = rng.integers(1, q)
+        out.append(Poly(field, a))
+    return out
+
+
+def _rem_sparsely(mod, a):
+    """Modulus(mod).rem(a), and whether every reduction it made was of a product of two
+    remainders (the sparse path) rather than of a itself."""
+    ring = Modulus(mod)
+    lengths, rem = [], ring._rem
+    ring._rem = lambda c: lengths.append(len(c)) or rem(c)
+    got = ring.rem(a)
+    return got, max(lengths, default=0) < 2 * mod.degree
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_modulus_rem_of_sparse_dividends_equals_sympy(p):
+    # one chain of squarings serves every term; above degree 2048 the cost rule
+    # takes the sparse path for these moduli
+    F = GF.prime(p)
+    rng = np.random.default_rng(500 + p)
+    for n in (1, 2, 5, 11, 20):
+        mod = Poly(F, _modulus(rng, p, n))
+        for a in _sparse_dividends(rng, F):
+            got, sparse = _rem_sparsely(mod, a)
+            assert got.degree < n
+            assert _gf(got.coeffs) == gf_rem(_gf(a.coeffs), _gf(mod.coeffs), p, ZZ)
+            assert sparse or a.degree < 2048
+
+
+@pytest.mark.parametrize("field", [F4, GF.extension(F2, [1, 1, 0, 1]), F9], ids=["F4", "F8", "F9"])
+def test_table_mode_modulus_rem_of_sparse_dividends_equals_long_division(field):
+    rng = np.random.default_rng(600 + field.order)
+    for n in (1, 3, 6):
+        mod = _random_poly(rng, field, n)
+        while mod.degree != n:
+            mod = _random_poly(rng, field, n)
+        for a in _sparse_dividends(rng, field):
+            got, sparse = _rem_sparsely(mod, a)
+            assert got == a % mod
+            assert sparse or a.degree < 2048
+
+
 @pytest.mark.parametrize("p", REDUCER_PRIMES)
 def test_powmod_equals_sympy(p):
     F = GF.prime(p)
@@ -418,9 +474,6 @@ def test_powmod_equals_sympy(p):
                 got = powmod(base, e, mod)
                 assert got.degree < n
                 assert _gf(got.coeffs) == gf_pow_mod(_gf(base.coeffs), e, _gf(mod.coeffs), p, ZZ)
-
-
-F9 = GF.extension(F3, first_irreducible(F3, 2).coeffs)
 
 
 @pytest.mark.parametrize("field", [F4, F9], ids=["F4", "F9"])

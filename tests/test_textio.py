@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
 
 from permdyn.errors import MalformedInput
 from permdyn.fields import GF
 from permdyn.polys import Poly
-from permdyn.textio import format_poly, format_poly_csv, parse_poly
+from permdyn.textio import format_coeffs, format_poly, format_poly_csv, parse_poly
+
+from oracles import loop_format_poly
 
 F2 = GF.prime(2)
 F3 = GF.prime(3)
@@ -58,10 +61,12 @@ def test_parse_csv_forms():
 
 
 @pytest.mark.parametrize("bad", ["", "  ", "x^", "x^^2", "y+1", "x^2+*", "[1,1", "x**2",
-                                 "x^4+x+1+", "x+1-", "x]+[1", "+"])
+                                 "x^4+x+1+", "x+1-", "x]+[1", "+", "x^4+x+1*", "*x^7", "2*",
+                                 "[]x+1", "x+[ ]"])
 def test_parse_rejects_malformed(bad):
-    with pytest.raises(MalformedInput):
-        parse_poly(F2, bad)
+    for field in (F2, F3, F4):
+        with pytest.raises(MalformedInput):
+            parse_poly(field, bad)
 
 
 def test_format_poly():
@@ -70,6 +75,24 @@ def test_format_poly():
     assert format_poly(Poly.zero(F3)) == "0"
     assert format_poly(Poly.const(F3, 2)) == "2"
     assert format_poly(parse_poly(F4, "[1,1]x^2+x+[0,1]")) == "[1,1]x^2+x+[0,1]"
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, GF.extension(F2, [1, 1, 0, 1]),
+                                   GF.extension(F3, [2, 2, 1]), GF.extension(GF.prime(5), [2, 0, 1])],
+                         ids=["F2", "F3", "F4", "F8", "F9", "F25"])
+def test_format_equals_the_loop_format(field):
+    # a single row is written term by term, and a block of at least q rows through the
+    # table of every (coefficient, degree) text; zero rows and trailing zeros included
+    rng = np.random.default_rng(field.order)
+    rows = rng.integers(0, field.order, size=(3 * field.order, 7))
+    rows[rng.random(rows.shape) < 0.4] = 0
+    rows[0] = 0
+    rows[1, 1:] = 0
+    want = [loop_format_poly(Poly(field, r)) for r in rows]
+    assert format_coeffs(field, rows) == want
+    assert [format_poly(Poly(field, r)) for r in rows] == want
+    assert format_coeffs(field, rows[:2]) == want[:2]
+    assert format_coeffs(field, np.zeros((2, 0), dtype=np.int64)) == ["0", "0"]
 
 
 def test_format_parse_roundtrip_exhaustive():
