@@ -95,9 +95,9 @@ class CycleSpectrum:
     __slots__ = ("lengths", "S", "mu")
 
     def __init__(self, lengths):
-        if not len(lengths):
+        if not lengths:
             raise PreconditionError("spectrum of an empty graph is undefined")
-        self.lengths = sorted(np.asarray(lengths, dtype=np.int64).tolist())
+        self.lengths = sorted(int(n) for n in lengths)
         self.S = sorted(set(self.lengths))
         self.mu = self.S[0]
 
@@ -456,7 +456,7 @@ def spectrum_Ik(ctx, P):
 def _cycle_lengths(perm):
     """The cycle lengths of a permutation of range(n), as the sizes of its least-index labels."""
     counts = np.bincount(_cycle_walk(perm)[0])
-    return counts[counts > 0]
+    return counts[counts > 0].tolist()
 
 
 def monomial_cycle_structure(q, k, n):

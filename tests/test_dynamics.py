@@ -686,4 +686,4 @@ def test_cycles_equal_the_loop_walk(perm):
     order, lengths = dynamics._cycles(perm)
     assert order.tolist() == [i for cyc in cycles for i in cyc]
     assert lengths.tolist() == [len(cyc) for cyc in cycles]
-    assert sorted(dynamics._cycle_lengths(perm).tolist()) == sorted(map(len, cycles))
+    assert sorted(dynamics._cycle_lengths(perm)) == sorted(map(len, cycles))
