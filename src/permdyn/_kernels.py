@@ -165,20 +165,18 @@ class RemP:
     coefficients. A block of n + nq coefficients, 1 <= nq <= n - 1, has the
     quotient q = rev(rev(a)[:nq] h mod x^nq), and its remainder is the low n
     coefficients of a - q b: two convolutions. The product q b is taken by
-    `mul` (conv_p unless given); the products with h are truncated power
-    series, which no convolution here makes longer in its shorter factor than
+    conv_p; the products with h are truncated power series, which no convolution here makes longer in its shorter factor than
     n - 1, so one int64 check, made here, covers them. A dividend of at most n
     coefficients is returned as it is.
     """
 
-    def __init__(self, b, p, inv_lead, mul=None):
+    def __init__(self, b, p, inv_lead):
         if len(b) < 3:
             raise PreconditionError("a kept modulus for RemP has degree >= 2")
         check_int64((len(b) - 2) * (p - 1) ** 2, "a product coefficient")
         self.b = b
         self.p = p
         self.h = np.array([inv_lead], dtype=np.int64)
-        self.mul = mul or (lambda u, v: conv_p(u, v, p))
 
     def __call__(self, a):
         n = len(self.b) - 1
@@ -202,7 +200,7 @@ class RemP:
             t[0] = (t[0] + 2) % p
             self.h = np.convolve(self.h, t)[:L] % p
         q = np.convolve(a[n:][::-1], self.h[:nq])[:nq] % p
-        r = a[:n] - self.mul(q[::-1], b)[:n]
+        r = a[:n] - conv_p(q[::-1], b, p)[:n]
         r %= p
         return r
 

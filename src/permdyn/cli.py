@@ -18,7 +18,7 @@ from .dynamics import (
     spectrum_Ik,
     star,
 )
-from .errors import GuardExceeded, InternalCheckError, MalformedInput, PreconditionError
+from .errors import GuardExceeded, InternalCheckError, MalformedInput, PermdynError
 from .genirr import bound_linearized, bound_monomial, iterate_generation, tau
 from .permgroup import Matrix2, certify_perm, moebius_poly_rep, realize_permutation
 from .polys import Poly, q_associate
@@ -96,8 +96,7 @@ def _cmd_apply(args, ctx):
 
 def _cmd_fixed(args, ctx):
     P = parse_perm_expr(ctx, args.perm, args.guard_override)
-    fixed = None
-    count = None
+    fixed = count = None
     if args.method in ("direct", "both"):
         polys = fixed_points_direct(ctx, P)
         fixed = format_coeffs(ctx.Fq, [f.coeffs for f in polys]) if polys else []
@@ -271,18 +270,9 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         out = args.func(args, _build_ctx(args) if args.needs_ctx else None)
-    except MalformedInput as exc:
+    except PermdynError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except GuardExceeded as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except PreconditionError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except InternalCheckError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 4
+        return exc.exit_code
     except Exception as exc:  # a fault of the program, reported like a failed check
         print("error: %s: %s" % (type(exc).__name__, " ".join(str(exc).split())),
               file=sys.stderr)

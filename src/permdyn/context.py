@@ -31,6 +31,34 @@ class FieldCtx:
         return "FieldCtx(p=%d, m=%d, k=%d)" % (self.p, self.m, self.k)
 
 
+class PermPoly:
+    """A certified element of G_k: reduced poly over F_q plus its context key.
+
+    restrict_poly, and with it every context-taking entry, trusts a PermPoly
+    of its context. One is made only by certify_perm, gk_compose, gk_inverse,
+    realize_permutation or moebius_poly_rep.
+    """
+
+    __slots__ = ("poly", "ctx_key")
+
+    def __init__(self, poly, ctx_key):
+        self.poly = poly
+        self.ctx_key = ctx_key
+
+    def __eq__(self, other):
+        return (isinstance(other, PermPoly) and self.ctx_key == other.ctx_key
+                and self.poly == other.poly)
+
+    def __hash__(self):
+        return hash((self.ctx_key, self.poly))
+
+    def __str__(self):
+        return str(self.poly)
+
+    def __repr__(self):
+        return "PermPoly(%s)" % self.poly
+
+
 _CTX_CACHE = {}
 
 
@@ -72,10 +100,10 @@ def make_field_ctx(p, m, k, ext_modulus=None, guard=DEFAULT_GUARD):
     check_tower(p, m, k, guard)
     q = p ** m
     Q = q ** k
-    cache_key = (p, m, k,
-                 None if ext_modulus is None
-                 else tuple(int(c) for c in (ext_modulus.coeffs if isinstance(ext_modulus, Poly)
-                                             else np.asarray(ext_modulus, dtype=np.int64))))
+    if isinstance(ext_modulus, Poly):
+        ext_modulus = ext_modulus.coeffs
+    cache_key = (p, m, k, None if ext_modulus is None
+                 else tuple(np.asarray(ext_modulus, dtype=np.int64).tolist()))
     if cache_key in _CTX_CACHE:
         return _CTX_CACHE[cache_key]
 
@@ -85,8 +113,7 @@ def make_field_ctx(p, m, k, ext_modulus=None, guard=DEFAULT_GUARD):
     if ext_modulus is None:
         ext_modulus = first_irreducible(Fq, k)
     else:
-        ext_modulus = Poly(Fq, ext_modulus.coeffs if isinstance(ext_modulus, Poly)
-                           else ext_modulus)
+        ext_modulus = Poly(Fq, ext_modulus)
         if ext_modulus.degree != k or ext_modulus.leading() != 1:
             raise PreconditionError("extension modulus must be monic of degree k")
         Fq.check_encodings(ext_modulus.coeffs)
@@ -179,8 +206,8 @@ class FrobeniusOrbits:
         return [self.poly(i) for i in range(len(self.coeffs))]
 
     def index(self, f):
-        """Position of f in polys."""
-        if f.field.key == self.field.key and f.degree == self.conj.shape[1] and f.leading() == 1:
+        """Position of f, a Poly over F_q (read through restrict_poly), in polys."""
+        if f.degree == self.conj.shape[1] and f.leading() == 1:
             i = int(np.searchsorted(self.codes, f.encoding()))
             if i < len(self.codes) and self.codes[i] == f.encoding():
                 return i
@@ -235,9 +262,10 @@ def enumerate_Ck(ctx):
 def roots_in_ext(ctx, f):
     """Ascending encodings of the roots of f in F_{q^k}, by evaluating f at every element.
 
-    f is a Poly over F_q; its coefficients embed into F_{q^k} unchanged. The
+    f is read through restrict_poly; its coefficients embed into F_{q^k} unchanged. The
     package reads roots off the orbit table; this scan is the reference for it.
     """
+    f = restrict_poly(ctx, f)
     if f.is_zero:
         raise PreconditionError("zero polynomial has every element as a root")
     vals = ctx.Fqk.keval(f.coeffs, ctx.Fqk.elements())
@@ -247,22 +275,31 @@ def roots_in_ext(ctx, f):
 def distinguished_root(ctx, f):
     """The smallest-encoding root of a monic irreducible f of degree k, read off the orbit table."""
     orbits = frobenius_orbits(ctx)
-    return int(orbits.conj[orbits.index(f), 0])
+    return int(orbits.conj[orbits.index(restrict_poly(ctx, f)), 0])
 
 
 def embed_poly(ctx, f):
-    """Reinterpret a Poly over F_q as a Poly over F_{q^k} (same encodings)."""
-    if f.field.key == ctx.Fqk.key:
+    """f as a Poly over F_{q^k} (same encodings): a Poly over F_{q^k} once its coefficients
+    are checked to be encodings of it, anything else read through restrict_poly."""
+    if isinstance(f, Poly) and f.field.key == ctx.Fqk.key:
+        ctx.Fqk.check_encodings(f.coeffs)
         return f
-    return Poly(ctx.Fqk, f.coeffs)
+    return Poly(ctx.Fqk, restrict_poly(ctx, f).coeffs)
 
 
 def restrict_poly(ctx, f):
-    """Reinterpret a Poly over F_{q^k} with subfield coefficients as over F_q."""
-    if f.field.key == ctx.Fq.key:
-        return f
-    if f.field.key != ctx.Fqk.key:
-        raise PreconditionError("polynomial lies over neither F_q nor F_{q^k} of the context")
-    if not f.is_zero and np.any(f.coeffs >= ctx.q):
-        raise PreconditionError("polynomial has a coefficient outside F_q")
-    return Poly(ctx.Fq, f.coeffs)
+    """f as a Poly over F_q: the one gate through which a context-taking entry reads a polynomial.
+
+    f is a PermPoly of this context, taken as it is (one key comparison), or a
+    Poly over this context's F_q or F_{q^k} whose every coefficient is an F_q
+    encoding (one O(degree) range check). Anything else raises PreconditionError.
+    """
+    if isinstance(f, PermPoly):
+        if f.ctx_key != ctx.key:
+            raise PreconditionError("permutation polynomial belongs to a different context")
+        return f.poly
+    if not isinstance(f, Poly) or f.field.key not in (ctx.Fq.key, ctx.Fqk.key):
+        raise PreconditionError("polynomial does not lie over F_q of the context: its field "
+                                "is neither F_q nor F_{q^k}")
+    ctx.Fq.check_encodings(f.coeffs)
+    return f if f.field.key == ctx.Fq.key else Poly(ctx.Fq, f.coeffs)

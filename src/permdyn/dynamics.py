@@ -1,4 +1,8 @@
-"""Star and diamond compositions, fixed points, and cycle structure on C_k and I_k."""
+"""Star and diamond compositions, fixed points, and cycle structure on C_k and I_k.
+
+Entries that take a context read P, f and h through context.restrict_poly; the
+closed forms that take (q, k) trust their arguments, as the algorithms of polys do.
+"""
 
 import json
 import math
@@ -6,12 +10,13 @@ from itertools import islice
 
 import numpy as np
 
-from .context import element_degree, embed_poly, enumerate_Ck, frobenius_orbits
+from .context import (distinguished_root, element_degree, embed_poly, enumerate_Ck,
+                      frobenius_orbits, restrict_poly)
 from .errors import InternalCheckError, PreconditionError
 from .numth import (check_coprime_exponent, divisors, euler_phi, is_prime, moebius_sum,
                     mult_order_int, prime_norm_index)
 from .orders import fq_order, mult_order, norm_of, phi_q, poly_order, trace_of
-from .permgroup import Matrix2, PermPoly, _coerce_poly, _distinct, certify_perm, pgl2_order
+from .permgroup import Matrix2, PermPoly, _check_matrix, _distinct, certify_perm, pgl2_order
 from .polys import (
     Modulus,
     Poly,
@@ -55,17 +60,17 @@ __all__ = [
 class FunctionalGraph:
     """Cycle decomposition of a permutation acting on a finite node set.
 
-    `cycles` lists the nodes of each cycle; the graphs of dynamics order the
-    cycles by their least node index and walk each from that node (_cycles).
-    `summary` holds (length, count) pairs in the order the lengths first
-    occur among the cycles.
+    `nodes` and `cycles` are the lists given, not copies. `cycles` lists the
+    nodes of each cycle; the graphs of dynamics order the cycles by their
+    least node index and walk each from that node (_cycles). `summary` holds
+    (length, count) pairs in the order the lengths first occur among them.
     """
 
     __slots__ = ("nodes", "cycles", "summary")
 
     def __init__(self, nodes, cycles):
-        self.nodes = list(nodes)
-        self.cycles = [list(c) for c in cycles]
+        self.nodes = nodes
+        self.cycles = cycles
         counts = {}
         for c in self.cycles:
             counts[len(c)] = counts.get(len(c), 0) + 1
@@ -102,14 +107,17 @@ class CycleSpectrum:
         self.mu = self.S[0]
 
 
-def _check_member(ctx, f, P=None):
-    """Raise PreconditionError unless f lies in I_k; the message names P when given."""
-    if f.field.key != ctx.Fq.key:
-        problem = "polynomial does not lie over F_q of the context"
-    elif f.degree != ctx.k or f.leading() != 1 or not is_irreducible(f):
-        problem = "expected a monic irreducible of degree k"
+def _irreducible_k(ctx, f, P=None):
+    """f read through context.restrict_poly, refused unless a monic irreducible of degree k
+    (Rabin's test); a refusal names P when given."""
+    try:
+        f = restrict_poly(ctx, f)
+    except PreconditionError as exc:
+        problem = str(exc)
     else:
-        return
+        if f.degree == ctx.k and f.leading() == 1 and is_irreducible(f):
+            return f
+        problem = "expected a monic irreducible of degree k"
     raise PreconditionError(problem + ("" if P is None else _where(ctx, P, f)))
 
 
@@ -118,10 +126,10 @@ def _member(ctx, P, f=None):
 
     A refusal names the tower, P and, when given, f.
     """
-    if isinstance(P, PermPoly):
-        _coerce_poly(ctx, P)  # refuses a PermPoly of another context
-        return P
     try:
+        if isinstance(P, PermPoly):
+            restrict_poly(ctx, P)  # refuses a PermPoly of another context
+            return P
         return certify_perm(ctx, P)
     except PreconditionError as exc:
         raise PreconditionError(str(exc) + _where(ctx, P, f)) from None
@@ -135,13 +143,18 @@ def _where(ctx, P, f=None):
     if isinstance(P, Matrix2):
         named = "A = M[%d,%d,%d,%d]" % (P.a, P.b, P.c, P.d)
     else:
-        named = "P = " + _brief(_coerce_poly(ctx, P))
+        named = "P = " + _brief(ctx, P)
     return "; at (p, m, k) = (%d, %d, %d), %s%s" % (
-        ctx.p, ctx.m, ctx.k, named, "" if f is None else ", f = " + _brief(f))
+        ctx.p, ctx.m, ctx.k, named, "" if f is None else ", f = " + _brief(ctx, f))
 
 
-def _brief(poly):
-    """The text of a polynomial with a few terms, else its degree and number of terms."""
+def _brief(ctx, poly):
+    """The text of a polynomial with a few terms, else its degree and number of terms;
+    the repr of what restrict_poly refuses."""
+    try:
+        poly = restrict_poly(ctx, poly)
+    except PreconditionError:
+        return repr(poly)
     terms = np.count_nonzero(poly.coeffs)
     if terms <= 8:
         return str(poly)
@@ -153,7 +166,7 @@ def star(ctx, P, f):
 
     x^(q^k) mod f(P) is k steps of the Frobenius walk (polys.frobenius_gcd).
     """
-    _check_member(ctx, f, P)
+    f = _irreducible_k(ctx, f, P)
     P = _member(ctx, P, f).poly
     out = frobenius_gcd(compose(f, P), ctx.k)
     if out.degree != ctx.k or not is_irreducible(out):
@@ -164,9 +177,9 @@ def star(ctx, P, f):
 
 def diamond(ctx, P, f):
     """Minimal polynomial of P(alpha) for a root alpha of f, read off the orbit table."""
-    P = _member(ctx, P, f).poly
+    P = _member(ctx, P, f)
     orbits = frobenius_orbits(ctx)
-    node = orbits.node[embed_poly(ctx, P)(int(orbits.conj[orbits.index(f), 0]))]
+    node = orbits.node[embed_poly(ctx, P)(distinguished_root(ctx, f))]
     if node < 0:
         raise InternalCheckError("diamond image does not have degree k" + _where(ctx, P, f))
     return orbits.poly(node)
@@ -222,8 +235,7 @@ def fixed_count_monomial(ctx, n):
 def fixed_count_linearized(ctx, h):
     """Fixed-point count of the q-associate map of h on I_k, by the closed form."""
     q, k = ctx.q, ctx.k
-    if h.field.key != ctx.Fq.key:
-        raise PreconditionError("h must lie over F_q of the context")
+    h = restrict_poly(ctx, h)
     h = h % linearized_modulus(h, k, q)
     one = Poly.one(ctx.Fq)
     return moebius_sum(k, lambda d, i: q ** poly_gcd(one.shift(i) - h, one.shift(d) - one).degree)
@@ -250,10 +262,10 @@ def fixed_count_prime_linearized(q, k, f):
     T = irreducible_Ek(field, k)
     one = Poly.one(field)
     is_power = np.count_nonzero(f.coeffs) == 1 and f.leading() == 1
-    if q % 2 == 0 and k == 2:
-        return count_irreducibles(q, k) if is_power else 0
     if is_power:
         return count_irreducibles(q, k)
+    if q % 2 == 0 and k == 2:
+        return 0
     for i in range(k):
         g = f - one.shift(i)
         if g.degree == T.degree and g.monic() == T:
@@ -331,7 +343,7 @@ def _graph(nodes, perm):
 
 def _ck_perm(ctx, P):
     """C_k in ascending encodings and the evaluation map of P as an index array on it."""
-    P = _member(ctx, P).poly
+    P = _member(ctx, P)
     els = enumerate_Ck(ctx)
     imgs = embed_poly(ctx, P).eval_many(els)
     in_ck = frobenius_orbits(ctx).node >= 0
@@ -348,7 +360,7 @@ def _ik_perm(ctx, P):
     the star map inverts i -> node[P(conj[i, 0])]. One edge, from the first
     f to its image g, is checked modulo g (_check_edge), without forming f(P).
     """
-    P = _member(ctx, P).poly
+    P = _member(ctx, P)
     orbits = frobenius_orbits(ctx)
     n = len(orbits.coeffs)
     image = orbits.node[embed_poly(ctx, P).eval_many(orbits.conj[:, 0])]
@@ -356,7 +368,7 @@ def _ik_perm(ctx, P):
         raise InternalCheckError("P does not act bijectively on I_k" + _where(ctx, P))
     perm = np.empty(n, dtype=np.int64)
     perm[image] = np.arange(n)
-    _check_edge(ctx, P, orbits.poly(0), orbits.poly(perm[0]))
+    _check_edge(ctx, P.poly, orbits.poly(0), orbits.poly(perm[0]))
     return orbits, perm
 
 
@@ -397,8 +409,10 @@ def _star_walk(ctx, P, f, max_steps=None):
     The walk stops when f recurs, with the period, or after max_steps steps,
     with None. A star cycle has at most |I_k| elements.
     """
+    if max_steps is not None and max_steps < 0:
+        raise PreconditionError("max_steps must be >= 0" + _where(ctx, P, f))
     orbits, perm = _ik_perm(ctx, P)
-    path = [orbits.index(f)]
+    path = [orbits.index(restrict_poly(ctx, f))]
     limit = len(perm) if max_steps is None else max_steps
     while len(path) <= limit:
         nxt = int(perm[path[-1]])
@@ -422,7 +436,7 @@ def graph_Ik(ctx, P):
 
 def period_Ck(ctx, P, alpha):
     """Least n >= 1 whose n-th iterate of P fixes alpha."""
-    P = _member(ctx, P).poly
+    P = _member(ctx, P)
     alpha = int(alpha)
     if element_degree(ctx, alpha) != ctx.k:
         raise PreconditionError("alpha does not have degree k over F_q")
@@ -509,25 +523,18 @@ def moebius_cycle_structure(q, k, A):
 
 def moebius_star(ctx, A, f):
     """Star action of the Moebius map of A on f, by clearing denominators."""
-    if A.field.key != ctx.Fq.key:
-        raise PreconditionError("matrix entries must lie in F_q of the context")
+    _check_matrix(ctx, A)
     if ctx.k < 2:
         raise PreconditionError("the Moebius star action needs k >= 2")
-    _check_member(ctx, f)
+    f = _irreducible_k(ctx, f)
     k = ctx.k
     num = Poly(ctx.Fq, [A.b, A.a])
     den = Poly(ctx.Fq, [A.d, A.c])
-    denpow = [Poly.one(ctx.Fq)]
-    for _ in range(k):
-        denpow.append(denpow[-1] * den)
-    acc = Poly.zero(ctx.Fq)
-    numpow = Poly.one(ctx.Fq)
-    for i in range(k + 1):
-        c = f.coeff(i)
-        if c:
-            acc = acc + (numpow * denpow[k - i]).scale(c)
-        if i < k:
-            numpow = numpow * num
+    # Horner's rule for sum_i f_i num^i den^(k - i), from the top
+    acc, denpow = Poly.one(ctx.Fq), Poly.one(ctx.Fq)
+    for i in range(k - 1, -1, -1):
+        denpow = denpow * den
+        acc = acc * num + denpow.scale(f.coeff(i))
     out = acc.monic()
     if out.degree != k or not is_irreducible(out):
         raise InternalCheckError("Moebius star image is not an irreducible of degree k"
@@ -543,21 +550,14 @@ def _monomial_exponent(P):
 
 
 def _linearized_associate(P):
-    q = P.field.order
-    if P.is_zero:
+    """The h with L_h = P, or None when some exponent of P is not a power of q."""
+    # q^i <= deg P needs i < bit_length(deg P)
+    logs = {P.field.order ** i: i for i in range(max(P.degree, 1).bit_length())}
+    exps = np.flatnonzero(P.coeffs).tolist()
+    if not exps or any(e not in logs for e in exps):
         return None
-    out = {}
-    for e in (int(t) for t in np.flatnonzero(P.coeffs)):
-        i, r = 0, e
-        while r > 1 and r % q == 0:
-            r //= q
-            i += 1
-        if r != 1:
-            return None
-        out[i] = P.coeff(e)
-    h = np.zeros(max(out) + 1, dtype=np.int64)
-    for i, c in out.items():
-        h[i] = c
+    h = np.zeros(logs[exps[-1]] + 1, dtype=np.int64)
+    h[[logs[e] for e in exps]] = P.coeffs[exps]
     return Poly(P.field, h)
 
 
@@ -570,12 +570,8 @@ def invariant_report(ctx, P, f):
     """
     P = _member(ctx, P, f)
     Pf = star(ctx, P, f)
-    report = {
-        "ord_preserved": None,
-        "fq_order_preserved": None,
-        "norm_relation": None,
-        "trace_relation": None,
-    }
+    report = dict.fromkeys(("ord_preserved", "fq_order_preserved", "norm_relation",
+                            "trace_relation"))
     n = _monomial_exponent(P.poly)
     if n is not None:
         n0 = pow(n, -1, ctx.Q - 1)

@@ -235,12 +235,12 @@ class GF:
         """The function a -> a mod b for a fixed b of degree >= 1 and a dividend of any length.
 
         A prime-mode b of degree >= 2 keeps a Newton inverse of the reversed b
-        (_kernels.RemP) and takes the product of quotient and b by kconv. At
+        (_kernels.RemP) and takes the product of quotient and b by conv_p. At
         degree 1, where that inverse is empty, and in table mode, it is long
         division. A dividend shorter than b is returned as it is.
         """
         if self.mode == "prime" and len(b) > 2:
-            return _kernels.RemP(b, self.p, self.inv(int(b[-1])), self.kconv)
+            return _kernels.RemP(b, self.p, self.inv(int(b[-1])))
         return lambda a: a if len(a) < len(b) else self.kdivmod(a, b)[1]
 
     def keval(self, coeffs, xs):

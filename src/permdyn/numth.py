@@ -2,6 +2,8 @@
 
 Factorization is deterministic trial division up to 10^6 followed by
 Pollard's rho with a fixed parameter schedule, so results are reproducible.
+Like the (q, k) closed forms built on it, this module takes no tower context
+and trusts its inputs beyond the checks each function names.
 """
 
 import math

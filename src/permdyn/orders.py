@@ -8,13 +8,14 @@ strips primes rather than searching incrementally.
 """
 
 from . import numth
+from .context import restrict_poly
 from .errors import InternalCheckError, PreconditionError
 from .polys import Modulus, Poly, factor, is_irreducible, poly_gcd, powmod
 
 
 def mult_order(ctx, f):
     """Order of the roots of an irreducible f: least e with x^e = 1 mod f."""
-    _check_irreducible(ctx, f, "mult_order needs")
+    f = _irreducible(ctx, f, "mult_order needs")
     if f.degree == 1 and f.coeff(0) == 0:
         raise PreconditionError("mult_order is undefined for f = x")
     x = Poly.x(f.field)
@@ -40,7 +41,7 @@ def fq_order(ctx, f):
     arithmetic is needed. Computed by stripping irreducible factors from
     x^k - 1.
     """
-    _check_irreducible(ctx, f, "fq_order needs")
+    f = _irreducible(ctx, f, "fq_order needs")
     field = f.field
     k = ctx.k
     xk1 = Poly(field, [field.neg(1)] + [0] * (k - 1) + [1])
@@ -90,15 +91,16 @@ def trace_of(ctx, f):
     return ctx.Fq.neg(_monic_of_degree_k(ctx, f).coeff(ctx.k - 1))
 
 
-def _check_irreducible(ctx, f, needs):
-    if f.field.key != ctx.Fq.key:
-        raise PreconditionError("polynomial does not lie over F_q of the context")
+def _irreducible(ctx, f, needs):
+    """f read through context.restrict_poly, refused unless irreducible."""
+    f = restrict_poly(ctx, f)
     if not is_irreducible(f):
         raise PreconditionError(needs + " an irreducible polynomial")
+    return f
 
 
 def _monic_of_degree_k(ctx, f):
-    _check_irreducible(ctx, f, "norm/trace need")
+    f = _irreducible(ctx, f, "norm/trace need")
     if f.degree != ctx.k:
         raise PreconditionError("polynomial degree %d does not match k = %d"
                                 % (f.degree, ctx.k))

@@ -9,7 +9,8 @@ import operator
 import numpy as np
 
 from .context import (
-    base_field, embed_poly, enumerate_Ck, frobenius_orbits, make_field_ctx, restrict_poly,
+    PermPoly, base_field, embed_poly, enumerate_Ck, frobenius_orbits, make_field_ctx,
+    restrict_poly,
 )
 from .errors import InternalCheckError, PreconditionError
 from .polys import Poly, fold_mod, poly_gcd, pth_root
@@ -20,33 +21,6 @@ __all__ = [
     "realize_permutation", "moebius_poly_rep", "moebius_eval", "pgl2_order",
     "is_degree_preserving_form", "check_degree_preserving",
 ]
-
-
-class PermPoly:
-    """A certified element of G_k: reduced poly over F_q plus its context key.
-
-    Dynamics trusts a PermPoly of its context. One is made only by certify_perm,
-    gk_compose, gk_inverse, realize_permutation or moebius_poly_rep.
-    """
-
-    __slots__ = ("poly", "ctx_key")
-
-    def __init__(self, poly, ctx_key):
-        self.poly = poly
-        self.ctx_key = ctx_key
-
-    def __eq__(self, other):
-        return (isinstance(other, PermPoly) and self.ctx_key == other.ctx_key
-                and self.poly == other.poly)
-
-    def __hash__(self):
-        return hash((self.ctx_key, self.poly))
-
-    def __str__(self):
-        return str(self.poly)
-
-    def __repr__(self):
-        return "PermPoly(%s)" % self.poly
 
 
 class Matrix2:
@@ -94,25 +68,17 @@ class Matrix2:
         return "Matrix2[[%d,%d],[%d,%d]]" % (self.a, self.b, self.c, self.d)
 
 
-def _coerce_poly(ctx, P):
-    if isinstance(P, PermPoly):
-        if P.ctx_key != ctx.key:
-            raise PreconditionError("permutation polynomial belongs to a different context")
-        return P.poly
-    return P
-
-
 def certify_perm(ctx, P):
     """Reduce P mod x^Q - x and accept it into G_k iff it permutes F_{q^k}.
 
-    Coefficients must lie in F_q; the induced map is checked exhaustively.
+    P is read through context.restrict_poly; the induced map is checked exhaustively.
     """
     return _certified_table(ctx, P)[0]
 
 
 def _certified_table(ctx, P):
     """certify_perm's result together with the value table it checked."""
-    P = fold_mod(restrict_poly(ctx, _coerce_poly(ctx, P)), ctx.Q)
+    P = fold_mod(restrict_poly(ctx, P), ctx.Q)
     vals = perm_table(ctx, P)
     if not _distinct(vals, ctx.Q):
         raise PreconditionError("polynomial does not permute F_{q^k}")
@@ -129,14 +95,13 @@ def _distinct(vals, Q):
 
 def perm_table(ctx, P):
     """Value table of P on all of F_{q^k}, indexed by element encoding."""
-    P = _coerce_poly(ctx, P)
     return embed_poly(ctx, P).eval_many(ctx.Fqk.elements())
 
 
 def gk_compose(ctx, P, Q):
     """P after Q, reduced mod x^Q - x: the group operation of G_k."""
-    p1 = restrict_poly(ctx, _coerce_poly(ctx, P))
-    p2 = fold_mod(restrict_poly(ctx, _coerce_poly(ctx, Q)), ctx.Q)
+    p1 = restrict_poly(ctx, P)
+    p2 = fold_mod(restrict_poly(ctx, Q), ctx.Q)
     acc = Poly.zero(ctx.Fq)
     for c in reversed(p1.coeffs):
         acc = fold_mod(acc * p2, ctx.Q) + Poly.const(ctx.Fq, int(c))
@@ -184,6 +149,7 @@ def lagrange_interpolate_all(ctx, values):
     values = np.asarray(values, dtype=np.int64)
     if len(values) != Q:
         raise PreconditionError("value table must cover all %d elements" % Q)
+    field.check_encodings(values)
     coeffs = np.zeros(Q, dtype=np.int64)
     coeffs[0] = values[0]
     coeffs[Q - 1] = field.neg(int(values[0]))
@@ -231,14 +197,22 @@ def realize_permutation(ctx, sigma):
     return _interpolate_perm(ctx, table)
 
 
+def _check_matrix(ctx, A):
+    """The Moebius entries' one matrix check: A is a Matrix2 over F_q of the context."""
+    if not isinstance(A, Matrix2) or A.field.key != ctx.Fq.key:
+        raise PreconditionError("matrix entries must lie in F_q of the context")
+
+
 def moebius_eval(ctx, A, z):
     """tau_A(z) on F_{q^k} with the pole convention tau_A(-d/c) = a/c.
 
     z is an int64 array of encodings, mapped whole, or one encoding, for
     which an int is returned. Off the pole tau_A(z) = (a z + b)(c z + d)^(Q-2).
     """
+    _check_matrix(ctx, A)
     F = ctx.Fqk
     zs = np.atleast_1d(np.asarray(z, dtype=np.int64))
+    F.check_encodings(zs)
     den = F.vadd(F.vmul(zs, A.c), A.d)
     out = F.vmul(F.vadd(F.vmul(zs, A.a), A.b), F.vpow(den, ctx.Q - 2))
     if A.c:
@@ -248,8 +222,7 @@ def moebius_eval(ctx, A, z):
 
 def moebius_poly_rep(ctx, A):
     """The element of G_k whose evaluation map is tau_A on F_{q^k}."""
-    if A.field.key != ctx.Fq.key:
-        raise PreconditionError("matrix entries must lie in F_q of the context")
+    _check_matrix(ctx, A)
     out, vals = _certified_table(ctx, _moebius_poly(ctx, A))
     if not np.array_equal(vals, moebius_eval(ctx, A, ctx.Fqk.elements())):
         raise InternalCheckError("Moebius representative disagrees with tau_A")

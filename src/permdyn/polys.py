@@ -4,7 +4,8 @@ of the package builds on.
 
 Coefficients are stored ascending as int64 encodings, so coeffs[i] is the
 coefficient of x^i. The zero polynomial has an empty coefficient array and
-degree -1.
+degree -1. These algorithms take no tower context and trust every coefficient
+to be an encoding of its field; context.restrict_poly checks it at the tower's entries.
 """
 
 import random
@@ -509,8 +510,7 @@ def q_associate(h):
         return Poly.zero(h.field)
     q = h.field.order
     out = np.zeros(q ** h.degree + 1, dtype=np.int64)
-    for i in range(h.degree + 1):
-        out[q ** i] = h.coeff(i)
+    out[q ** np.arange(h.degree + 1)] = h.coeffs
     return Poly(h.field, out)
 
 

@@ -532,16 +532,17 @@ def test_is_irreducible_counts_over_towers(field, maxdeg):
 
 
 def test_is_irreducible_walks_no_further_than_one_powmod_per_prime(monkeypatch):
-    # every polynomial product is a kconv; the walk may not take more of them
-    # than one powmod from x for each prime of the degree, plus x^(q^n)
+    # every polynomial product over F_2 is a conv_p, whether GF.kconv or RemP
+    # forms it; the walk may not take more of them than one powmod from x for
+    # each prime of the degree, plus x^(q^n)
     calls = [0]
-    kconv = GF.kconv
+    conv_p = _kernels.conv_p
 
-    def counted(self, a, b):
+    def counted(a, b, p):
         calls[0] += 1
-        return kconv(self, a, b)
+        return conv_p(a, b, p)
 
-    monkeypatch.setattr(GF, "kconv", counted)
+    monkeypatch.setattr(_kernels, "conv_p", counted)
 
     def products(test, f):
         calls[0] = 0
