@@ -192,9 +192,12 @@ class FrobeniusOrbits:
     irreducible of degree k by encoding (codes[i]), conj[i] its roots
     [a, a^q, ..., a^(q^(k-1))] from the least root a, and node[b] the index of
     the minimal polynomial of the element b, or -1 when b has degree below k.
+    `kept` is the last star permutation computed on the table, as the triple
+    (table, copy of the certified P, read-only index array), or None (see
+    dynamics._ik_perm).
     """
 
-    __slots__ = ("field", "coeffs", "codes", "conj", "node")
+    __slots__ = ("field", "coeffs", "codes", "conj", "node", "kept")
 
     def poly(self, i):
         """The i-th element of I_k as a Poly over F_q."""
@@ -251,6 +254,7 @@ def _build_orbits(ctx):
     out.conj = conj[order]
     out.node = np.full(ctx.Q, -1, dtype=np.int64)
     out.node[out.conj] = np.arange(n, dtype=np.int64)[:, None]
+    out.kept = None
     return out
 
 

@@ -10,8 +10,7 @@ from itertools import islice
 
 import numpy as np
 
-from .context import (distinguished_root, element_degree, embed_poly, enumerate_Ck,
-                      frobenius_orbits, restrict_poly)
+from .context import element_degree, embed_poly, enumerate_Ck, frobenius_orbits, restrict_poly
 from .errors import InternalCheckError, PreconditionError
 from .numth import (check_coprime_exponent, divisors, euler_phi, is_prime, moebius_sum,
                     mult_order_int, prime_norm_index)
@@ -148,6 +147,15 @@ def _where(ctx, P, f=None):
         ctx.p, ctx.m, ctx.k, named, "" if f is None else ", f = " + _brief(ctx, f))
 
 
+def _table_index(ctx, orbits, P, f):
+    """The index of f in the orbit table, read through restrict_poly; a refusal of an f
+    outside I_k names the tower, P and f."""
+    try:
+        return orbits.index(restrict_poly(ctx, f))
+    except PreconditionError as exc:
+        raise PreconditionError(str(exc) + _where(ctx, P, f)) from None
+
+
 def _brief(ctx, poly):
     """The text of a polynomial with a few terms, else its degree and number of terms;
     the repr of what restrict_poly refuses."""
@@ -179,7 +187,8 @@ def diamond(ctx, P, f):
     """Minimal polynomial of P(alpha) for a root alpha of f, read off the orbit table."""
     P = _member(ctx, P, f)
     orbits = frobenius_orbits(ctx)
-    node = orbits.node[embed_poly(ctx, P)(distinguished_root(ctx, f))]
+    root = int(orbits.conj[_table_index(ctx, orbits, P, f), 0])
+    node = orbits.node[embed_poly(ctx, P)(root)]
     if node < 0:
         raise InternalCheckError("diamond image does not have degree k" + _where(ctx, P, f))
     return orbits.poly(node)
@@ -359,9 +368,15 @@ def _ik_perm(ctx, P):
     P commutes with Frobenius, so P*f is the orbit of P^(-1)(a) for a root a of f:
     the star map inverts i -> node[P(conj[i, 0])]. One edge, from the first
     f to its image g, is checked modulo g (_check_edge), without forming f(P).
+    The table keeps the last array, read-only, with the table object and a copy
+    of the certified P it was computed for; the same table and an equal P read
+    it back. A copy of the table carries the slot but is not the table named in it.
     """
     P = _member(ctx, P)
     orbits = frobenius_orbits(ctx)
+    kept = orbits.kept
+    if kept is not None and kept[0] is orbits and kept[1] == P.poly:
+        return orbits, kept[2]
     n = len(orbits.coeffs)
     image = orbits.node[embed_poly(ctx, P).eval_many(orbits.conj[:, 0])]
     if np.any(image < 0) or not _distinct(image, n):
@@ -369,6 +384,9 @@ def _ik_perm(ctx, P):
     perm = np.empty(n, dtype=np.int64)
     perm[image] = np.arange(n)
     _check_edge(ctx, P.poly, orbits.poly(0), orbits.poly(perm[0]))
+    perm.flags.writeable = False
+    # the copy: a certified P may share its coefficients with the caller's Poly
+    orbits.kept = (orbits, Poly(P.poly.field, P.poly.coeffs), perm)
     return orbits, perm
 
 
@@ -412,7 +430,7 @@ def _star_walk(ctx, P, f, max_steps=None):
     if max_steps is not None and max_steps < 0:
         raise PreconditionError("max_steps must be >= 0" + _where(ctx, P, f))
     orbits, perm = _ik_perm(ctx, P)
-    path = [orbits.index(restrict_poly(ctx, f))]
+    path = [_table_index(ctx, orbits, P, f)]
     limit = len(perm) if max_steps is None else max_steps
     while len(path) <= limit:
         nxt = int(perm[path[-1]])

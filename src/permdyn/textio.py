@@ -137,9 +137,11 @@ def format_coeffs(field, rows):
     coefficient 1 is written only in the constant term. A row of zeros is
     "0". Each coefficient value that occurs is given its text once, so no
     Poly is built per row. Each term is written with a trailing "+", and the
-    rows are joined into one string, split, and stripped of it.
+    rows are joined into one string, split, and stripped of it. An entry that is
+    not an encoding of field raises PreconditionError.
     """
     rows = np.asarray(rows, dtype=np.int64)
+    field.check_encodings(rows)
     n, D = rows.shape
     if D == 0:
         return ["0"] * n

@@ -153,6 +153,17 @@ def test_star_and_ik_errors_name_the_tower_P_and_f(monkeypatch):
         graph_Ik(CTX24, x7)
 
 
+@pytest.mark.parametrize("entry", [diamond, period_Ik, iterate_generation],
+                         ids=["diamond", "period_Ik", "iterate_generation"])
+@pytest.mark.parametrize("f", ["x^4+x^2+1", "x^2+x+1"], ids=["reducible", "degree-2"])
+def test_orbit_table_entries_name_the_tower_P_and_an_f_outside_Ik(entry, f):
+    # these entries said only "<f> is not a monic irreducible of degree k"
+    with pytest.raises(PreconditionError, match=re.escape(
+            "%s is not a monic irreducible of degree k; at (p, m, k) = (2, 1, 4), P = x^7, "
+            "f = %s" % (f, f)) + "$"):
+        entry(CTX24, _mono(CTX24, 7), P(CTX24, f))
+
+
 # the twelve dynamics entries that take P, called with f in I_k and its distinguished root
 GATED = {
     "star": lambda ctx, P, f: star(ctx, P, f),

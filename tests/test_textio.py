@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from permdyn.errors import MalformedInput
+from permdyn.errors import MalformedInput, PreconditionError
 from permdyn.fields import GF
 from permdyn.polys import Poly
 from permdyn.textio import format_coeffs, format_poly, format_poly_csv, parse_poly
@@ -93,6 +95,16 @@ def test_format_equals_the_loop_format(field):
     assert [format_poly(Poly(field, r)) for r in rows] == want
     assert format_coeffs(field, rows[:2]) == want[:2]
     assert format_coeffs(field, np.zeros((2, 0), dtype=np.int64)) == ["0", "0"]
+
+
+@pytest.mark.parametrize("coeffs,bad", [([-1, 1], -1), ([0, 7], 7)], ids=["negative", "above-q"])
+def test_format_refuses_an_entry_that_is_not_an_encoding(coeffs, bad):
+    # -1 failed inside np.bincount; 7 was printed as [1,1]x, the text of 3
+    message = re.escape("%d is not an element encoding of GF(2^2)" % bad)
+    for call in (lambda: str(Poly(F4, coeffs)), lambda: format_poly(Poly(F4, coeffs)),
+                 lambda: format_coeffs(F4, [[1, 0], coeffs])):
+        with pytest.raises(PreconditionError, match=message):
+            call()
 
 
 def test_format_parse_roundtrip_exhaustive():
