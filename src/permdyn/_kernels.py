@@ -37,6 +37,9 @@ from .errors import GuardExceeded, PreconditionError
 # int64 holds every integer below this bound exactly
 INT64_BOUND = 1 << 63
 
+# points per block of eval_t
+EVAL_BLOCK = 1 << 16
+
 
 def check_int64(value, what):
     """Raise GuardExceeded unless an int64 intermediate of size `value` is exact."""
@@ -283,20 +286,27 @@ def eval_t(coeffs, xs, exp, log, p, ndig):
     A nonzero x gets the sum of c_e x^e = exp[log c_e + ((e mod (Q - 1)) log x
     mod (Q - 1))] over the nonzero c_e; x = 0 gets c_0. The cost is one pass
     over xs per nonzero coefficient, whatever the degree, and e mod (Q - 1)
-    keeps unreduced polynomials (degree >= Q) exact.
+    keeps unreduced polynomials (degree >= Q) exact. The points are taken in
+    blocks of at most EVAL_BLOCK, so each temporary holds one block.
     """
     qm1 = len(log) - 1
     check_int64((qm1 - 1) ** 2, "a log-domain exponent product")
-    lx = log[xs]
-    idx = np.empty(len(xs), dtype=np.int64)
-    acc = None
-    for e in np.flatnonzero(coeffs):
-        np.multiply(lx, e % qm1, out=idx)
-        np.remainder(idx, qm1, out=idx)
-        idx += log[coeffs[e]]
-        term = exp[idx]
-        acc = term if acc is None else vadd(acc, term, p, ndig)
-    if acc is None:
-        return np.zeros(len(xs), dtype=np.int64)
-    acc[xs == 0] = coeffs[0]
-    return acc
+    nz = np.flatnonzero(coeffs)
+    powers, shifts = nz % qm1, log[coeffs[nz]]
+    out = np.zeros(len(xs), dtype=np.int64)
+    if not len(nz):
+        return out
+    for lo in range(0, len(xs), EVAL_BLOCK):
+        block = xs[lo:lo + EVAL_BLOCK]
+        lx = log[block]
+        idx = np.empty_like(lx)
+        acc = None
+        for e, shift in zip(powers, shifts):
+            np.multiply(lx, e, out=idx)
+            np.remainder(idx, qm1, out=idx)
+            idx += shift
+            term = exp[idx]
+            acc = term if acc is None else vadd(acc, term, p, ndig)
+        acc[block == 0] = coeffs[0]
+        out[lo:lo + len(block)] = acc
+    return out

@@ -162,38 +162,23 @@ def conjugates(ctx, a):
 
 def minimal_poly(ctx, a):
     """Minimal polynomial of a over F_q, as a Poly over F_q."""
-    return Poly(ctx.Fq, _minimal_polys(ctx, np.array([conjugates(ctx, a)], dtype=np.int64))[0])
-
-
-def _minimal_polys(ctx, conj):
-    """Ascending coefficients of prod_j (x - conj[i, j]), one row per orbit i.
-
-    Each row is the minimal polynomial of a Frobenius orbit, so every
-    coefficient must lie in F_q.
-    """
-    F = ctx.Fqk
-    n, k = conj.shape
-    coef = np.zeros((n, k + 1), dtype=np.int64)
-    coef[:, 0] = 1
-    for j in range(k):
-        low = F.vmul(F.vneg(conj[:, j:j + 1]), coef[:, :j + 1])
-        coef[:, 1:j + 2] = coef[:, :j + 1]
-        coef[:, 0] = 0
-        coef[:, :j + 1] = F.vadd(coef[:, :j + 1], low)
-    if np.any(coef >= ctx.q):
-        raise InternalCheckError("minimal polynomial has a coefficient outside F_q")
-    return coef
+    conj = np.array(conjugates(ctx, a), dtype=np.int64)
+    if a == 0 or ctx.Fqk.mode == "prime":  # x - a, with no log to read
+        return Poly(ctx.Fq, [ctx.Fq.neg(a), 1])
+    return Poly(ctx.Fq, _minimal_polys(ctx, ctx.Fqk.log[conj][None, :])[::-1, 0])
 
 
 class FrobeniusOrbits:
     """I_k as the Frobenius orbits a -> a^q of C_k, the degree-k elements of F_{q^k}.
 
-    Row i of coeffs holds the ascending coefficients of the i-th monic
+    On logs to the generator g of F_{q^k}^*, the orbits are the q-cyclotomic
+    cosets mod Q - 1 of size k; _build_orbits reads the table off them. Row i
+    of coeffs holds the ascending coefficients of the i-th monic
     irreducible of degree k by encoding (codes[i]), conj[i] its roots
     [a, a^q, ..., a^(q^(k-1))] from the least root a, and node[b] the index of
     the minimal polynomial of the element b, or -1 when b has degree below k.
     `kept` is the last star permutation computed on the table, as the triple
-    (table, copy of the certified P, read-only index array), or None (see
+    (table, certified P as a Poly, read-only index array), or None (see
     dynamics._ik_perm).
     """
 
@@ -224,38 +209,107 @@ def frobenius_orbits(ctx):
     return ctx.orbits
 
 
+# logs per block of the orbit-table build: each array of a block has about this many entries
+_LOG_BLOCK = 1 << 16
+
+
 def _build_orbits(ctx):
-    F, q, k = ctx.Fqk, ctx.q, ctx.k
-    els = F.elements()
-    frob = F.vpow(els, q)
-    # an element has degree k iff no Frobenius power below the k-th fixes it
-    full = np.ones(ctx.Q, dtype=bool)
-    least = els.copy()
-    cur = els
-    for _ in range(k - 1):
-        cur = frob[cur]
-        full &= cur != els
-        np.minimum(least, cur, out=least)
-    reps = els[full & (least == els)]
-    n = len(reps)
-    if n != count_irreducibles(q, k):
-        raise InternalCheckError("%d Frobenius orbits of degree k, not |I_k|" % n)
-    conj = np.empty((n, k), dtype=np.int64)
-    conj[:, 0] = reps
-    for j in range(1, k):
-        conj[:, j] = frob[conj[:, j - 1]]
-    coef = _minimal_polys(ctx, conj)
-    codes = coef @ q ** np.arange(k + 1, dtype=np.int64)
-    order = np.argsort(codes)
+    """The Frobenius-orbit table, from the q-cyclotomic cosets of the discrete log.
+
+    On F_{q^k}^* = <g>, a -> a^q multiplies the log of a by q modulo N = Q - 1,
+    so the orbits of C_k are the cosets {j q^i mod N} of size k (Lidl and
+    Niederreiter, Finite Fields). A first sweep over the logs, one block at a
+    time, keeps the least log j of each such coset and the encoding of the
+    minimal polynomial of g^j. The codes sort the orbits, the coefficients are
+    their digits, and a second sweep, over the sorted leaders, reads their
+    conjugates through exp. At k = 1 each element of F_q is an orbit of its own.
+    """
+    q, k = ctx.q, ctx.k
+    n = count_irreducibles(q, k)
+    if k == 1:
+        conj = ctx.Fq.elements()[:, None]
+        codes = ctx.Fq.vneg(conj[:, 0]) + q  # x - a
+        order = np.argsort(codes)
+        codes, conj = codes[order], conj[order]
+    else:
+        leaders, codes = _leaders_and_codes(ctx, n)
+        order = np.argsort(codes)
+        codes, leaders = codes[order], leaders[order]
+        conj = np.empty((n, k), dtype=np.int64)
+        rows = _LOG_BLOCK // k
+        for lo in range(0, n, rows):
+            logs = _coset_logs(ctx, leaders[lo:lo + rows])
+            conj[lo:lo + rows] = _least_first(ctx.Fqk.exp[logs])
     out = FrobeniusOrbits()
     out.field = ctx.Fq
-    out.coeffs = coef[order]
-    out.codes = codes[order]
-    out.conj = conj[order]
+    out.codes = codes
+    out.coeffs = codes[:, None] // q ** np.arange(k + 1, dtype=np.int64)
+    out.coeffs %= q
+    out.conj = conj
     out.node = np.full(ctx.Q, -1, dtype=np.int64)
-    out.node[out.conj] = np.arange(n, dtype=np.int64)[:, None]
+    out.node[conj] = np.arange(n, dtype=np.int64)[:, None]
     out.kept = None
     return out
+
+
+def _leaders_and_codes(ctx, n):
+    """The least log j of each q-cyclotomic coset of size k mod Q - 1, ascending, and the
+    encoding of the minimal polynomial of g^j; k >= 2 and there must be n = |I_k| of them."""
+    q, k, N = ctx.q, ctx.k, ctx.Q - 1
+    weights = q ** np.arange(k, -1, -1, dtype=np.int64)
+    leaders, codes = [], []
+    for lo in range(0, N, _LOG_BLOCK):
+        j = np.arange(lo, min(lo + _LOG_BLOCK, N), dtype=np.int64)
+        # j leads a coset of size k iff j q^i mod N > j for 0 < i < k
+        for i in range(1, k):
+            j = j[j * q ** i % N > j]
+        leaders.append(j)
+        codes.append(weights @ _minimal_polys(ctx, _coset_logs(ctx, j)))
+    leaders = np.concatenate(leaders)
+    if len(leaders) != n:
+        raise InternalCheckError("%d Frobenius orbits of degree k, not |I_k|" % len(leaders))
+    return leaders, np.concatenate(codes)
+
+
+def _coset_logs(ctx, j):
+    """Rows [j, j q, ..., j q^(k-1)] mod Q - 1, the logs of the conjugates of g^j."""
+    logs = j[:, None] * ctx.q ** np.arange(ctx.k, dtype=np.int64)
+    logs %= ctx.Q - 1
+    return logs
+
+
+def _least_first(conj):
+    """Each row of Frobenius conjugates rotated to start at its least encoding."""
+    k = conj.shape[1]
+    start = conj.argmin(axis=1)
+    return np.take_along_axis(conj, (start[:, None] + np.arange(k)) % k, axis=1)
+
+
+def _minimal_polys(ctx, logs):
+    """Coefficients of prod_j (x - g^logs[i, j]), one column per row of logs, from the top.
+
+    Row 0 holds the leading 1. The product by x - r adds -r times each row to the
+    row below it, read as exp[log c + log(-r)] with log(-r) = log r + (Q - 1)/2
+    for odd p: only a zero coefficient c needs masking. Each row of logs is a
+    Frobenius orbit, so every coefficient must lie in F_q.
+    """
+    F = ctx.Fqk
+    N = ctx.Q - 1
+    neg = logs.T.copy() if ctx.p == 2 else (logs.T + N // 2) % N
+    k, n = neg.shape
+    top = np.zeros((k + 1, n), dtype=np.int64)
+    top[0] = 1
+    for j in range(k):
+        c = top[1:j + 1]
+        low = np.take(F.log, c)
+        low += neg[j]
+        np.take(F.exp, low, out=low)
+        low[c == 0] = 0
+        top[2:j + 2] = F.vadd(top[2:j + 2], low)
+        top[1] = F.vadd(top[1], np.take(F.exp, neg[j]))
+    if np.any(top >= ctx.q):
+        raise InternalCheckError("minimal polynomial has a coefficient outside F_q")
+    return top
 
 
 def enumerate_Ck(ctx):

@@ -78,15 +78,20 @@ class FunctionalGraph:
             raise InternalCheckError("cycles do not partition the node set")
 
     def to_dot(self):
-        """DOT text with one subgraph per cycle and an edge from each node to its image."""
-        lines = ["digraph G {"]
+        """DOT text with one subgraph per cycle and an edge from each node to its image.
+
+        Each cycle's edges are one format string applied to its nodes and their
+        images, taken in turn, so no string is made per edge.
+        """
+        blocks = ["digraph G {\n"]
         for idx, cyc in enumerate(self.cycles):
-            lines.append("  subgraph cluster_%d {" % idx)
-            for j, a in enumerate(cyc):
-                lines.append('    "%s" -> "%s";' % (a, cyc[(j + 1) % len(cyc)]))
-            lines.append("  }")
-        lines.append("}")
-        return "\n".join(lines)
+            ends = [None] * (2 * len(cyc))
+            ends[0::2] = cyc
+            ends[1::2] = cyc[1:] + cyc[:1]
+            blocks.append("  subgraph cluster_%d {\n" % idx
+                          + '    "%s" -> "%s";\n' * len(cyc) % tuple(ends) + "  }\n")
+        blocks.append("}")
+        return "".join(blocks)
 
     def to_json(self):
         """JSON text with the node list, the cycle lists, and the (length, count) summary."""
@@ -368,8 +373,8 @@ def _ik_perm(ctx, P):
     P commutes with Frobenius, so P*f is the orbit of P^(-1)(a) for a root a of f:
     the star map inverts i -> node[P(conj[i, 0])]. One edge, from the first
     f to its image g, is checked modulo g (_check_edge), without forming f(P).
-    The table keeps the last array, read-only, with the table object and a copy
-    of the certified P it was computed for; the same table and an equal P read
+    The table keeps the last array, read-only, with the table object and the
+    certified P it was computed for; the same table and an equal P read
     it back. A copy of the table carries the slot but is not the table named in it.
     """
     P = _member(ctx, P)
@@ -385,8 +390,7 @@ def _ik_perm(ctx, P):
     perm[image] = np.arange(n)
     _check_edge(ctx, P.poly, orbits.poly(0), orbits.poly(perm[0]))
     perm.flags.writeable = False
-    # the copy: a certified P may share its coefficients with the caller's Poly
-    orbits.kept = (orbits, Poly(P.poly.field, P.poly.coeffs), perm)
+    orbits.kept = (orbits, P.poly, perm)
     return orbits, perm
 
 

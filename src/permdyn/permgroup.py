@@ -72,6 +72,8 @@ def certify_perm(ctx, P):
     """Reduce P mod x^Q - x and accept it into G_k iff it permutes F_{q^k}.
 
     P is read through context.restrict_poly; the induced map is checked exhaustively.
+    The PermPoly owns a copy of the coefficients, so changing the caller's Poly in
+    place afterwards does not change the certified P.
     """
     return _certified_table(ctx, P)[0]
 
@@ -82,7 +84,8 @@ def _certified_table(ctx, P):
     vals = perm_table(ctx, P)
     if not _distinct(vals, ctx.Q):
         raise PreconditionError("polynomial does not permute F_{q^k}")
-    return PermPoly(P, ctx.key), vals
+    # restrict_poly and fold_mod may return the caller's own Poly
+    return PermPoly(Poly(P.field, P.coeffs), ctx.key), vals
 
 
 def _distinct(vals, Q):

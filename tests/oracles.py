@@ -283,3 +283,57 @@ def matrix_doubling_tables(base, modulus):
     log = np.zeros(Q, dtype=np.int64)
     log[exp] = np.arange(Q - 1)
     return enc, np.concatenate([exp, exp[:Q - 2]]), log
+
+
+def vpow_orbit_table(ctx):
+    """(coeffs, codes, conj, node) of the Frobenius-orbit table, built on all of F_{q^k}.
+
+    One table x -> x^q over every element is gathered through k - 1 times: an
+    element has degree k iff no power below the k-th fixes it, and it leads its
+    orbit iff it is the least of its conjugates. The minimal polynomials are
+    multiplied out with whole-table vmul calls.
+    """
+    F, q, k = ctx.Fqk, ctx.q, ctx.k
+    els = F.elements()
+    frob = F.vpow(els, q)
+    full = np.ones(ctx.Q, dtype=bool)
+    least = els.copy()
+    cur = els
+    for _ in range(k - 1):
+        cur = frob[cur]
+        full &= cur != els
+        np.minimum(least, cur, out=least)
+    reps = els[full & (least == els)]
+    n = len(reps)
+    if n != count_irreducibles(q, k):
+        raise ArithmeticError("%d Frobenius orbits of degree k, not |I_k|" % n)
+    conj = np.empty((n, k), dtype=np.int64)
+    conj[:, 0] = reps
+    for j in range(1, k):
+        conj[:, j] = frob[conj[:, j - 1]]
+    coef = np.zeros((n, k + 1), dtype=np.int64)
+    coef[:, 0] = 1
+    for j in range(k):
+        low = F.vmul(F.vneg(conj[:, j:j + 1]), coef[:, :j + 1])
+        coef[:, 1:j + 2] = coef[:, :j + 1]
+        coef[:, 0] = 0
+        coef[:, :j + 1] = F.vadd(coef[:, :j + 1], low)
+    if np.any(coef >= q):
+        raise ArithmeticError("minimal polynomial has a coefficient outside F_q")
+    codes = coef @ q ** np.arange(k + 1, dtype=np.int64)
+    order = np.argsort(codes)
+    node = np.full(ctx.Q, -1, dtype=np.int64)
+    node[conj[order]] = np.arange(n, dtype=np.int64)[:, None]
+    return coef[order], codes[order], conj[order], node
+
+
+def loop_dot(graph):
+    """FunctionalGraph.to_dot text built line by line, one formatted string per edge."""
+    lines = ["digraph G {"]
+    for idx, cyc in enumerate(graph.cycles):
+        lines.append("  subgraph cluster_%d {" % idx)
+        for j, a in enumerate(cyc):
+            lines.append('    "%s" -> "%s";' % (a, cyc[(j + 1) % len(cyc)]))
+        lines.append("  }")
+    lines.append("}")
+    return "\n".join(lines)

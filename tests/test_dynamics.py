@@ -35,7 +35,7 @@ from permdyn.polys import (
 )
 from permdyn.textio import parse_poly
 
-from oracles import loop_cycles
+from oracles import loop_cycles, loop_dot
 
 CTX24 = make_field_ctx(2, 1, 4)
 CTX33 = make_field_ctx(3, 1, 3)
@@ -489,6 +489,18 @@ def test_graph_emitters():
     assert set(data) == {"nodes", "cycles", "summary"}
     assert data["summary"] == [[2, 1], [1, 1]]
     assert data["cycles"][0] == ["x^4+x+1", "x^4+x^3+1"]
+    assert FunctionalGraph([], []).to_dot() == "digraph G {\n}"
+
+
+@pytest.mark.parametrize("pmk,perm,on", [
+    ((2, 1, 6), "x^5", "ck"), ((2, 1, 8), "L[x^2+x+1]", "ik"), ((3, 2, 2), "x^7", "ik"),
+    ((2, 1, 4), "x", "ck"), ((3, 1, 3), "M[0,1,1,0]", "ck"),
+], ids=str)
+def test_dot_equals_the_line_by_line_text(pmk, perm, on):
+    ctx = make_field_ctx(*pmk)
+    P = cli.parse_perm_expr(ctx, perm)
+    g = graph_Ck(ctx, P) if on == "ck" else graph_Ik(ctx, P)
+    assert g.to_dot() == loop_dot(g)
 
 
 def test_functional_graph_partition_check():

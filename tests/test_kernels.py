@@ -181,6 +181,22 @@ def test_eval_t_matches_horner(tower):
         assert got[0] == (c[0] if len(c) else 0)  # xs[0] is the point 0
 
 
+@pytest.mark.parametrize("field", [F4, F125], ids=["F4", "F125"])
+@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["block-1", "block", "block+1"])
+def test_eval_t_in_blocks_equals_one_pass(field, extra, monkeypatch):
+    rng = np.random.default_rng(3 + extra)
+    n = _kernels.EVAL_BLOCK + extra
+    xs = rng.integers(0, field.order, size=n)
+    xs[[0, -1]] = 0  # the point 0 in the first block and in the last
+    coeffs = _sparse(rng, field.order, 40, 6)
+    coeffs[0] = field.order - 1
+    args = (field.exp, field.log, field.p, field.deg)
+    blocked = _kernels.eval_t(coeffs, xs, *args)
+    assert np.array_equal(blocked[-4:], horner_eval_t(coeffs, xs[-4:], *args))
+    monkeypatch.setattr(_kernels, "EVAL_BLOCK", n)
+    assert np.array_equal(blocked, _kernels.eval_t(coeffs, xs, *args))
+
+
 @st.composite
 def terms_and_points(draw):
     """A table-mode field, a sparse coefficient array of degree up to 3Q, and points."""

@@ -5,7 +5,9 @@ permutation of F_{q^k} from one of the families x^n, L[h], M[a,b,c,d], then
 compares the table-driven operations with routes that never read the table:
 Rabin enumeration, the gcd definition of star and generation by repeated gcd
 stars, the divisor-sum fixed-point count, and roots found by evaluating at
-every element.
+every element. The table itself, built from the cyclotomic cosets of the
+discrete log, is compared with one built on all of F_{q^k} by a gathered
+x -> x^q table.
 """
 
 import json
@@ -29,7 +31,7 @@ from permdyn.polys import Poly, enumerate_irreducibles, poly_gcd, q_associate
 
 from permdyn.textio import format_coeffs
 
-from oracles import gcd_generation, loop_cycles, loop_format_poly
+from oracles import gcd_generation, loop_cycles, loop_format_poly, vpow_orbit_table
 
 TOWERS = [(2, 1, k) for k in range(2, 7)] + [
     (3, 1, 3), (2, 2, 3), (3, 2, 2), (5, 2, 2), (2, 3, 2),
@@ -54,6 +56,21 @@ def test_orbits_equal_rabin_enumeration(pmk):
         assert node == -1 or minimal_poly(ctx, a) == orbits.polys[node]
     assert np.array_equal(enumerate_Ck(ctx), np.flatnonzero(orbits.node >= 0))
     assert len(enumerate_Ck(ctx)) == ctx.k * len(orbits.polys)
+
+
+# every tower with p in {2, 3, 5, 7}, m in {1, 2, 3} and Q <= 4096, k = 1 included
+SMALL_Q = [(p, m, k) for p in (2, 3, 5, 7) for m in (1, 2, 3) for k in range(1, 13)
+           if p ** (m * k) <= 4096]
+
+
+@pytest.mark.parametrize("pmk", SMALL_Q + [(2, 1, 16), (3, 1, 9)], ids=str)
+def test_orbit_table_equals_the_vpow_oracle(pmk):
+    ctx = make_field_ctx(*pmk)
+    orbits = frobenius_orbits(ctx)
+    got = (orbits.coeffs, orbits.codes, orbits.conj, orbits.node)
+    for name, a, b in zip(("coeffs", "codes", "conj", "node"), got, vpow_orbit_table(ctx)):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
 
 
 def test_orbit_index_rejects_non_members():

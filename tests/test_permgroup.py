@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from permdyn.context import distinguished_root, frobenius, make_field_ctx
+from permdyn.dynamics import graph_Ck
 from permdyn.errors import InternalCheckError, PreconditionError
 from permdyn.permgroup import (
     Matrix2, PermPoly, certify_perm, check_degree_preserving, frobenius_stable,
@@ -43,6 +44,19 @@ def test_certify_rejects_non_permutation():
         certify_perm(CTX24, _mono(CTX24, 3))  # gcd(3, 15) = 3
     with pytest.raises(PreconditionError):
         certify_perm(CTX33, P(CTX33, "x^2"))
+
+
+def test_certify_owns_its_coefficients():
+    ctx = make_field_ctx(2, 1, 6)
+    raw = P(ctx, "x^8+x^2+x")  # L[x^3+x+1], which needs no folding
+    pp = certify_perm(ctx, raw)
+    assert pp.poly == raw and pp.poly is not raw
+    expected = graph_Ck(ctx, pp).to_json()
+    raw.coeffs[1] = 0  # x^8+x^2 vanishes at 1: no permutation
+    assert str(pp) == "x^8+x^2+x"
+    assert graph_Ck(ctx, pp).to_json() == expected
+    with pytest.raises(PreconditionError):
+        certify_perm(ctx, raw)
 
 
 def test_certify_folds_high_degree():
