@@ -6,7 +6,6 @@ closed forms that take (q, k) trust their arguments, as the algorithms of polys 
 
 import json
 import math
-from itertools import islice
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .polys import (
     is_irreducible,
     linearized_modulus,
     poly_gcd,
-    psi_d,
 )
 from .textio import format_coeffs
 
@@ -208,32 +206,28 @@ def fixed_points_direct(ctx, P):
 def fixed_count_formula(ctx, P):
     """Number of star-fixed elements of I_k, by the Moebius divisor sum.
 
-    Both the divisor sum and deg gcd(prod_i (x^(q^i) - P), Psi_k) / k are
-    evaluated; disagreement is a hard error.
+    The sum counts the roots of x^(q^i) - P in each F_{q^d} as deg
+    gcd(x^(q^d) - x, x^(q^i) - P) (polys.frobenius_gcd). It is checked
+    against the fixed points of the star permutation on the orbit table
+    (_ik_perm), which the exhaustive I_k entries under the same P share;
+    disagreement is a hard error.
     """
-    P = _member(ctx, P).poly
-    q, k = ctx.q, ctx.k
-    x = Poly.x(ctx.Fq)
+    P = _member(ctx, P)
+    q = ctx.q
     one = Poly.one(ctx.Fq)
 
     def roots(d, i):
         # number of roots of x^(q^i) - P in F_{q^d}: deg gcd(x^(q^d) - x, A)
-        A = one.shift(q ** i) - P
+        A = one.shift(q ** i) - P.poly
         if A.is_zero:
             return q ** d
         if A.degree == 0:
             return 0
         return frobenius_gcd(A, d).degree
 
-    total = moebius_sum(k, roots)
-
-    psi = psi_d(ctx.Fq, k)
-    ring = Modulus(psi)
-    Pm = P % psi
-    R = one
-    for t in islice(ring.frobenius(x % psi), k):
-        R = ring.mul(R, t - Pm)
-    if poly_gcd(R, psi).degree != total * k:
+    total = moebius_sum(ctx.k, roots)
+    perm = _ik_perm(ctx, P)[1]
+    if np.count_nonzero(perm == np.arange(len(perm))) != total:
         raise InternalCheckError("fixed-point count evaluations disagree" + _where(ctx, P))
     return total
 

@@ -5,7 +5,7 @@ import numpy as np
 from permdyn import _kernels, numth
 from permdyn.dynamics import star
 from permdyn.errors import PreconditionError
-from permdyn.polys import Poly, count_irreducibles, fold_mod, powmod
+from permdyn.polys import Poly, count_irreducibles, fold_mod, powmod, psi_d
 
 
 def compose_mod(f, g, mod):
@@ -64,6 +64,27 @@ def recursive_psi_d(field, d):
         out, rem = divmod(out, recursive_psi_d(field, e))
         assert rem.is_zero
     return out
+
+
+def psi_fixed_count(ctx, P):
+    """Star-fixed count of I_k as deg gcd(prod_{i<k} (x^(q^i) - P), Psi_k) / k.
+
+    P is a certified permutation (a PermPoly). Psi_k, the product of the monic
+    irreducibles of degree k, has the roots of degree k as its roots; such a
+    root is a root of some x^(q^i) - P exactly when its minimal polynomial is
+    star-fixed. The product is formed modulo Psi_k, x^(q^i) by loop_powmod
+    from x^(q^(i-1)), and the gcd is loop_gcd.
+    """
+    psi = psi_d(ctx.Fq, ctx.k)
+    Pm = P.poly % psi
+    t = Poly.x(ctx.Fq) % psi
+    acc = Poly.one(ctx.Fq)
+    for _ in range(ctx.k):
+        acc = (acc * (t - Pm)) % psi
+        t = loop_powmod(t, ctx.q, psi)
+    count, rem = divmod(loop_gcd(acc, psi).degree, ctx.k)
+    assert rem == 0
+    return count
 
 
 def squaring_moebius_rep(ctx, A):

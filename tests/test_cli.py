@@ -113,6 +113,17 @@ def test_graph_dot(capsys):
     )
 
 
+@pytest.mark.parametrize("argv", [
+    ("star", "--perm", "x^7", "--f", "x^4+x+1"),
+    ("graph", "--perm", "x^7", "--on", "ik"),
+], ids=["star", "graph"])
+def test_output_dot_is_not_a_choice(capsys, argv):
+    # DOT is graph's --format; the shared --output takes text or json
+    code, out, err = run(capsys, argv[0], "--p", "2", "--k", "4", *argv[1:], "--output", "dot")
+    assert code == 1
+    assert out == "" and "invalid choice: 'dot'" in err
+
+
 def test_graph_json_fallback_from_output_flag(capsys):
     code, out, _ = run(capsys, "graph", "--p", "2", "--k", "4",
                        "--perm", "x^7", "--on", "ik", "--output", "json")

@@ -35,7 +35,7 @@ from permdyn.polys import (
 )
 from permdyn.textio import parse_poly
 
-from oracles import loop_cycles, loop_dot
+from oracles import loop_cycles, loop_dot, psi_fixed_count
 
 CTX24 = make_field_ctx(2, 1, 4)
 CTX33 = make_field_ctx(3, 1, 3)
@@ -314,11 +314,12 @@ def test_internal_check_errors_name_the_tower(monkeypatch, capsys):
         with pytest.raises(InternalCheckError, match=re.escape(
                 tower + "P = x^7, f = x^4+x+1")):
             diamond(CTX24, x7, f)
-    monkeypatch.setattr(cli, "fixed_count_formula", lambda ctx, P: -1)
+    real = dynamics.moebius_sum
+    monkeypatch.setattr(dynamics, "moebius_sum", lambda k, fn: real(k, fn) + 1)
     code = cli.main(["fixed", "--p", "2", "--k", "4", "--perm", "x^7", "--method", "both"])
     assert code == 4
     assert capsys.readouterr().err == (
-        "error: formula count disagrees with direct enumeration" + tower + "P = x^7\n")
+        "error: fixed-point count evaluations disagree" + tower + "P = x^7\n")
 
 
 def test_diamond_inverts_star():
@@ -352,6 +353,42 @@ def test_fixed_count_formula_matches_direct_and_graph(ctx):
         assert count == len(fixed_points_direct(ctx, pp))
         ones = sum(cnt for n, cnt in graph_Ik(ctx, pp).summary if n == 1)
         assert count == ones
+
+
+# every tower with p in {2, 3, 5, 7}, m <= 3 and q^k <= 4096
+PSI_TOWERS = [(p, m, k) for p in (2, 3, 5, 7) for m in (1, 2, 3) for k in range(1, 13)
+              if p ** (m * k) <= 4096]
+
+
+@pytest.mark.parametrize("pmk", PSI_TOWERS, ids=lambda pmk: "%d-%d-%d" % pmk)
+def test_fixed_count_formula_matches_the_psi_product(pmk):
+    # x^n, L[h], the sparse M[1,1,1,0] (x^(Q-2) + 1) and the dense M[1,0,1,1]
+    ctx = make_field_ctx(*pmk)
+    battery = _edge_battery(ctx) + [moebius_poly_rep(ctx, Matrix2(ctx.Fq, 1, 0, 1, 1))]
+    for pp in battery:
+        assert fixed_count_formula(ctx, pp) == psi_fixed_count(ctx, pp), pp
+
+
+@pytest.mark.parametrize("pmk,n,count", [((2, 1, 18), 13, 2), ((2, 1, 20), 13, 3),
+                                         ((3, 1, 12), 11, 4)], ids=["2-1-18", "2-1-20", "3-1-12"])
+def test_fixed_count_formula_at_the_guard(pmk, n, count):
+    ctx = make_field_ctx(*pmk)
+    assert fixed_count_formula(ctx, _mono(ctx, n)) == fixed_count_monomial(ctx, n) == count
+
+
+def test_fixed_count_formula_refuses_a_kept_permutation_with_an_extra_fixed_point(monkeypatch):
+    x3 = _mono(CTX25, 3)
+    orbits, perm = dynamics._ik_perm(CTX25, x3)
+    assert fixed_count_formula(CTX25, x3) == 0
+    # the star of x^3 on I_5 is a 6-cycle; sending the preimage j of 0 to perm[0]
+    # and 0 to itself leaves a permutation with one fixed point
+    j = int(np.flatnonzero(perm == 0)[0])
+    bad = perm.copy()
+    bad[0], bad[j] = 0, perm[0]
+    monkeypatch.setattr(orbits, "kept", (orbits, x3.poly, bad))
+    with pytest.raises(InternalCheckError, match=re.escape(
+            "fixed-point count evaluations disagree; at (p, m, k) = (2, 1, 5), P = x^3") + "$"):
+        fixed_count_formula(CTX25, x3)
 
 
 def test_fixed_count_monomial_pins():
