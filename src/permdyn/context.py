@@ -100,14 +100,15 @@ def make_field_ctx(p, m, k, ext_modulus=None, guard=DEFAULT_GUARD):
     check_tower(p, m, k, guard)
     q = p ** m
     Q = q ** k
+    Fq = base_field(p, m, guard)
     if isinstance(ext_modulus, Poly):
         ext_modulus = ext_modulus.coeffs
-    cache_key = (p, m, k, None if ext_modulus is None
-                 else tuple(np.asarray(ext_modulus, dtype=np.int64).tolist()))
+    if ext_modulus is not None:
+        ext_modulus = Fq.check_encodings(ext_modulus)
+    cache_key = (p, m, k, None if ext_modulus is None else tuple(ext_modulus.tolist()))
     if cache_key in _CTX_CACHE:
         return _CTX_CACHE[cache_key]
 
-    Fq = base_field(p, m, guard)
     Fp = Fq.base or Fq
     base_modulus = None if m == 1 else Poly(Fp, Fq.modulus)
     if ext_modulus is None:
@@ -116,7 +117,6 @@ def make_field_ctx(p, m, k, ext_modulus=None, guard=DEFAULT_GUARD):
         ext_modulus = Poly(Fq, ext_modulus)
         if ext_modulus.degree != k or ext_modulus.leading() != 1:
             raise PreconditionError("extension modulus must be monic of degree k")
-        Fq.check_encodings(ext_modulus.coeffs)
         if not is_irreducible(ext_modulus):
             raise PreconditionError("extension modulus is reducible over F_q")
     key = (p, m, k, tuple(int(c) for c in ext_modulus.coeffs))

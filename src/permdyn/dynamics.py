@@ -55,25 +55,42 @@ __all__ = [
 
 
 class FunctionalGraph:
-    """Cycle decomposition of a permutation acting on a finite node set.
+    """Cycle decomposition of a permutation acting on the nodes 0, ..., n - 1.
 
-    `nodes` and `cycles` are the lists given, not copies. `cycles` lists the
-    nodes of each cycle; the graphs of dynamics order the cycles by their
-    least node index and walk each from that node (_cycles). `summary` holds
-    (length, count) pairs in the order the lengths first occur among them.
+    It holds arrays, not lists: `order` lists the node indices cycle by cycle
+    and `lengths` the cycle lengths in that order (the graphs of dynamics order
+    the cycles by least node index and walk each from it, _cycles). `label`
+    maps an index array to the list of the labels of those nodes. `nodes` and
+    `cycles` are lists of labels, built anew on each read. `summary` holds
+    (length, count) pairs in the order the lengths first occur.
     """
 
-    __slots__ = ("nodes", "cycles", "summary")
+    __slots__ = ("order", "lengths", "label", "summary")
 
-    def __init__(self, nodes, cycles):
-        self.nodes = nodes
-        self.cycles = cycles
-        counts = {}
-        for c in self.cycles:
-            counts[len(c)] = counts.get(len(c), 0) + 1
-        self.summary = list(counts.items())
-        if sum(n * cnt for n, cnt in self.summary) != len(self.nodes):
+    def __init__(self, order, lengths, label):
+        self.order = order
+        self.lengths = lengths
+        self.label = label
+        counts = np.bincount(lengths)
+        self.summary = [(n, int(counts[n])) for n in dict.fromkeys(lengths.tolist())]
+        if sum(n * cnt for n, cnt in self.summary) != len(order):
             raise InternalCheckError("cycles do not partition the node set")
+
+    @property
+    def nodes(self):
+        """The labels of the nodes 0, ..., n - 1, as a new list."""
+        return self.label(np.arange(len(self.order)))
+
+    @property
+    def cycles(self):
+        """Each cycle as a new list of node labels, walked from its first node."""
+        flat = self.label(self.order)
+        return [flat[a:b] for a, b in self._bounds()]
+
+    def _bounds(self):
+        """(start, end) of each cycle's slice of the ordered labels."""
+        ends = np.cumsum(self.lengths).tolist()
+        return zip([0] + ends, ends)
 
     def to_dot(self):
         """DOT text with one subgraph per cycle and an edge from each node to its image.
@@ -81,8 +98,10 @@ class FunctionalGraph:
         Each cycle's edges are one format string applied to its nodes and their
         images, taken in turn, so no string is made per edge.
         """
+        flat = self.label(self.order)
         blocks = ["digraph G {\n"]
-        for idx, cyc in enumerate(self.cycles):
+        for idx, (a, b) in enumerate(self._bounds()):
+            cyc = flat[a:b]
             ends = [None] * (2 * len(cyc))
             ends[0::2] = cyc
             ends[1::2] = cyc[1:] + cyc[:1]
@@ -92,8 +111,23 @@ class FunctionalGraph:
         return "".join(blocks)
 
     def to_json(self):
-        """JSON text with the node list, the cycle lists, and the (length, count) summary."""
-        return json.dumps({"nodes": self.nodes, "cycles": self.cycles, "summary": self.summary})
+        """JSON text with the node list, the cycle lists, and the (length, count) summary.
+
+        The text is json.dumps of the dict of the three, written one cycle at a
+        time, so the cycle lists are never all held at once. The nodes are
+        labelled once, and the cycles take their labels from that list.
+        """
+        nodes = self.nodes
+        flat = _take(nodes, self.order)
+        nodes = json.dumps(nodes)
+        cycles = ", ".join(json.dumps(flat[a:b]) for a, b in self._bounds())
+        return '{"nodes": %s, "cycles": [%s], "summary": %s}' % (
+            nodes, cycles, json.dumps(self.summary))
+
+
+def _take(items, idx):
+    """[items[i] for i in idx], for a list of labels and an index array, by one gather."""
+    return np.array(items, dtype=object)[idx].tolist()
 
 
 class CycleSpectrum:
@@ -327,26 +361,19 @@ def _cycles(perm):
     """The cycles of a permutation of range(n) given as its image array: (order, lengths).
 
     order lists the indices cycle by cycle, the cycles by least index and each
-    walked from it; lengths holds the cycle lengths in that order. An index
-    that is `ahead` steps before its cycle's least index sits (length - ahead)
-    mod length places after it, and each cycle's block starts after the blocks
-    of the cycles with a lesser least index.
+    walked from it, in _cycle_walk's dtype (int32 below 2^30 indices); lengths
+    holds the cycle lengths in that order. An index that is `ahead` steps
+    before its cycle's least index sits (length - ahead) mod length places
+    after it, and each cycle's block starts after the blocks of the cycles
+    with a lesser least index.
     """
     least, ahead = _cycle_walk(perm)
     counts = np.bincount(least, minlength=len(perm))
     length = counts[least]
     place = (np.cumsum(counts) - counts)[least] + np.remainder(-ahead, length)
-    order = np.empty_like(place)
-    order[place] = np.arange(len(perm))
+    order = np.empty_like(least)
+    order[place] = np.arange(len(perm), dtype=least.dtype)
     return order, counts[counts > 0]
-
-
-def _graph(nodes, perm):
-    """The FunctionalGraph of perm on the list of nodes, sharing the node objects."""
-    order, lengths = _cycles(perm)
-    flat = np.array(nodes, dtype=object)[order].tolist()
-    ends = np.cumsum(lengths).tolist()
-    return FunctionalGraph(nodes, [flat[a:b] for a, b in zip([0] + ends, ends)])
 
 
 def _ck_perm(ctx, P):
@@ -439,15 +466,23 @@ def _star_walk(ctx, P, f, max_steps=None):
 
 
 def graph_Ck(ctx, P):
-    """Functional graph of the evaluation map of P on C_k."""
-    els, perm = _ck_perm(ctx, P)
-    return _graph(els.tolist(), perm)
+    """Functional graph of the evaluation map of P on C_k, its nodes labelled by encoding.
+
+    The graph keeps no labels: they are read from enumerate_Ck when asked for.
+    """
+    return FunctionalGraph(*_cycles(_ck_perm(ctx, P)[1]),
+                           lambda idx: enumerate_Ck(ctx)[idx].tolist())
 
 
 def graph_Ik(ctx, P):
-    """Functional graph of f -> P*f on I_k."""
+    """Functional graph of f -> P*f on I_k, its nodes labelled by polynomial text.
+
+    The graph keeps no labels: the orbit table's rows are formatted when they are
+    asked for, all at once and in table order, which reads the table without a copy.
+    """
     orbits, perm = _ik_perm(ctx, P)
-    return _graph(format_coeffs(orbits.field, orbits.coeffs), perm)
+    return FunctionalGraph(*_cycles(perm),
+                           lambda idx: _take(format_coeffs(orbits.field, orbits.coeffs), idx))
 
 
 def period_Ck(ctx, P, alpha):

@@ -59,8 +59,7 @@ class GF:
         ArithmeticError, raised when the generator search fails or when the
         powers of the element it found are not distinct and nonzero.
         """
-        modulus = np.asarray(modulus, dtype=np.int64)
-        base.check_encodings(modulus)
+        modulus = base.check_encodings(modulus)
         r = len(modulus) - 1
         if r < 2:
             raise PreconditionError("extension degree must be >= 2")
@@ -251,11 +250,27 @@ class GF:
     # -- encodings ------------------------------------------------------------
 
     def check_encodings(self, xs):
-        """Raise PreconditionError unless every value of xs lies in [0, order)."""
-        xs = np.asarray(xs, dtype=np.int64)
-        bad = xs[(xs < 0) | (xs >= self.order)]
+        """xs as an int64 array; PreconditionError unless every value is an integer in
+        [0, order).
+
+        A float is refused, not truncated, and an integer beyond int64 is refused
+        before any conversion could overflow. An empty xs is taken whatever its dtype.
+        """
+        arr = np.asarray(xs)
+        kind = arr.dtype.kind
+        if kind == "O":
+            vals = arr.ravel().tolist()
+            for v in vals:
+                if not isinstance(v, (int, np.integer)):
+                    raise PreconditionError("%r is not an integer encoding of %r" % (v, self))
+            bad = [v for v in vals if not 0 <= v < self.order]
+        elif kind in "iu" or not arr.size:
+            bad = arr[(arr < 0) | (arr >= self.order)]
+        else:
+            raise PreconditionError("encodings of %r must be integers, not %s" % (self, arr.dtype))
         if len(bad):
             raise PreconditionError("%d is not an element encoding of %r" % (bad[0], self))
+        return arr.astype(np.int64, copy=False)
 
     def decompose(self, a):
         """Base-p digit vector (length deg) of an encoding."""

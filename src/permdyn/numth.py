@@ -87,6 +87,12 @@ def factorint(n):
     return dict(sorted(out.items()))
 
 
+def primitive_root(p):
+    """The least generator of the multiplicative group modulo a prime p (1 for p = 2)."""
+    cofactors = [(p - 1) // ell for ell in factorint(p - 1)]
+    return next(g for g in range(1, p) if all(pow(g, e, p) != 1 for e in cofactors))
+
+
 def divisors(n):
     """All positive divisors of n, ascending."""
     divs = [1]

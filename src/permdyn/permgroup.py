@@ -8,6 +8,7 @@ import operator
 
 import numpy as np
 
+from . import numth
 from .context import (
     PermPoly, base_field, embed_poly, enumerate_Ck, frobenius_orbits, make_field_ctx,
     restrict_poly,
@@ -30,7 +31,7 @@ class Matrix2:
 
     def __init__(self, field, a, b, c, d):
         for v in (a, b, c, d):
-            if not 0 <= v < field.order:
+            if not isinstance(v, (int, np.integer)) or not 0 <= v < field.order:
                 raise PreconditionError("matrix entry %r outside the field" % v)
         self.field, self.a, self.b, self.c, self.d = field, a, b, c, d
         if self.det() == 0:
@@ -143,31 +144,49 @@ def _interpolate_perm(ctx, table):
 def lagrange_interpolate_all(ctx, values):
     """The unique polynomial of degree < Q interpolating encoding -> values[encoding].
 
-    Uses the nodal polynomial x^Q - x, whose derivative is the constant -1,
-    so the basis polynomial at node u is the negated synthetic quotient
-    (x^Q - x)/(x - u).
+    The basis polynomial at a node u is 1 - (x - u)^(Q-1), so the coefficients
+    are c_0 = values[0], c_(Q-1) = -sum_u values[u], and, for 0 < i < Q - 1,
+    c_i = -sum_(u != 0) values[u] u^(-i) (von zur Gathen and Gerhard, Modern
+    Computer Algebra, 10.1). With g a generator of F_{q^k}^* and
+    V(y) = sum_(j < Q-1) values[g^j] y^j, that sum is V(g^(Q-1-i)): one
+    evaluation of V at g^(Q-2), ..., g, which costs one pass over the points
+    per nonzero coefficient of V. The result is checked to reproduce the table
+    at all Q points.
     """
     field = ctx.Fqk
     Q = ctx.Q
-    values = np.asarray(values, dtype=np.int64)
-    if len(values) != Q:
+    values = field.check_encodings(values)
+    if values.shape != (Q,):
         raise PreconditionError("value table must cover all %d elements" % Q)
-    field.check_encodings(values)
-    coeffs = np.zeros(Q, dtype=np.int64)
+    powers = _generator_powers(field)
+    coeffs = np.empty(Q, dtype=np.int64)
     coeffs[0] = values[0]
-    coeffs[Q - 1] = field.neg(int(values[0]))
-    us = np.arange(1, Q, dtype=np.int64)
-    vs = values[1:]
-    pw = np.ones(Q - 1, dtype=np.int64)
-    for t in range(Q - 1):
-        i = Q - 1 - t
-        s = field.vsum(field.vmul(vs, pw))
-        coeffs[i] = field.add(int(coeffs[i]), field.neg(s))
-        if t < Q - 2:
-            pw = field.vmul(pw, us)
+    coeffs[1:Q - 1] = field.vneg(field.keval(values[powers], powers[:0:-1]))
+    coeffs[Q - 1] = field.neg(field.vsum(values))
     out = Poly(field, coeffs)
     if not np.array_equal(out.eval_many(field.elements()), values):
         raise InternalCheckError("interpolation failed to reproduce its table")
+    return out
+
+
+def _generator_powers(field):
+    """g^0, ..., g^(order - 2) for a generator g of the field's multiplicative group.
+
+    A table-mode field reads them from its exp table. A prime field fills them
+    by doubling from its least primitive root: g^s .. g^(2s-1) are
+    g^0 .. g^(s-1) times g^s.
+    """
+    if field.mode == "table":
+        return field.exp[:field.order - 1]
+    p = field.p
+    out = np.empty(p - 1, dtype=np.int64)
+    out[0] = 1
+    step, filled = numth.primitive_root(p), 1
+    while filled < p - 1:
+        take = min(filled, p - 1 - filled)
+        out[filled:filled + take] = out[:take] * step % p
+        filled += take
+        step = step * step % p
     return out
 
 
@@ -214,8 +233,7 @@ def moebius_eval(ctx, A, z):
     """
     _check_matrix(ctx, A)
     F = ctx.Fqk
-    zs = np.atleast_1d(np.asarray(z, dtype=np.int64))
-    F.check_encodings(zs)
+    zs = np.atleast_1d(F.check_encodings(z))
     den = F.vadd(F.vmul(zs, A.c), A.d)
     out = F.vmul(F.vadd(F.vmul(zs, A.a), A.b), F.vpow(den, ctx.Q - 2))
     if A.c:

@@ -17,18 +17,28 @@ from . import numth
 from .errors import PreconditionError
 
 
+_INT64 = np.dtype(np.int64)
+
+
 class Poly:
     """Polynomial over a GF with ascending integer-encoded coefficients."""
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
-        arr = np.asarray(coeffs, dtype=np.int64)
+        arr = np.asarray(coeffs)
+        if arr.dtype is not _INT64:
+            if arr.size and arr.dtype.kind not in "iu":
+                # a float would be truncated, and an int beyond int64 overflow
+                raise PreconditionError("coefficients must be int64 integers, not %s" % arr.dtype)
+            arr = arr.astype(np.int64)
         n = len(arr)
-        while n > 0 and arr[n - 1] == 0:
-            n -= 1
+        if n and not arr.item(n - 1):
+            # one scan for the last nonzero coefficient, not a step per trailing zero
+            nz = arr.nonzero()[0]
+            n = nz.item(-1) + 1 if len(nz) else 0
         self.field = field
-        self.coeffs = np.array(arr[:n], dtype=np.int64)
+        self.coeffs = arr[:n].copy()
 
     @classmethod
     def zero(cls, field):

@@ -1,5 +1,7 @@
 """Reference routines that the tests check the package against."""
 
+import json
+
 import numpy as np
 
 from permdyn import _kernels, numth
@@ -346,6 +348,39 @@ def vpow_orbit_table(ctx):
     node = np.full(ctx.Q, -1, dtype=np.int64)
     node[conj[order]] = np.arange(n, dtype=np.int64)[:, None]
     return coef[order], codes[order], conj[order], node
+
+
+def loop_interpolate(ctx, values):
+    """The polynomial of degree < Q over F_{q^k} with value values[u] at each encoding u,
+    by Q - 1 whole-array steps.
+
+    The nodal polynomial x^Q - x has derivative -1, so the basis polynomial at u
+    is the negated synthetic quotient (x^Q - x)/(x - u): 1 - x^(Q-1) at u = 0,
+    and at u != 0 the sum of -u^(Q-1-i) x^i over 0 < i < Q. Step t adds
+    -sum_(u != 0) values[u] u^t to the coefficient of x^(Q-1-t), keeping the
+    powers u^t as one array. Values are trusted.
+    """
+    field, Q = ctx.Fqk, ctx.Q
+    values = np.asarray(values, dtype=np.int64)
+    coeffs = np.zeros(Q, dtype=np.int64)
+    coeffs[0] = values[0]
+    coeffs[Q - 1] = field.neg(int(values[0]))
+    us = np.arange(1, Q, dtype=np.int64)
+    vs = values[1:]
+    pw = np.ones(Q - 1, dtype=np.int64)
+    for t in range(Q - 1):
+        i = Q - 1 - t
+        s = field.vsum(field.vmul(vs, pw))
+        coeffs[i] = field.add(int(coeffs[i]), field.neg(s))
+        if t < Q - 2:
+            pw = field.vmul(pw, us)
+    return Poly(field, coeffs)
+
+
+def list_json(graph):
+    """FunctionalGraph.to_json text as json.dumps of the node list, the cycle lists and
+    the summary, all held at once."""
+    return json.dumps({"nodes": graph.nodes, "cycles": graph.cycles, "summary": graph.summary})
 
 
 def loop_dot(graph):

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -526,7 +527,9 @@ def test_graph_emitters():
     assert set(data) == {"nodes", "cycles", "summary"}
     assert data["summary"] == [[2, 1], [1, 1]]
     assert data["cycles"][0] == ["x^4+x+1", "x^4+x^3+1"]
-    assert FunctionalGraph([], []).to_dot() == "digraph G {\n}"
+    empty = FunctionalGraph(np.array([], dtype=np.int32), np.array([], dtype=np.int64),
+                            np.ndarray.tolist)
+    assert empty.to_dot() == "digraph G {\n}"
 
 
 @pytest.mark.parametrize("pmk,perm,on", [
@@ -542,7 +545,25 @@ def test_dot_equals_the_line_by_line_text(pmk, perm, on):
 
 def test_functional_graph_partition_check():
     with pytest.raises(InternalCheckError):
-        FunctionalGraph([1, 2], [[1]])
+        # one cycle of length 1 on two nodes
+        FunctionalGraph(np.arange(2), np.array([1]), np.ndarray.tolist)
+
+
+def test_a_graph_Ck_answer_keeps_no_python_object_per_node():
+    # a kept answer is the int32 walk order and the cycle lengths: under 8 bytes a node,
+    # where a Python int per node takes 36 (its 28-byte object and a list slot)
+    ctx = make_field_ctx(2, 2, 6)
+    P = certify_perm(ctx, Poly.one(ctx.Fq).shift(11))
+    graph_Ck(ctx, P)  # builds the orbit table
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = graph_Ck(ctx, P)
+        grew = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(g.order) == 4020  # |C_6| over F_4
+    assert grew < 8 * len(g.order)
 
 
 def test_period_pins():

@@ -143,9 +143,58 @@ def test_iterate_generation_refuses_a_negative_step_count():
         iterate_generation(CTX, X7, F, max_steps=-1)
 
 
-def test_functional_graph_keeps_the_lists_it_is_given():
-    nodes, cycles = [1, 2], [[1], [2]]
-    g = FunctionalGraph(nodes, cycles)
-    assert g.nodes is nodes and g.cycles is cycles
+def test_functional_graph_builds_its_lists_on_each_read():
+    g = FunctionalGraph(np.array([1, 0, 2], dtype=np.int32), np.array([2, 1]),
+                        lambda idx: ["n%d" % i for i in idx])
+    assert g.nodes == ["n0", "n1", "n2"] and g.cycles == [["n1", "n0"], ["n2"]]
+    assert g.nodes is not g.nodes and g.cycles is not g.cycles
+    g.cycles[0].reverse()
+    assert g.cycles[0] == ["n1", "n0"]
     with pytest.raises(InternalCheckError, match="partition"):
-        FunctionalGraph([1, 2], [[1]])
+        FunctionalGraph(np.arange(2), np.array([1]), np.ndarray.tolist)
+
+
+# an encoding is an integer: a float was truncated to one, and an integer beyond
+# int64 raised OverflowError, which is not a PermdynError
+def test_an_extension_modulus_with_a_float_coefficient_is_refused():
+    # [1.9, 1, 0, 1] built the tower of x^3+x+1
+    with pytest.raises(PreconditionError, match="must be integers"):
+        make_field_ctx(2, 1, 3, ext_modulus=[1.9, 1, 0, 1])
+
+
+def test_lagrange_refuses_a_float_value():
+    # [0.0, 1.7, 2.2, 3.9] interpolated to x
+    with pytest.raises(PreconditionError, match="must be integers"):
+        lagrange_interpolate_all(make_field_ctx(2, 1, 2), [0.0, 1.7, 2.2, 3.9])
+
+
+@pytest.mark.parametrize("z", [2.5, np.array([2.5])], ids=str)
+def test_moebius_eval_refuses_a_float_point(z):
+    # 2.5 was answered for as 2
+    ctx = make_field_ctx(2, 1, 4)
+    with pytest.raises(PreconditionError, match="must be integers"):
+        moebius_eval(ctx, Matrix2(ctx.Fq, 1, 1, 1, 0), z)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda big: make_field_ctx(2, 1, 3, ext_modulus=[big, 1, 0, 1]),
+    lambda big: lagrange_interpolate_all(make_field_ctx(2, 1, 2), [0, 1, big, 3]),
+    lambda big: moebius_eval(make_field_ctx(2, 1, 4), Matrix2(make_field_ctx(2, 1, 4).Fq,
+                                                                  1, 1, 1, 0), big),
+    lambda big: Matrix2(make_field_ctx(2, 1, 4).Fq, big, 1, 1, 0),
+], ids=["ext_modulus", "lagrange", "moebius_eval", "Matrix2"])
+def test_an_encoding_beyond_int64_is_refused(entry):
+    with pytest.raises(PreconditionError, match=str(2 ** 70)):
+        entry(2 ** 70)
+
+
+@pytest.mark.parametrize("coeffs", [[0, 1.9], [0, 2 ** 70]], ids=["float", "2**70"])
+def test_a_polynomial_coefficient_must_be_an_int64_integer(coeffs):
+    # [0, 1.9] was truncated to x, which certify_perm accepted
+    with pytest.raises(PreconditionError, match="coefficients must be int64 integers"):
+        Poly(CTX.Fq, coeffs)
+
+
+def test_a_matrix_entry_must_be_an_integer():
+    with pytest.raises(PreconditionError, match="outside the field"):
+        Matrix2(make_field_ctx(2, 1, 4).Fq, 1.0, 1, 1, 0)

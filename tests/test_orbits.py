@@ -31,7 +31,8 @@ from permdyn.polys import Poly, enumerate_irreducibles, poly_gcd, q_associate
 
 from permdyn.textio import format_coeffs
 
-from oracles import gcd_generation, loop_cycles, loop_format_poly, vpow_orbit_table
+from oracles import (gcd_generation, list_json, loop_cycles, loop_dot, loop_format_poly,
+                     vpow_orbit_table)
 
 TOWERS = [(2, 1, k) for k in range(2, 7)] + [
     (3, 1, 3), (2, 2, 3), (3, 2, 2), (5, 2, 2), (2, 3, 2),
@@ -199,6 +200,22 @@ def test_graphs_and_spectra_equal_the_loop_walk(case):
         lengths = sorted(len(cyc) for cyc in loop_cycles(perm))
         got = spectrum(ctx, P)
         assert (got.lengths, got.S, got.mu) == (lengths, sorted(set(lengths)), lengths[0])
+
+
+@pytest.mark.parametrize("pmk", TOWERS, ids=str)
+def test_graph_text_equals_the_list_builders(pmk):
+    ctx = make_field_ctx(*pmk)
+    q, k, Q = ctx.q, ctx.k, ctx.Q
+    n = next(n for n in range(2, Q) if math.gcd(n, Q - 1) == 1)
+    xk1 = Poly.one(ctx.Fq).shift(k) - Poly.one(ctx.Fq)
+    h = next(h for h in (Poly.from_encoding(ctx.Fq, e) for e in range(q + 1, q ** (k + 1)))
+             if poly_gcd(h, xk1).degree == 0)
+    perms = [certify_perm(ctx, Poly.one(ctx.Fq).shift(n)), certify_perm(ctx, q_associate(h)),
+             moebius_poly_rep(ctx, Matrix2(ctx.Fq, 1, 1, 1, 0))]
+    for P in perms:
+        for g in (graph_Ck(ctx, P), graph_Ik(ctx, P)):
+            assert g.to_json() == list_json(g)
+            assert g.to_dot() == loop_dot(g)
 
 
 @pytest.mark.parametrize("pmk", [(2, 1, 8), (3, 1, 5), (2, 2, 4), (2, 3, 3), (3, 2, 3),

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from permdyn.context import distinguished_root, frobenius, make_field_ctx
 from permdyn.dynamics import graph_Ck
@@ -13,10 +14,11 @@ from permdyn.permgroup import (
     _interpolate_perm, _moebius_poly,
 )
 from permdyn.numth import is_prime
-from permdyn.polys import Poly, enumerate_irreducibles
+from permdyn.polys import Poly, enumerate_irreducibles, fold_mod
 from permdyn.textio import parse_poly
 
-from oracles import squaring_moebius_rep
+from oracles import loop_interpolate, squaring_moebius_rep
+from test_orbits import tower_and_perm
 
 CTX24 = make_field_ctx(2, 1, 4)
 CTX25 = make_field_ctx(2, 1, 5)
@@ -132,6 +134,31 @@ def test_lagrange_interpolates_tables():
     assert np.array_equal(g.eval_many(CTX33.Fqk.elements()), vals)
     with pytest.raises(PreconditionError):
         lagrange_interpolate_all(CTX24, np.arange(15, dtype=np.int64))
+
+
+# every tower with p in {2, 3, 5, 7}, m in {1, 2, 3} and Q <= 1024 (the prime fields
+# (p, 1, 1) among them), and (2, 2, 6) of the towers-m2 benchmark
+INTERP_TOWERS = [(p, m, k) for p in (2, 3, 5, 7) for m in (1, 2, 3) for k in range(1, 11)
+                 if p ** (m * k) <= 1024] + [(2, 2, 6)]
+
+
+@pytest.mark.parametrize("pmk", INTERP_TOWERS, ids=str)
+def test_interpolation_equals_the_loop(pmk):
+    ctx = make_field_ctx(*pmk)
+    rng = np.random.default_rng(ctx.Q)
+    for values in (rng.integers(0, ctx.Q, size=ctx.Q), rng.permutation(ctx.Q)):
+        got = lagrange_interpolate_all(ctx, values)
+        assert got.field == ctx.Fqk
+        assert np.array_equal(got.coeffs, loop_interpolate(ctx, values).coeffs)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(tower_and_perm())
+def test_interpolating_a_value_table_gives_back_the_folded_polynomial(case):
+    ctx, P = case
+    back = lagrange_interpolate_all(ctx, perm_table(ctx, P))
+    assert np.array_equal(back.coeffs, fold_mod(P.poly, ctx.Q).coeffs)
 
 
 def test_realize_identity_and_swap():

@@ -46,6 +46,22 @@ def test_constructors_and_accessors():
     assert Poly.x(F3) == P(F3, "x")
 
 
+@pytest.mark.parametrize("coeffs,n", [([], 0), ([0], 0), ([0, 0, 0], 0), ([1], 1), ([0, 1], 2),
+                                       ([2, 0, 1, 0, 0], 3), ([0, 0, 2], 3)], ids=str)
+def test_trailing_zeros_are_trimmed(coeffs, n):
+    f = Poly(F3, coeffs)
+    assert f.coeffs.tolist() == coeffs[:n] and f.coeffs.dtype == np.int64
+
+
+def test_trimming_a_long_array_keeps_its_nonzero_prefix():
+    # the interpolant and fold_mod hand Poly arrays of Q entries whose top may be zero
+    arr = np.zeros(1 << 20, dtype=np.int64)
+    arr[[0, 5, (1 << 19) - 1]] = 1
+    f = Poly(F2, arr)
+    assert f.degree == (1 << 19) - 1 and np.count_nonzero(f.coeffs) == 3
+    assert f.coeffs.base is None  # its own array, not a view of the caller's
+
+
 def test_encoding_roundtrip_constant_term_least_significant():
     f = P(F3, "x^2+2x+1")  # encoding 1 + 2*3 + 1*9 = 16
     assert f.encoding() == 16
