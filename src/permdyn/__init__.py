@@ -6,7 +6,6 @@ from .context import (
     FieldCtx,
     FrobeniusOrbits,
     conjugates,
-    distinguished_root,
     element_degree,
     embed_poly,
     enumerate_Ck,

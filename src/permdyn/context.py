@@ -330,12 +330,6 @@ def roots_in_ext(ctx, f):
     return np.nonzero(vals == 0)[0].astype(np.int64)
 
 
-def distinguished_root(ctx, f):
-    """The smallest-encoding root of a monic irreducible f of degree k, read off the orbit table."""
-    orbits = frobenius_orbits(ctx)
-    return int(orbits.conj[orbits.index(restrict_poly(ctx, f)), 0])
-
-
 def embed_poly(ctx, f):
     """f as a Poly over F_{q^k} (same encodings): a Poly over F_{q^k} once its coefficients
     are checked to be encodings of it, anything else read through restrict_poly."""

@@ -143,18 +143,32 @@ class CycleSpectrum:
         self.mu = self.S[0]
 
 
-def _irreducible_k(ctx, f, P=None):
-    """f read through context.restrict_poly, refused unless a monic irreducible of degree k
-    (Rabin's test); a refusal names P when given."""
+def _named(ctx, P, f, read):
+    """read(), with a PreconditionError it raises suffixed by _where(ctx, P, f)."""
     try:
-        f = restrict_poly(ctx, f)
+        return read()
     except PreconditionError as exc:
-        problem = str(exc)
-    else:
-        if f.degree == ctx.k and f.leading() == 1 and is_irreducible(f):
-            return f
-        problem = "expected a monic irreducible of degree k"
-    raise PreconditionError(problem + ("" if P is None else _where(ctx, P, f)))
+        raise PreconditionError(str(exc) + _where(ctx, P, f)) from None
+
+
+def _monic_k(ctx, P, f):
+    """f, a Poly over F_q, refused unless monic of degree k; Rabin's test is left to _refuse."""
+    if f.degree != ctx.k or f.leading() != 1:
+        _refuse(ctx, P, f)
+    return f
+
+
+def _refuse(ctx, P, f, failure=None):
+    """Raise failure when given and Rabin's test accepts f, else refuse f, naming P when given."""
+    if failure is not None and is_irreducible(f):
+        raise failure
+    raise PreconditionError("expected a monic irreducible of degree k"
+                            + ("" if P is None else _where(ctx, P, f)))
+
+
+def _certified(ctx, g, divides):
+    """Whether g is monic of degree k, divides(Modulus(g)) holds, and Rabin's test accepts g."""
+    return g.degree == ctx.k and g.leading() == 1 and divides(Modulus(g)) and is_irreducible(g)
 
 
 def _member(ctx, P, f=None):
@@ -162,13 +176,11 @@ def _member(ctx, P, f=None):
 
     A refusal names the tower, P and, when given, f.
     """
-    try:
-        if isinstance(P, PermPoly):
-            restrict_poly(ctx, P)  # refuses a PermPoly of another context
-            return P
-        return certify_perm(ctx, P)
-    except PreconditionError as exc:
-        raise PreconditionError(str(exc) + _where(ctx, P, f)) from None
+    if isinstance(P, PermPoly):
+        # refuses a PermPoly of another context
+        _named(ctx, P, f, lambda: restrict_poly(ctx, P))
+        return P
+    return _named(ctx, P, f, lambda: certify_perm(ctx, P))
 
 
 def _where(ctx, P, f=None):
@@ -182,15 +194,6 @@ def _where(ctx, P, f=None):
         named = "P = " + _brief(ctx, P)
     return "; at (p, m, k) = (%d, %d, %d), %s%s" % (
         ctx.p, ctx.m, ctx.k, named, "" if f is None else ", f = " + _brief(ctx, f))
-
-
-def _table_index(ctx, orbits, P, f):
-    """The index of f in the orbit table, read through restrict_poly; a refusal of an f
-    outside I_k names the tower, P and f."""
-    try:
-        return orbits.index(restrict_poly(ctx, f))
-    except PreconditionError as exc:
-        raise PreconditionError(str(exc) + _where(ctx, P, f)) from None
 
 
 def _brief(ctx, poly):
@@ -210,13 +213,20 @@ def star(ctx, P, f):
     """P*f = gcd(f(P(x)), x^(q^k) - x), the unique degree-k irreducible factor of f(P).
 
     x^(q^k) mod f(P) is k steps of the Frobenius walk (polys.frobenius_gcd).
+    Its image g is certified: monic of degree k, f(P) mod g = 0 and Rabin's
+    test on g. A root b of g has degree k, so P(b) does for P in G_k, and the
+    monic f of degree k is its minimal polynomial: f is tested only on a failure.
     """
-    f = _irreducible_k(ctx, f, P)
-    P = _member(ctx, P, f).poly
-    out = frobenius_gcd(compose(f, P), ctx.k)
-    if out.degree != ctx.k or not is_irreducible(out):
-        raise InternalCheckError("star image is not an irreducible of degree k"
-                                 + _where(ctx, P, f))
+    f = _monic_k(ctx, P, _named(ctx, P, f, lambda: restrict_poly(ctx, f)))
+    try:
+        member = _member(ctx, P, f).poly
+    except PreconditionError as exc:
+        _refuse(ctx, P, f, exc)
+    Pf = compose(f, member)
+    out = frobenius_gcd(Pf, ctx.k)
+    if not _certified(ctx, out, lambda ring: ring.rem(Pf).is_zero):
+        _refuse(ctx, P, f, InternalCheckError("star image is not an irreducible of degree k"
+                                              + _where(ctx, member, f)))
     return out
 
 
@@ -224,8 +234,8 @@ def diamond(ctx, P, f):
     """Minimal polynomial of P(alpha) for a root alpha of f, read off the orbit table."""
     P = _member(ctx, P, f)
     orbits = frobenius_orbits(ctx)
-    root = int(orbits.conj[_table_index(ctx, orbits, P, f), 0])
-    node = orbits.node[embed_poly(ctx, P)(root)]
+    i = _named(ctx, P, f, lambda: orbits.index(restrict_poly(ctx, f)))
+    node = orbits.node[embed_poly(ctx, P)(int(orbits.conj[i, 0]))]
     if node < 0:
         raise InternalCheckError("diamond image does not have degree k" + _where(ctx, P, f))
     return orbits.poly(node)
@@ -418,32 +428,30 @@ def _ik_perm(ctx, P):
 def _check_edge(ctx, P, f, g):
     """Raise InternalCheckError unless g = P*f, for a P that acts bijectively on C_k.
 
-    The checks are that f and g are monic irreducibles of degree k (Rabin's
-    test) and that f(P mod g) = 0 mod g, a Horner pass of k products modulo g
-    after P is reduced modulo g (Modulus.rem). They pin g: P has coefficients
-    in F_q, so it maps F_{q^d} into itself for every d | k, and a root b of
-    f(P) in F_{q^k} has P(b) of degree k, so b lies in C_k. P is a bijection
-    of C_k, so the roots of f(P) in F_{q^k} are exactly the preimage of the
-    roots of f, one Frobenius orbit, and f(P) has exactly one irreducible
-    factor of degree k, P*f. An irreducible g of degree k that divides f(P)
-    is that factor. The cost is O(k)-degree products: about
-    deg(P).bit_length() per term of a sparse P, or one block reduction per
-    k - 1 coefficients of a dense one.
+    f must be monic of degree k and g pass star's certificate, with f(P mod g) = 0
+    mod g by a Horner pass of k products modulo g. P has coefficients in F_q, so it
+    maps each F_{q^d}, d | k, into itself: a root b of g has P(b) of degree k, so f,
+    its minimal polynomial, is irreducible, and the roots of f(P) in F_{q^k} lie in
+    C_k. P is a bijection of C_k, so they are the preimage of the roots of f, one
+    Frobenius orbit, and g is the one irreducible factor of degree k of f(P): P*f.
+    On a failure f and g are tested in turn. Reducing P modulo g (Modulus.rem) costs
+    about deg(P).bit_length() products per term of a sparse P, or one block
+    reduction per k - 1 coefficients of a dense one.
     """
+    def divides(ring):
+        Pg, acc = ring.rem(P), Poly.zero(g.field)
+        for c in f.coeffs[::-1].tolist():
+            acc = ring.mul(acc, Pg) + Poly.const(g.field, c)
+        return acc.is_zero
+
+    if f.degree == ctx.k and f.leading() == 1 and _certified(ctx, g, divides):
+        return
     for h in (f, g):
         if h.degree != ctx.k or h.leading() != 1 or not is_irreducible(h):
             raise InternalCheckError("orbit table holds %s, not a monic irreducible of "
                                      "degree k" % h + _where(ctx, P, f))
-    ring = Modulus(g)
-    Pg = ring.rem(P)
-    acc = Poly.zero(g.field)
-    for c in f.coeffs[::-1].tolist():
-        acc = ring.mul(acc, Pg)
-        if c:
-            acc = acc + Poly.const(g.field, c)
-    if not acc.is_zero:
-        raise InternalCheckError("orbit table image %s does not divide f(P)" % g
-                                 + _where(ctx, P, f))
+    raise InternalCheckError("orbit table image %s does not divide f(P)" % g
+                             + _where(ctx, P, f))
 
 
 def _star_walk(ctx, P, f, max_steps=None):
@@ -455,7 +463,7 @@ def _star_walk(ctx, P, f, max_steps=None):
     if max_steps is not None and max_steps < 0:
         raise PreconditionError("max_steps must be >= 0" + _where(ctx, P, f))
     orbits, perm = _ik_perm(ctx, P)
-    path = [_table_index(ctx, orbits, P, f)]
+    path = [_named(ctx, P, f, lambda: orbits.index(restrict_poly(ctx, f)))]
     limit = len(perm) if max_steps is None else max_steps
     while len(path) <= limit:
         nxt = int(perm[path[-1]])
@@ -573,23 +581,26 @@ def moebius_cycle_structure(q, k, A):
 
 
 def moebius_star(ctx, A, f):
-    """Star action of the Moebius map of A on f, by clearing denominators."""
+    """Star action of the Moebius map of A on f, by clearing denominators.
+
+    The image g, the cleared f(tau_A) made monic, is certified as in star. A root
+    b of g has degree k >= 2, so cb + d != 0, and tau_A(b) has degree k (tau_A^-1
+    is Moebius over F_q): f is its minimal polynomial, tested only on a failure.
+    """
     _check_matrix(ctx, A)
     if ctx.k < 2:
         raise PreconditionError("the Moebius star action needs k >= 2")
-    f = _irreducible_k(ctx, f)
-    k = ctx.k
-    num = Poly(ctx.Fq, [A.b, A.a])
-    den = Poly(ctx.Fq, [A.d, A.c])
+    f = _monic_k(ctx, None, restrict_poly(ctx, f))
+    num, den = Poly(ctx.Fq, [A.b, A.a]), Poly(ctx.Fq, [A.d, A.c])
     # Horner's rule for sum_i f_i num^i den^(k - i), from the top
     acc, denpow = Poly.one(ctx.Fq), Poly.one(ctx.Fq)
-    for i in range(k - 1, -1, -1):
+    for i in range(ctx.k - 1, -1, -1):
         denpow = denpow * den
         acc = acc * num + denpow.scale(f.coeff(i))
     out = acc.monic()
-    if out.degree != k or not is_irreducible(out):
-        raise InternalCheckError("Moebius star image is not an irreducible of degree k"
-                                 + _where(ctx, A, f))
+    if not _certified(ctx, out, lambda ring: ring.rem(acc).is_zero):
+        _refuse(ctx, None, f, InternalCheckError(
+            "Moebius star image is not an irreducible of degree k" + _where(ctx, A, f)))
     return out
 
 

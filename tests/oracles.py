@@ -5,6 +5,7 @@ import json
 import numpy as np
 
 from permdyn import _kernels, numth
+from permdyn.context import frobenius_orbits, restrict_poly
 from permdyn.dynamics import star
 from permdyn.errors import PreconditionError
 from permdyn.polys import Poly, count_irreducibles, fold_mod, powmod, psi_d
@@ -55,6 +56,12 @@ def loop_is_irreducible(f):
         if loop_gcd(loop_powmod(x, q ** (n // ell), f) - x, f).degree != 0:
             return False
     return loop_powmod(x, q ** n, f) == x % f
+
+
+def distinguished_root(ctx, f):
+    """The smallest-encoding root of a monic irreducible f of degree k, read off the orbit table."""
+    orbits = frobenius_orbits(ctx)
+    return int(orbits.conj[orbits.index(restrict_poly(ctx, f)), 0])
 
 
 def recursive_psi_d(field, d):

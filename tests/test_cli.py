@@ -277,6 +277,19 @@ def test_exit_code_precondition(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--p", "2", "--k", "20", "--perm", "x^7", "--f", "x^20+1"],
+     "(p, m, k) = (2, 1, 20), P = x^7, f = x^20+1"),
+    (["--p", "3", "--k", "12", "--perm", "x^11", "--f", "x^12+1"],
+     "(p, m, k) = (3, 1, 12), P = x^11, f = x^12+1"),
+], ids=["2-1-20", "3-1-12"])
+def test_star_refuses_a_reducible_f_at_the_guard(capsys, argv, message):
+    # Rabin's test on f runs only after the image certificate fails
+    code, out, err = run(capsys, "star", *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: expected a monic irreducible of degree k; at %s\n" % message
+
+
 def test_exit_code_guard(capsys):
     code, _, err = run(capsys, "enumerate", "--p", "2", "--k", "40")
     assert code == 3

@@ -3,15 +3,16 @@ import pytest
 
 from permdyn import context
 from permdyn.context import (
-    DEFAULT_GUARD, conjugates, distinguished_root, element_degree, embed_poly,
-    enumerate_Ck, frobenius, make_field_ctx, minimal_poly, restrict_poly,
-    roots_in_ext,
+    DEFAULT_GUARD, conjugates, element_degree, embed_poly, enumerate_Ck, frobenius,
+    make_field_ctx, minimal_poly, restrict_poly, roots_in_ext,
 )
 from permdyn.dynamics import period_Ck
 from permdyn.errors import GuardExceeded, PreconditionError
 from permdyn.numth import divisors, moebius
 from permdyn.polys import Poly, compose, enumerate_irreducibles, is_irreducible
 from permdyn.textio import parse_poly
+
+from oracles import distinguished_root
 
 
 def test_default_moduli_are_lex_smallest():

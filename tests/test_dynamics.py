@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 from permdyn import cli, dynamics
 from permdyn.context import (
-    distinguished_root, embed_poly, enumerate_Ck, frobenius_orbits, make_field_ctx,
-    minimal_poly, restrict_poly,
+    embed_poly, enumerate_Ck, frobenius_orbits, make_field_ctx, minimal_poly, restrict_poly,
 )
 from permdyn.dynamics import (
     CycleSpectrum, FunctionalGraph, diamond, fixed_count_formula,
@@ -36,7 +35,7 @@ from permdyn.polys import (
 )
 from permdyn.textio import parse_poly
 
-from oracles import loop_cycles, loop_dot, psi_fixed_count
+from oracles import distinguished_root, loop_cycles, loop_dot, psi_fixed_count
 
 CTX24 = make_field_ctx(2, 1, 4)
 CTX33 = make_field_ctx(3, 1, 3)
@@ -273,6 +272,67 @@ def test_edge_check_accepts_only_the_gcd_star(pmk):
         assert others > 0
 
 
+# towers small enough to try every monic f of degree k against every g in I_k
+PROOF_TOWERS = [(2, 1, 4), (3, 1, 3), (2, 2, 3), (2, 1, 6), (5, 1, 3), (3, 2, 2)]
+
+
+@pytest.mark.parametrize("pmk", PROOF_TOWERS, ids=lambda pmk: "%d-%d-%d" % pmk)
+def test_the_image_certificate_refuses_every_reducible_f(pmk):
+    # Rabin's test on f runs only when the image certificate fails, since a certified
+    # image proves f irreducible: every reducible monic f of degree k is still refused
+    ctx = make_field_ctx(*pmk)
+    irr = frobenius_orbits(ctx).polys
+    lead = ctx.q ** ctx.k
+    reducible = [f for f in (Poly.from_encoding(ctx.Fq, lead + e) for e in range(lead))
+                 if f not in set(irr)]
+    assert len(reducible) == lead - len(irr) > 0
+    for pp in _edge_battery(ctx):
+        for f in irr:
+            assert star(ctx, pp, f) == _star_by_full_gcd(ctx, pp, f)
+        for f in reducible:
+            with pytest.raises(PreconditionError) as info:
+                star(ctx, pp, f)
+            assert str(info.value) == (
+                "expected a monic irreducible of degree k; at (p, m, k) = (%d, %d, %d), "
+                "P = %s, f = %s" % (pmk + (dynamics._brief(ctx, pp), f)))
+            for g in irr:
+                with pytest.raises(InternalCheckError, match=re.escape("f = %s" % f) + "$"):
+                    dynamics._check_edge(ctx, pp.poly, f, g)
+    A = Matrix2(ctx.Fq, 1, 1, 1, 0)
+    for f in reducible:
+        with pytest.raises(PreconditionError, match="^expected a monic irreducible of degree k$"):
+            moebius_star(ctx, A, f)
+
+
+def test_a_certified_image_costs_one_rabin_test(monkeypatch):
+    # the test of the image also proves f irreducible, so f itself is not tested
+    tested = []
+    real = dynamics.is_irreducible
+    monkeypatch.setattr(dynamics, "is_irreducible", lambda h: tested.append(h) or real(h))
+    f = P(CTX24, "x^4+x+1")
+    g = star(CTX24, _mono(CTX24, 7), f)
+    assert tested == [g]
+    tested.clear()
+    dynamics._check_edge(CTX24, _mono(CTX24, 7).poly, f, g)
+    assert tested == [g]
+    tested.clear()
+    g = moebius_star(CTX24, Matrix2(CTX24.Fq, 1, 1, 1, 0), f)
+    assert tested == [g]
+
+
+def test_star_names_a_reducible_f_before_a_P_outside_G_k():
+    # f is tested when P is refused, so an input wrong in both ways names f
+    x3 = Poly.one(CTX24.Fq).shift(3)
+    where = "; at (p, m, k) = (2, 1, 4), P = x^3, f = "
+    for f in ("x^4+x^2+1", "x^3+x+1", "x^5+x+1", "x^4+x^3"):
+        with pytest.raises(PreconditionError) as info:
+            star(CTX24, x3, P(CTX24, f))
+        assert str(info.value) == "expected a monic irreducible of degree k" + where + f
+    with pytest.raises(PreconditionError) as info:
+        star(CTX24, x3, P(CTX24, "x^4+x+1"))
+    assert str(info.value) == "polynomial does not permute F_{q^k}" + where + "x^4+x+1"
+
+
 @pytest.mark.parametrize("pmk", [(2, 1, 8), (3, 1, 5), (2, 2, 4)])
 def test_star_permutation_of_a_realized_sigma_is_its_inverse(pmk):
     # the main theorem: a P realizing sigma sends the roots of f_i to those of
@@ -297,7 +357,8 @@ def test_internal_check_errors_name_the_tower(monkeypatch, capsys):
     with pytest.raises(InternalCheckError, match=re.escape(
             tower + "P = x^3, alpha = %d" % alpha)):
         period_Ck(CTX24, PermPoly(Poly.one(CTX24.Fq).shift(3), CTX24.key), alpha)
-    answers = iter([True, False])
+    # the image is refused and f accepted: the certificate's test, then the one on f
+    answers = iter([False, True])
     with monkeypatch.context() as mp:
         mp.setattr(dynamics, "is_irreducible", lambda h: next(answers))
         with pytest.raises(InternalCheckError, match=re.escape(

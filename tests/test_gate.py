@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from permdyn.context import (
-    base_field, distinguished_root, embed_poly, make_field_ctx, restrict_poly, roots_in_ext,
+    base_field, embed_poly, make_field_ctx, restrict_poly, roots_in_ext,
 )
 from permdyn.dynamics import (
     FunctionalGraph, diamond, fixed_count_formula, fixed_count_linearized,
@@ -24,6 +24,8 @@ from permdyn.permgroup import (
 )
 from permdyn.polys import Poly
 
+from oracles import distinguished_root
+
 CTX = make_field_ctx(2, 2, 2)     # F_4 inside F_16
 OTHER = make_field_ctx(2, 2, 3)   # the same F_4, inside F_64
 X7 = certify_perm(CTX, Poly(CTX.Fq, [0] * 7 + [1]))
@@ -36,7 +38,6 @@ ENTRIES = {
     "context.restrict_poly": (lambda g: restrict_poly(CTX, g), F),
     "context.embed_poly": (lambda g: embed_poly(CTX, g), F),
     "context.roots_in_ext": (lambda g: roots_in_ext(CTX, g), F),
-    "context.distinguished_root": (lambda g: distinguished_root(CTX, g), F),
     "dynamics.star.P": (lambda g: star(CTX, g, F), X7),
     "dynamics.star.f": (lambda g: star(CTX, X7, g), F),
     "dynamics.diamond.P": (lambda g: diamond(CTX, g, F), X7),

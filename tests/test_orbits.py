@@ -18,8 +18,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from permdyn.context import (distinguished_root, embed_poly, enumerate_Ck, frobenius_orbits,
-                             make_field_ctx, minimal_poly, roots_in_ext)
+from permdyn.context import (embed_poly, enumerate_Ck, frobenius_orbits, make_field_ctx,
+                             minimal_poly, roots_in_ext)
 from permdyn.dynamics import (_ck_perm, _ik_perm, diamond, fixed_count_formula,
                               fixed_points_direct, graph_Ck, graph_Ik, period_Ik, spectrum_Ck,
                               spectrum_Ik, star)
@@ -31,8 +31,8 @@ from permdyn.polys import Poly, enumerate_irreducibles, poly_gcd, q_associate
 
 from permdyn.textio import format_coeffs
 
-from oracles import (gcd_generation, list_json, loop_cycles, loop_dot, loop_format_poly,
-                     vpow_orbit_table)
+from oracles import (distinguished_root, gcd_generation, list_json, loop_cycles, loop_dot,
+                     loop_format_poly, vpow_orbit_table)
 
 TOWERS = [(2, 1, k) for k in range(2, 7)] + [
     (3, 1, 3), (2, 2, 3), (3, 2, 2), (5, 2, 2), (2, 3, 2),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from permdyn.context import distinguished_root, frobenius_orbits, make_field_ctx, roots_in_ext
+from permdyn.context import frobenius_orbits, make_field_ctx, roots_in_ext
 from permdyn.errors import PreconditionError
 from permdyn.numth import euler_phi
 from permdyn.orders import (
@@ -14,7 +14,7 @@ from permdyn.orders import (
 from permdyn.polys import Poly, enumerate_irreducibles, factor, poly_gcd, powmod
 from permdyn.textio import parse_poly
 
-from oracles import linearized_eval
+from oracles import distinguished_root, linearized_eval
 
 CTX24 = make_field_ctx(2, 1, 4)
 CTX33 = make_field_ctx(3, 1, 3)

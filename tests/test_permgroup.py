@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from permdyn.context import distinguished_root, frobenius, make_field_ctx
+from permdyn.context import frobenius, make_field_ctx
 from permdyn.dynamics import graph_Ck
 from permdyn.errors import InternalCheckError, PreconditionError
 from permdyn.permgroup import (
@@ -17,7 +17,7 @@ from permdyn.numth import is_prime
 from permdyn.polys import Poly, enumerate_irreducibles, fold_mod
 from permdyn.textio import parse_poly
 
-from oracles import loop_interpolate, squaring_moebius_rep
+from oracles import distinguished_root, loop_interpolate, squaring_moebius_rep
 from test_orbits import tower_and_perm
 
 CTX24 = make_field_ctx(2, 1, 4)
