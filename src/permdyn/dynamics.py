@@ -583,9 +583,10 @@ def moebius_cycle_structure(q, k, A):
 def moebius_star(ctx, A, f):
     """Star action of the Moebius map of A on f, by clearing denominators.
 
-    The image g, the cleared f(tau_A) made monic, is certified as in star. A root
-    b of g has degree k >= 2, so cb + d != 0, and tau_A(b) has degree k (tau_A^-1
-    is Moebius over F_q): f is its minimal polynomial, tested only on a failure.
+    The image g, the cleared f(tau_A) made monic, is monic and divides it by
+    construction, so it is certified by its degree and Rabin's test. A root b of
+    g has degree k >= 2, so cb + d != 0, and tau_A(b) has degree k (tau_A^-1 is
+    Moebius over F_q): f is its minimal polynomial, tested only on a failure.
     """
     _check_matrix(ctx, A)
     if ctx.k < 2:
@@ -598,7 +599,7 @@ def moebius_star(ctx, A, f):
         denpow = denpow * den
         acc = acc * num + denpow.scale(f.coeff(i))
     out = acc.monic()
-    if not _certified(ctx, out, lambda ring: ring.rem(acc).is_zero):
+    if out.degree != ctx.k or not is_irreducible(out):
         _refuse(ctx, None, f, InternalCheckError(
             "Moebius star image is not an irreducible of degree k" + _where(ctx, A, f)))
     return out
