@@ -32,18 +32,20 @@ class FieldCtx:
 
 
 class PermPoly:
-    """A certified element of G_k: reduced poly over F_q plus its context key.
+    """A certified element of G_k: reduced poly over F_q, its context key, and `perm`.
 
     restrict_poly, and with it every context-taking entry, trusts a PermPoly
     of its context. One is made only by certify_perm, gk_compose, gk_inverse,
-    realize_permutation or moebius_poly_rep.
+    realize_permutation or moebius_poly_rep. `perm` is P's star permutation on
+    the orbit table, read-only, which dynamics._ik_perm fills once; None before.
     """
 
-    __slots__ = ("poly", "ctx_key")
+    __slots__ = ("poly", "ctx_key", "perm")
 
     def __init__(self, poly, ctx_key):
         self.poly = poly
         self.ctx_key = ctx_key
+        self.perm = None
 
     def __eq__(self, other):
         return (isinstance(other, PermPoly) and self.ctx_key == other.ctx_key
@@ -135,15 +137,26 @@ def make_field_ctx(p, m, k, ext_modulus=None, guard=DEFAULT_GUARD):
     return ctx
 
 
+def element(ctx, a):
+    """a as an int: PreconditionError unless it is one integer encoding of F_{q^k}.
+
+    a is read through ctx.Fqk.check_encodings, so a float, a bool, a string or a
+    value outside [0, Q) is refused; so is any array or list, whatever it holds.
+    """
+    arr = ctx.Fqk.check_encodings(a)
+    if arr.ndim:
+        raise PreconditionError("%r is not a single element encoding of F_{q^k}" % (a,))
+    return int(arr)
+
+
 def frobenius(ctx, a, j=1):
     """a^(q^j) in F_{q^k}."""
-    if not 0 <= a < ctx.Q:
-        raise PreconditionError("%d is not an element encoding of F_{q^k}" % a)
-    return ctx.Fqk.pow(a, ctx.q ** (j % ctx.k if ctx.k > 1 else 0))
+    return ctx.Fqk.pow(element(ctx, a), ctx.q ** (j % ctx.k if ctx.k > 1 else 0))
 
 
 def element_degree(ctx, a):
     """The least s dividing k with a^(q^s) = a."""
+    a = element(ctx, a)
     for s in numth.divisors(ctx.k):
         if frobenius(ctx, a, s) == a:
             return s
@@ -152,6 +165,7 @@ def element_degree(ctx, a):
 
 def conjugates(ctx, a):
     """[a, a^q, ..., a^(q^(d-1))] with d the degree of a."""
+    a = element(ctx, a)
     out = [a]
     cur = frobenius(ctx, a)
     while cur != a:
@@ -162,6 +176,7 @@ def conjugates(ctx, a):
 
 def minimal_poly(ctx, a):
     """Minimal polynomial of a over F_q, as a Poly over F_q."""
+    a = element(ctx, a)
     conj = np.array(conjugates(ctx, a), dtype=np.int64)
     if a == 0 or ctx.Fqk.mode == "prime":  # x - a, with no log to read
         return Poly(ctx.Fq, [ctx.Fq.neg(a), 1])
@@ -173,16 +188,20 @@ class FrobeniusOrbits:
 
     On logs to the generator g of F_{q^k}^*, the orbits are the q-cyclotomic
     cosets mod Q - 1 of size k; _build_orbits reads the table off them. Row i
-    of coeffs holds the ascending coefficients of the i-th monic
-    irreducible of degree k by encoding (codes[i]), conj[i] its roots
-    [a, a^q, ..., a^(q^(k-1))] from the least root a, and node[b] the index of
-    the minimal polynomial of the element b, or -1 when b has degree below k.
-    `kept` is the last star permutation computed on the table, as the triple
-    (table, certified P as a Poly, read-only index array), or None (see
-    dynamics._ik_perm).
+    of coeffs holds the ascending coefficients of the i-th monic irreducible
+    of degree k by encoding (codes[i]), roots[i] its least root, and node[b]
+    the index of the minimal polynomial of the element b, or -1 when b has
+    degree below k; the other roots are the Frobenius powers of roots[i]. The
+    arrays are read-only, and a star permutation is kept on its P (PermPoly.perm).
     """
 
-    __slots__ = ("field", "coeffs", "codes", "conj", "node", "kept")
+    __slots__ = ("field", "codes", "coeffs", "roots", "node")
+
+    def __init__(self, field, codes, coeffs, roots, node):
+        self.field, self.codes, self.coeffs, self.roots, self.node = (
+            field, codes, coeffs, roots, node)
+        for arr in (codes, coeffs, roots, node):
+            arr.flags.writeable = False
 
     def poly(self, i):
         """The i-th element of I_k as a Poly over F_q."""
@@ -195,7 +214,7 @@ class FrobeniusOrbits:
 
     def index(self, f):
         """Position of f, a Poly over F_q (read through restrict_poly), in polys."""
-        if f.degree == self.conj.shape[1] and f.leading() == 1:
+        if f.degree == self.coeffs.shape[1] - 1 and f.leading() == 1:
             i = int(np.searchsorted(self.codes, f.encoding()))
             if i < len(self.codes) and self.codes[i] == f.encoding():
                 return i
@@ -221,35 +240,33 @@ def _build_orbits(ctx):
     Niederreiter, Finite Fields). A first sweep over the logs, one block at a
     time, keeps the least log j of each such coset and the encoding of the
     minimal polynomial of g^j. The codes sort the orbits, the coefficients are
-    their digits, and a second sweep, over the sorted leaders, reads their
-    conjugates through exp. At k = 1 each element of F_q is an orbit of its own.
+    their digits, and a second sweep, over the sorted leaders, reads each
+    block's conjugates through exp: their row minima are the least roots, and
+    node is scattered from them. At k = 1 each element of F_q is an orbit of its own.
     """
     q, k = ctx.q, ctx.k
     n = count_irreducibles(q, k)
     if k == 1:
-        conj = ctx.Fq.elements()[:, None]
-        codes = ctx.Fq.vneg(conj[:, 0]) + q  # x - a
+        codes = ctx.Fq.vneg(ctx.Fq.elements()) + q  # x - a
         order = np.argsort(codes)
-        codes, conj = codes[order], conj[order]
+        blocks = [(0, ctx.Fq.elements()[order][:, None])]
     else:
         leaders, codes = _leaders_and_codes(ctx, n)
         order = np.argsort(codes)
-        codes, leaders = codes[order], leaders[order]
-        conj = np.empty((n, k), dtype=np.int64)
+        leaders = leaders[order]
         rows = _LOG_BLOCK // k
-        for lo in range(0, n, rows):
-            logs = _coset_logs(ctx, leaders[lo:lo + rows])
-            conj[lo:lo + rows] = _least_first(ctx.Fqk.exp[logs])
-    out = FrobeniusOrbits()
-    out.field = ctx.Fq
-    out.codes = codes
-    out.coeffs = codes[:, None] // q ** np.arange(k + 1, dtype=np.int64)
-    out.coeffs %= q
-    out.conj = conj
-    out.node = np.full(ctx.Q, -1, dtype=np.int64)
-    out.node[conj] = np.arange(n, dtype=np.int64)[:, None]
-    out.kept = None
-    return out
+        blocks = ((lo, ctx.Fqk.exp[_coset_logs(ctx, leaders[lo:lo + rows])])
+                  for lo in range(0, n, rows))
+    codes = codes[order]
+    coeffs = codes[:, None] // q ** np.arange(k + 1, dtype=np.int64)
+    coeffs %= q
+    # node is allocated after the first sweep, so it adds nothing to that sweep's peak
+    roots = np.empty(n, dtype=np.int64)
+    node = np.full(ctx.Q, -1, dtype=np.int64)
+    for lo, conj in blocks:
+        roots[lo:lo + len(conj)] = conj.min(axis=1)
+        node[conj] = np.arange(lo, lo + len(conj), dtype=np.int64)[:, None]
+    return FrobeniusOrbits(ctx.Fq, codes, coeffs, roots, node)
 
 
 def _leaders_and_codes(ctx, n):
@@ -276,13 +293,6 @@ def _coset_logs(ctx, j):
     logs = j[:, None] * ctx.q ** np.arange(ctx.k, dtype=np.int64)
     logs %= ctx.Q - 1
     return logs
-
-
-def _least_first(conj):
-    """Each row of Frobenius conjugates rotated to start at its least encoding."""
-    k = conj.shape[1]
-    start = conj.argmin(axis=1)
-    return np.take_along_axis(conj, (start[:, None] + np.arange(k)) % k, axis=1)
 
 
 def _minimal_polys(ctx, logs):

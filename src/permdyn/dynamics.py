@@ -9,12 +9,13 @@ import math
 
 import numpy as np
 
-from .context import element_degree, embed_poly, enumerate_Ck, frobenius_orbits, restrict_poly
+from .context import (element, element_degree, embed_poly, enumerate_Ck, frobenius_orbits,
+                      restrict_poly)
 from .errors import InternalCheckError, PreconditionError
 from .numth import (check_coprime_exponent, divisors, euler_phi, is_prime, moebius_sum,
                     mult_order_int, prime_norm_index)
-from .orders import fq_order, mult_order, norm_of, phi_q, poly_order, trace_of
-from .permgroup import Matrix2, PermPoly, _check_matrix, _distinct, certify_perm, pgl2_order
+from .orders import _fq_order, _mult_order, _norm, _trace, phi_q, poly_order
+from .permgroup import Matrix2, _check_matrix, _distinct, certify_perm, pgl2_order
 from .polys import (
     Modulus,
     Poly,
@@ -172,14 +173,7 @@ def _certified(ctx, g, divides):
 
 
 def _member(ctx, P, f=None):
-    """P as an element of G_k: a PermPoly of the context as it is, any other P certified.
-
-    A refusal names the tower, P and, when given, f.
-    """
-    if isinstance(P, PermPoly):
-        # refuses a PermPoly of another context
-        _named(ctx, P, f, lambda: restrict_poly(ctx, P))
-        return P
+    """P as an element of G_k (certify_perm); a refusal names the tower, P and, when given, f."""
     return _named(ctx, P, f, lambda: certify_perm(ctx, P))
 
 
@@ -235,7 +229,7 @@ def diamond(ctx, P, f):
     P = _member(ctx, P, f)
     orbits = frobenius_orbits(ctx)
     i = _named(ctx, P, f, lambda: orbits.index(restrict_poly(ctx, f)))
-    node = orbits.node[embed_poly(ctx, P)(int(orbits.conj[i, 0]))]
+    node = orbits.node[embed_poly(ctx, P)(int(orbits.roots[i]))]
     if node < 0:
         raise InternalCheckError("diamond image does not have degree k" + _where(ctx, P, f))
     return orbits.poly(node)
@@ -399,30 +393,28 @@ def _ck_perm(ctx, P):
 
 
 def _ik_perm(ctx, P):
-    """The orbit table and the star action of P as an index array on its polys.
+    """The orbit table and the star action of P as a read-only index array on its polys.
 
     P commutes with Frobenius, so P*f is the orbit of P^(-1)(a) for a root a of f:
-    the star map inverts i -> node[P(conj[i, 0])]. One edge, from the first
-    f to its image g, is checked modulo g (_check_edge), without forming f(P).
-    The table keeps the last array, read-only, with the table object and the
-    certified P it was computed for; the same table and an equal P read
-    it back. A copy of the table carries the slot but is not the table named in it.
+    the star map inverts i -> node[P(roots[i])]. One edge, from the first f to its
+    image g, is checked modulo g (_check_edge), without forming f(P). The array is
+    P's own: it is computed once per certified P and kept on it (PermPoly.perm),
+    so every holder of that P reads it back, while a raw Poly, certified anew on
+    each call, keeps its array for that call only.
     """
     P = _member(ctx, P)
     orbits = frobenius_orbits(ctx)
-    kept = orbits.kept
-    if kept is not None and kept[0] is orbits and kept[1] == P.poly:
-        return orbits, kept[2]
-    n = len(orbits.coeffs)
-    image = orbits.node[embed_poly(ctx, P).eval_many(orbits.conj[:, 0])]
-    if np.any(image < 0) or not _distinct(image, n):
-        raise InternalCheckError("P does not act bijectively on I_k" + _where(ctx, P))
-    perm = np.empty(n, dtype=np.int64)
-    perm[image] = np.arange(n)
-    _check_edge(ctx, P.poly, orbits.poly(0), orbits.poly(perm[0]))
-    perm.flags.writeable = False
-    orbits.kept = (orbits, P.poly, perm)
-    return orbits, perm
+    if P.perm is None:
+        n = len(orbits.roots)
+        image = orbits.node[embed_poly(ctx, P).eval_many(orbits.roots)]
+        if np.any(image < 0) or not _distinct(image, n):
+            raise InternalCheckError("P does not act bijectively on I_k" + _where(ctx, P))
+        perm = np.empty(n, dtype=np.int64)
+        perm[image] = np.arange(n)
+        _check_edge(ctx, P.poly, orbits.poly(0), orbits.poly(perm[0]))
+        perm.flags.writeable = False
+        P.perm = perm
+    return orbits, P.perm
 
 
 def _check_edge(ctx, P, f, g):
@@ -496,7 +488,7 @@ def graph_Ik(ctx, P):
 def period_Ck(ctx, P, alpha):
     """Least n >= 1 whose n-th iterate of P fixes alpha."""
     P = _member(ctx, P)
-    alpha = int(alpha)
+    alpha = element(ctx, alpha)
     if element_degree(ctx, alpha) != ctx.k:
         raise PreconditionError("alpha does not have degree k over F_q")
     Pe = embed_poly(ctx, P)
@@ -633,18 +625,20 @@ def invariant_report(ctx, P, f):
     """
     P = _member(ctx, P, f)
     Pf = star(ctx, P, f)
+    # star's certificate proved f and P*f monic irreducibles of degree k
+    f = restrict_poly(ctx, f)
     report = dict.fromkeys(("ord_preserved", "fq_order_preserved", "norm_relation",
                             "trace_relation"))
     n = _monomial_exponent(P.poly)
     if n is not None:
         n0 = pow(n, -1, ctx.Q - 1)
-        report["ord_preserved"] = mult_order(ctx, Pf) == mult_order(ctx, f)
-        report["norm_relation"] = norm_of(ctx, Pf) == ctx.Fq.pow(norm_of(ctx, f), n0)
+        report["ord_preserved"] = _mult_order(Pf) == _mult_order(f)
+        report["norm_relation"] = _norm(ctx, Pf) == ctx.Fq.pow(_norm(ctx, f), n0)
         return report
     h = _linearized_associate(P.poly)
     if h is not None:
         c = ctx.Fq.inv(h(1))
-        report["fq_order_preserved"] = fq_order(ctx, Pf) == fq_order(ctx, f)
-        report["trace_relation"] = trace_of(ctx, Pf) == ctx.Fq.mul(c, trace_of(ctx, f))
+        report["fq_order_preserved"] = _fq_order(ctx, Pf) == _fq_order(ctx, f)
+        report["trace_relation"] = _trace(ctx, Pf) == ctx.Fq.mul(c, _trace(ctx, f))
         return report
     raise PreconditionError("no invariant proposition applies to this permutation")

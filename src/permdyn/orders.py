@@ -15,7 +15,11 @@ from .polys import Modulus, Poly, factor, is_irreducible, poly_gcd, powmod
 
 def mult_order(ctx, f):
     """Order of the roots of an irreducible f: least e with x^e = 1 mod f."""
-    f = _irreducible(ctx, f, "mult_order needs")
+    return _mult_order(_irreducible(ctx, f, "mult_order needs"))
+
+
+def _mult_order(f):
+    """mult_order of f, a Poly over F_q known to be irreducible."""
     if f.degree == 1 and f.coeff(0) == 0:
         raise PreconditionError("mult_order is undefined for f = x")
     x = Poly.x(f.field)
@@ -41,7 +45,11 @@ def fq_order(ctx, f):
     arithmetic is needed. Computed by stripping irreducible factors from
     x^k - 1.
     """
-    f = _irreducible(ctx, f, "fq_order needs")
+    return _fq_order(ctx, _irreducible(ctx, f, "fq_order needs"))
+
+
+def _fq_order(ctx, f):
+    """fq_order of f, a Poly over F_q known to be irreducible."""
     field = f.field
     k = ctx.k
     xk1 = Poly(field, [field.neg(1)] + [0] * (k - 1) + [1])
@@ -82,13 +90,23 @@ def poly_order(f, g):
 
 def norm_of(ctx, f):
     """Norm of a root of an irreducible f of degree k: (-1)^k f_0 for monic f (Vieta)."""
+    return _norm(ctx, _monic_of_degree_k(ctx, f))
+
+
+def _norm(ctx, f):
+    """norm_of f, a monic irreducible of degree k over F_q."""
     Fq = ctx.Fq
-    return Fq.mul(Fq.pow(Fq.neg(1), ctx.k), _monic_of_degree_k(ctx, f).coeff(0))
+    return Fq.mul(Fq.pow(Fq.neg(1), ctx.k), f.coeff(0))
 
 
 def trace_of(ctx, f):
     """Trace of a root of an irreducible f of degree k: -f_(k-1) for monic f (Vieta)."""
-    return ctx.Fq.neg(_monic_of_degree_k(ctx, f).coeff(ctx.k - 1))
+    return _trace(ctx, _monic_of_degree_k(ctx, f))
+
+
+def _trace(ctx, f):
+    """trace_of f, a monic irreducible of degree k over F_q."""
+    return ctx.Fq.neg(f.coeff(ctx.k - 1))
 
 
 def _irreducible(ctx, f, needs):

@@ -10,8 +10,8 @@ import numpy as np
 
 from . import numth
 from .context import (
-    PermPoly, base_field, embed_poly, enumerate_Ck, frobenius_orbits, make_field_ctx,
-    restrict_poly,
+    PermPoly, _coset_logs, base_field, embed_poly, enumerate_Ck, frobenius_orbits,
+    make_field_ctx, restrict_poly,
 )
 from .errors import InternalCheckError, PreconditionError
 from .polys import Poly, fold_mod, poly_gcd, pth_root
@@ -70,12 +70,16 @@ class Matrix2:
 
 
 def certify_perm(ctx, P):
-    """Reduce P mod x^Q - x and accept it into G_k iff it permutes F_{q^k}.
+    """P as an element of G_k: a PermPoly of the context as it is, so its holders share
+    its star permutation; any other P reduced mod x^Q - x and accepted iff it permutes F_{q^k}.
 
     P is read through context.restrict_poly; the induced map is checked exhaustively.
     The PermPoly owns a copy of the coefficients, so changing the caller's Poly in
     place afterwards does not change the certified P.
     """
+    if isinstance(P, PermPoly):
+        restrict_poly(ctx, P)
+        return P
     return _certified_table(ctx, P)[0]
 
 
@@ -209,11 +213,11 @@ def realize_permutation(ctx, sigma):
     """An element P of G_k inducing a given permutation of I_k.
 
     sigma maps indices into the lex-ordered I_k (pairs, dict, or image list).
-    P sends the j-th Frobenius power of the distinguished root of f_i to the
-    j-th Frobenius power of the distinguished root of f_{sigma(i)}, and fixes
-    every element outside C_k.
+    P sends the j-th Frobenius power a^(q^j) of the least root a of f_i to that of
+    f_{sigma(i)}, and fixes every element outside C_k.
     """
-    conj = frobenius_orbits(ctx).conj
+    roots = frobenius_orbits(ctx).roots
+    conj = roots[:, None] if ctx.k == 1 else ctx.Fqk.exp[_coset_logs(ctx, ctx.Fqk.log[roots])]
     table = np.arange(ctx.Q, dtype=np.int64)
     table[conj] = conj[_sigma_images(sigma, len(conj))]
     return _interpolate_perm(ctx, table)

@@ -61,7 +61,7 @@ def loop_is_irreducible(f):
 def distinguished_root(ctx, f):
     """The smallest-encoding root of a monic irreducible f of degree k, read off the orbit table."""
     orbits = frobenius_orbits(ctx)
-    return int(orbits.conj[orbits.index(restrict_poly(ctx, f)), 0])
+    return int(orbits.roots[orbits.index(restrict_poly(ctx, f))])
 
 
 def recursive_psi_d(field, d):
@@ -316,12 +316,12 @@ def matrix_doubling_tables(base, modulus):
 
 
 def vpow_orbit_table(ctx):
-    """(coeffs, codes, conj, node) of the Frobenius-orbit table, built on all of F_{q^k}.
+    """(codes, coeffs, roots, node) of the Frobenius-orbit table, built on all of F_{q^k}.
 
     One table x -> x^q over every element is gathered through k - 1 times: an
     element has degree k iff no power below the k-th fixes it, and it leads its
-    orbit iff it is the least of its conjugates. The minimal polynomials are
-    multiplied out with whole-table vmul calls.
+    orbit iff it is the least of its conjugates, which makes it the orbit's root
+    in roots. The minimal polynomials are multiplied out with whole-table vmul calls.
     """
     F, q, k = ctx.Fqk, ctx.q, ctx.k
     els = F.elements()
@@ -354,7 +354,7 @@ def vpow_orbit_table(ctx):
     order = np.argsort(codes)
     node = np.full(ctx.Q, -1, dtype=np.int64)
     node[conj[order]] = np.arange(n, dtype=np.int64)[:, None]
-    return coef[order], codes[order], conj[order], node
+    return codes[order], coef[order], reps[order], node
 
 
 def loop_interpolate(ctx, values):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from permdyn import cli, dynamics
+from permdyn import cli, dynamics, orders
 from permdyn.context import (
     embed_poly, enumerate_Ck, frobenius_orbits, make_field_ctx, minimal_poly, restrict_poly,
 )
@@ -140,11 +140,12 @@ def test_star_and_ik_errors_name_the_tower_P_and_f(monkeypatch):
     with pytest.raises(PreconditionError, match=re.escape(
             "P = <degree 13, 10 terms>, f = x^4+1")):
         star(CTX24, dense, P(CTX24, "x^4+1"))
-    # a table whose node swaps two images: still a bijection, but edge 0 is wrong
+    # a table whose node swaps two images: still a bijection, but edge 0 is wrong; x7 is
+    # a fresh certified P, with no star permutation yet, and the copy's node its own array
     orbits = frobenius_orbits(CTX24)
     bad = copy.copy(orbits)
     bad.node = orbits.node.copy()
-    imgs = embed_poly(CTX24, x7.poly).eval_many(orbits.conj[:, 0])
+    imgs = embed_poly(CTX24, x7.poly).eval_many(orbits.roots)
     i0 = int(np.flatnonzero(orbits.node[imgs] == 0)[0])
     a, b = imgs[i0], imgs[(i0 + 1) % len(imgs)]
     bad.node[a], bad.node[b] = orbits.node[b], orbits.node[a]
@@ -439,15 +440,15 @@ def test_fixed_count_formula_at_the_guard(pmk, n, count):
 
 
 def test_fixed_count_formula_refuses_a_kept_permutation_with_an_extra_fixed_point(monkeypatch):
-    x3 = _mono(CTX25, 3)
-    orbits, perm = dynamics._ik_perm(CTX25, x3)
+    x3 = _mono(CTX25, 3)  # a fresh certified P, which keeps its own star permutation
+    perm = dynamics._ik_perm(CTX25, x3)[1]
     assert fixed_count_formula(CTX25, x3) == 0
     # the star of x^3 on I_5 is a 6-cycle; sending the preimage j of 0 to perm[0]
     # and 0 to itself leaves a permutation with one fixed point
     j = int(np.flatnonzero(perm == 0)[0])
     bad = perm.copy()
     bad[0], bad[j] = 0, perm[0]
-    monkeypatch.setattr(orbits, "kept", (orbits, x3.poly, bad))
+    monkeypatch.setattr(x3, "perm", bad)
     with pytest.raises(InternalCheckError, match=re.escape(
             "fixed-point count evaluations disagree; at (p, m, k) = (2, 1, 5), P = x^3") + "$"):
         fixed_count_formula(CTX25, x3)
@@ -789,6 +790,27 @@ def test_invariant_report_linearized():
         Pf = star(CTX33, pp, f)
         c = CTX33.Fq.inv(P(CTX33, "x+1")(1))
         assert trace_of(CTX33, Pf) == CTX33.Fq.mul(c, trace_of(CTX33, f))
+
+
+@pytest.mark.parametrize("perm", ["x^7", "L[x^2+x+1]"])
+def test_invariant_report_runs_one_rabin_test(perm, monkeypatch):
+    # star's certificate proves f and P*f irreducible, so no order, norm or trace tests
+    # them again
+    pp = _mono(CTX24, 7) if perm == "x^7" else certify_perm(
+        CTX24, q_associate(P(CTX24, "x^2+x+1")))
+    f = P(CTX24, "x^4+x+1")
+    expected = invariant_report(CTX24, pp, f)
+    calls = [0]
+    real = dynamics.is_irreducible
+
+    def counted(g):
+        calls[0] += 1
+        return real(g)
+
+    monkeypatch.setattr(dynamics, "is_irreducible", counted)
+    monkeypatch.setattr(orders, "is_irreducible", counted)
+    assert invariant_report(CTX24, pp, f) == expected
+    assert calls[0] == 1
 
 
 def test_invariant_report_rejects_other_families():

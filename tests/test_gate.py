@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from permdyn.context import (
-    base_field, embed_poly, make_field_ctx, restrict_poly, roots_in_ext,
+    base_field, conjugates, element_degree, embed_poly, frobenius, make_field_ctx,
+    minimal_poly, restrict_poly, roots_in_ext,
 )
 from permdyn.dynamics import (
     FunctionalGraph, diamond, fixed_count_formula, fixed_count_linearized,
@@ -199,3 +200,27 @@ def test_a_polynomial_coefficient_must_be_an_int64_integer(coeffs):
 def test_a_matrix_entry_must_be_an_integer():
     with pytest.raises(PreconditionError, match="outside the field"):
         Matrix2(make_field_ctx(2, 1, 4).Fq, 1.0, 1, 1, 0)
+
+
+# every entry that takes one element of F_{q^k}, at (2,1,4), where 2 has degree 4:
+# period_Ck read 2.7 and "2" by int() and answered 4, and the context entries
+# indexed the field's tables with 2.7 (IndexError)
+CTX24 = make_field_ctx(2, 1, 4)
+X7_24 = certify_perm(CTX24, Poly(CTX24.Fq, [0] * 7 + [1]))
+ELEMENT_ENTRIES = {
+    "context.frobenius": lambda a: frobenius(CTX24, a),
+    "context.element_degree": lambda a: element_degree(CTX24, a),
+    "context.conjugates": lambda a: conjugates(CTX24, a),
+    "context.minimal_poly": lambda a: minimal_poly(CTX24, a),
+    "dynamics.period_Ck": lambda a: period_Ck(CTX24, X7_24, a),
+}
+
+
+@pytest.mark.parametrize("a", [2.7, np.float64(2.0), "2", True, [2], 2 ** 70, -1, CTX24.Q],
+                         ids=repr)
+@pytest.mark.parametrize("entry", sorted(ELEMENT_ENTRIES))
+def test_an_element_argument_is_one_integer_encoding(entry, a):
+    call = ELEMENT_ENTRIES[entry]
+    assert call(2) == call(np.int64(2)) == call(np.array(2, dtype=np.uint8))
+    with pytest.raises(PreconditionError, match="encoding"):
+        call(a)

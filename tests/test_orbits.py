@@ -18,8 +18,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from permdyn.context import (embed_poly, enumerate_Ck, frobenius_orbits, make_field_ctx,
-                             minimal_poly, roots_in_ext)
+from permdyn.context import (conjugates, embed_poly, enumerate_Ck, frobenius_orbits,
+                             make_field_ctx, minimal_poly, roots_in_ext)
 from permdyn.dynamics import (_ck_perm, _ik_perm, diamond, fixed_count_formula,
                               fixed_points_direct, graph_Ck, graph_Ik, period_Ik, spectrum_Ck,
                               spectrum_Ik, star)
@@ -50,8 +50,8 @@ def test_orbits_equal_rabin_enumeration(pmk):
     assert [f.encoding() for f in orbits.polys] == orbits.codes.tolist()
     for i, f in enumerate(orbits.polys):
         assert orbits.index(f) == i
-        assert np.array_equal(np.sort(orbits.conj[i]), roots_in_ext(ctx, f))
-        assert orbits.conj[i, 0] == roots_in_ext(ctx, f)[0]
+        assert np.array_equal(np.sort(conjugates(ctx, orbits.roots[i])), roots_in_ext(ctx, f))
+        assert orbits.roots[i] == roots_in_ext(ctx, f)[0]
     for a in range(ctx.Q):
         node = orbits.node[a]
         assert node == -1 or minimal_poly(ctx, a) == orbits.polys[node]
@@ -68,8 +68,8 @@ SMALL_Q = [(p, m, k) for p in (2, 3, 5, 7) for m in (1, 2, 3) for k in range(1, 
 def test_orbit_table_equals_the_vpow_oracle(pmk):
     ctx = make_field_ctx(*pmk)
     orbits = frobenius_orbits(ctx)
-    got = (orbits.coeffs, orbits.codes, orbits.conj, orbits.node)
-    for name, a, b in zip(("coeffs", "codes", "conj", "node"), got, vpow_orbit_table(ctx)):
+    got = (orbits.codes, orbits.coeffs, orbits.roots, orbits.node)
+    for name, a, b in zip(("codes", "coeffs", "roots", "node"), got, vpow_orbit_table(ctx)):
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert np.array_equal(a, b), name
 

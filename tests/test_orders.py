@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from permdyn.context import frobenius_orbits, make_field_ctx, roots_in_ext
+from permdyn.context import conjugates, frobenius_orbits, make_field_ctx, roots_in_ext
 from permdyn.errors import PreconditionError
 from permdyn.numth import euler_phi
 from permdyn.orders import (
@@ -161,7 +161,8 @@ def member_and_root(draw):
     ctx = make_field_ctx(*draw(st.sampled_from(ORDER_TOWERS)))
     orbits = frobenius_orbits(ctx)
     i = draw(st.integers(0, len(orbits.polys) - 1))
-    return ctx, orbits.poly(i), int(orbits.conj[i, 0]), [int(a) for a in orbits.conj[i]]
+    root = int(orbits.roots[i])
+    return ctx, orbits.poly(i), root, conjugates(ctx, root)
 
 
 @PROPERTY

@@ -1,8 +1,10 @@
-"""The orbit table keeps the last star permutation it computed (dynamics._ik_perm).
+"""Each certified P keeps its own star permutation (PermPoly.perm, dynamics._ik_perm).
 
 No answer may show the kept array: a sequence of calls under several P answers
-as a fresh context would, every spelling of one P reads the same array, and
-nothing a caller does to an answer reaches it. One edge check runs per P.
+as a fresh context and a freshly certified P would, every spelling of one P
+gives the same answers, and nothing a caller does to an answer or to the table
+reaches it. One edge check runs per certified P, however the P's alternate; a raw
+Poly is certified on each call, and its permutation lasts for that call only.
 """
 
 import copy
@@ -78,11 +80,12 @@ ENTRIES = {
 }
 
 
-def _fresh(ctx):
-    """The same tower with no orbit table yet, so nothing kept on one."""
+def _fresh(ctx, P):
+    """The same tower with no orbit table yet, and P certified anew from its coefficients,
+    so no star permutation is kept on either."""
     out = copy.copy(ctx)
     out.orbits = None
-    return out
+    return out, certify_perm(out, Poly(out.Fq, P.poly.coeffs))
 
 
 @pytest.mark.parametrize("tower", TOWERS, ids=str)
@@ -97,11 +100,11 @@ def test_switching_P_gives_the_answers_of_a_fresh_context(tower):
     for i, (name, entry) in enumerate(calls):
         seed = f[i % len(f)]
         got = ENTRIES[entry](ctx, perms[name], seed)
-        assert got == ENTRIES[entry](_fresh(ctx), perms[name], seed), (name, entry)
+        assert got == ENTRIES[entry](*_fresh(ctx, perms[name]), seed), (name, entry)
 
 
 @pytest.mark.parametrize("tower", TOWERS, ids=str)
-def test_every_spelling_of_one_P_reads_one_kept_array(tower, monkeypatch):
+def test_every_spelling_of_one_P_gives_one_answer(tower, monkeypatch):
     ctx = make_field_ctx(*tower)
     perms = _perms(ctx)
     edges = _count_edges(monkeypatch)
@@ -110,13 +113,24 @@ def test_every_spelling_of_one_P_reads_one_kept_array(tower, monkeypatch):
         raw = Poly(ctx.Fq, certified.poly.coeffs)
         # P + x^Q - x induces the same map and certifies to the same reduced P
         folded = raw + Poly.one(ctx.Fq).shift(ctx.Q) - Poly.x(ctx.Fq)
-        graph_Ik(ctx, perms["M"])  # another P is kept before the first spelling
         before = edges[0]
         answers = [(graph_Ik(ctx, P).cycles, spectrum_Ik(ctx, P).lengths,
                     [str(g) for g in fixed_points_direct(ctx, P)])
                    for P in (raw, certified, folded)]
         assert answers[0] == answers[1] == answers[2]
-        assert edges[0] == before + 1, name
+        # the certified P computes its permutation once; a raw spelling, on each call
+        assert edges[0] == before + 3 + 1 + 3, name
+
+
+@pytest.mark.parametrize("tower", TOWERS, ids=str)
+def test_certify_perm_returns_a_certified_P_as_it_is(tower):
+    ctx = make_field_ctx(*tower)
+    for P in _perms(ctx).values():
+        assert certify_perm(ctx, P) is P
+        graph_Ik(ctx, P)
+        assert P.perm is not None and dynamics._ik_perm(ctx, P)[1] is P.perm
+    with pytest.raises(PreconditionError, match="belongs to a different context"):
+        certify_perm(make_field_ctx(2, 1, 4), P)
 
 
 @pytest.mark.parametrize("tower", TOWERS, ids=str)
@@ -124,7 +138,7 @@ def test_changing_an_answer_does_not_change_later_answers(tower):
     ctx = make_field_ctx(*tower)
     P = _perms(ctx)["L[h]"]
     f = _seeds(ctx)[0]
-    expected = {entry: ENTRIES[entry](_fresh(ctx), P, f) for entry in ENTRIES}
+    expected = {entry: ENTRIES[entry](*_fresh(ctx, P), f) for entry in ENTRIES}
 
     g = graph_Ik(ctx, P)
     g.nodes[0] = "changed"
@@ -141,16 +155,24 @@ def test_changing_an_answer_does_not_change_later_answers(tower):
     rep.period = -1
 
     assert {entry: ENTRIES[entry](ctx, P, f) for entry in ENTRIES} == expected
-    orbits = frobenius_orbits(ctx)
-    kept = dynamics._ik_perm(ctx, P)[1]
-    assert kept is orbits.kept[2] and not kept.flags.writeable
+    perm = dynamics._ik_perm(ctx, P)[1]
+    assert perm is P.perm and not perm.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        kept[0] = kept[1]
+        perm[0] = perm[1]
+
+
+@pytest.mark.parametrize("tower", TOWERS + [(2, 1, 1), (3, 2, 1)], ids=str)
+def test_the_table_arrays_are_read_only(tower):
+    orbits = frobenius_orbits(make_field_ctx(*tower))
+    for name in ("codes", "coeffs", "roots", "node"):
+        arr = getattr(orbits, name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[-1]
 
 
 def test_a_kept_P_is_a_copy_of_the_callers_coefficients():
     ctx = make_field_ctx(2, 1, 6)
-    spectrum_Ik(ctx, _monomial(ctx))  # another P is kept before the first call
+    spectrum_Ik(ctx, _monomial(ctx))  # another P keeps a permutation before the first call
     # L[x^3+x+1] = x^8+x^2+x, a Poly of the caller's, which certifies to itself
     raw = q_associate(Poly(ctx.Fq, [1, 1, 0, 1]))
     frobenius = [1] * len(frobenius_orbits(ctx).coeffs)
@@ -160,21 +182,23 @@ def test_a_kept_P_is_a_copy_of_the_callers_coefficients():
     assert spectrum_Ik(ctx, raw).lengths == frobenius
 
 
-def test_a_copied_table_does_not_answer_from_the_slot_it_carries(monkeypatch):
+def test_a_planted_table_is_caught_under_a_fresh_certified_P(monkeypatch):
     ctx = make_field_ctx(2, 1, 4)
     x7 = certify_perm(ctx, Poly.one(ctx.Fq).shift(7))
-    graph_Ik(ctx, x7)
+    cycles = graph_Ik(ctx, x7).cycles
     orbits = frobenius_orbits(ctx)
-    # swap the nodes of two images: still a bijection, but edge 0 is wrong
+    # swap the nodes of two images: still a bijection, but edge 0 is wrong; the copy's
+    # node is an array of its own, so the context's table is untouched
     bad = copy.copy(orbits)
-    assert bad.kept is orbits.kept
     bad.node = orbits.node.copy()
-    roots = orbits.conj[orbits.kept[2][:2], 0]
+    roots = orbits.roots[x7.perm[:2]]
     a, b = embed_poly(ctx, x7).eval_many(roots)  # in the orbits of index 0 and 1
     bad.node[a], bad.node[b] = orbits.node[b], orbits.node[a]
     monkeypatch.setattr(dynamics, "frobenius_orbits", lambda ctx: bad)
+    # x7 holds the permutation it computed on the real table
+    assert graph_Ik(ctx, x7).cycles == cycles
     with pytest.raises(InternalCheckError, match="does not divide f"):
-        graph_Ik(ctx, x7)
+        graph_Ik(ctx, certify_perm(ctx, Poly.one(ctx.Fq).shift(7)))
 
 
 def _count_edges(monkeypatch):
@@ -195,16 +219,16 @@ def test_one_edge_check_per_P(tower, monkeypatch):
     ctx = make_field_ctx(*tower)
     perms = _perms(ctx)
     A, B = perms["x^n"], perms["L[h]"]
-    graph_Ik(ctx, B)  # whatever an earlier test left on the table, B is kept now
     edges = _count_edges(monkeypatch)
     polys = frobenius_orbits(ctx).polys
-    periods = [period_Ik(ctx, A, polys[i % len(polys)]) for i in range(100)]
+    # the P's alternate on every call
+    periods = [period_Ik(ctx, (A, B)[i % 2], polys[i % len(polys)]) for i in range(100)]
     graph = graph_Ik(ctx, A)
     spectrum_Ik(ctx, A)
     fixed_points_direct(ctx, A)
     iterate_generation(ctx, A, polys[0])
-    assert edges[0] == 1
-    assert sorted(periods[:len(polys)]) == sorted(len(c) for c in graph.cycles for _ in c)
     graph_Ik(ctx, B)
     period_Ik(ctx, A, polys[0])
-    assert edges[0] == 3
+    assert edges[0] == 2
+    lengths = {f: len(c) for c in graph.cycles for f in c}
+    assert periods[0::2] == [lengths[str(polys[i % len(polys)])] for i in range(0, 100, 2)]
