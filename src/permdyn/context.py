@@ -36,13 +36,15 @@ class PermPoly:
 
     restrict_poly, and with it every context-taking entry, trusts a PermPoly
     of its context. One is made only by certify_perm, gk_compose, gk_inverse,
-    realize_permutation or moebius_poly_rep. `perm` is P's star permutation on
-    the orbit table, read-only, which dynamics._ik_perm fills once; None before.
+    realize_permutation or moebius_poly_rep, from a Poly of its own whose coefficients
+    it makes read-only. `perm` is P's read-only star permutation on the orbit table,
+    which dynamics._ik_perm fills once; None before.
     """
 
     __slots__ = ("poly", "ctx_key", "perm")
 
     def __init__(self, poly, ctx_key):
+        poly.coeffs.flags.writeable = False
         self.poly = poly
         self.ctx_key = ctx_key
         self.perm = None

@@ -19,7 +19,6 @@ from .permgroup import Matrix2, _check_matrix, _distinct, certify_perm, pgl2_ord
 from .polys import (
     Modulus,
     Poly,
-    compose,
     count_irreducibles,
     factor,
     frobenius_gcd,
@@ -152,24 +151,23 @@ def _named(ctx, P, f, read):
         raise PreconditionError(str(exc) + _where(ctx, P, f)) from None
 
 
-def _monic_k(ctx, P, f):
-    """f, a Poly over F_q, refused unless monic of degree k; Rabin's test is left to _refuse."""
-    if f.degree != ctx.k or f.leading() != 1:
-        _refuse(ctx, P, f)
-    return f
-
-
 def _refuse(ctx, P, f, failure=None):
-    """Raise failure when given and Rabin's test accepts f, else refuse f, naming P when given."""
+    """Raise failure when given and Rabin's test accepts f, else refuse f, naming P and f."""
     if failure is not None and is_irreducible(f):
         raise failure
-    raise PreconditionError("expected a monic irreducible of degree k"
-                            + ("" if P is None else _where(ctx, P, f)))
+    raise PreconditionError("expected a monic irreducible of degree k" + _where(ctx, P, f))
 
 
-def _certified(ctx, g, divides):
-    """Whether g is monic of degree k, divides(Modulus(g)) holds, and Rabin's test accepts g."""
-    return g.degree == ctx.k and g.leading() == 1 and divides(Modulus(g)) and is_irreducible(g)
+def _read(ctx, P, f):
+    """(orbits, i, P): the orbit table, f's index in it, and P certified (_member). f is read
+    first, so an input wrong in both ways names f; each refusal names the tower, P and f."""
+    f = _named(ctx, P, f, lambda: restrict_poly(ctx, f))
+    orbits = frobenius_orbits(ctx)
+    try:
+        i = orbits.index(f)
+    except PreconditionError:
+        _refuse(ctx, P, f)
+    return orbits, i, _member(ctx, P, f)
 
 
 def _member(ctx, P, f=None):
@@ -204,31 +202,21 @@ def _brief(ctx, poly):
 
 
 def star(ctx, P, f):
-    """P*f = gcd(f(P(x)), x^(q^k) - x), the unique degree-k irreducible factor of f(P).
+    """P*f, the minimal polynomial of P^(-1)(a) for a root a of f, read off P's star
+    permutation on the orbit table (_ik_perm).
 
-    x^(q^k) mod f(P) is k steps of the Frobenius walk (polys.frobenius_gcd).
-    Its image g is certified: monic of degree k, f(P) mod g = 0 and Rabin's
-    test on g. A root b of g has degree k, so P(b) does for P in G_k, and the
-    monic f of degree k is its minimal polynomial: f is tested only on a failure.
+    Every answer g is certified by _check_edge: monic of degree k, f(P mod g) = 0
+    mod g and Rabin's test on g, which together prove g = P*f.
     """
-    f = _monic_k(ctx, P, _named(ctx, P, f, lambda: restrict_poly(ctx, f)))
-    try:
-        member = _member(ctx, P, f).poly
-    except PreconditionError as exc:
-        _refuse(ctx, P, f, exc)
-    Pf = compose(f, member)
-    out = frobenius_gcd(Pf, ctx.k)
-    if not _certified(ctx, out, lambda ring: ring.rem(Pf).is_zero):
-        _refuse(ctx, P, f, InternalCheckError("star image is not an irreducible of degree k"
-                                              + _where(ctx, member, f)))
-    return out
+    orbits, i, P = _read(ctx, P, f)
+    f, g = orbits.poly(i), orbits.poly(_ik_perm(ctx, P)[1][i])
+    _check_edge(ctx, P.poly, f, g)
+    return g
 
 
 def diamond(ctx, P, f):
     """Minimal polynomial of P(alpha) for a root alpha of f, read off the orbit table."""
-    P = _member(ctx, P, f)
-    orbits = frobenius_orbits(ctx)
-    i = _named(ctx, P, f, lambda: orbits.index(restrict_poly(ctx, f)))
+    orbits, i, P = _read(ctx, P, f)
     node = orbits.node[embed_poly(ctx, P)(int(orbits.roots[i]))]
     if node < 0:
         raise InternalCheckError("diamond image does not have degree k" + _where(ctx, P, f))
@@ -420,8 +408,8 @@ def _ik_perm(ctx, P):
 def _check_edge(ctx, P, f, g):
     """Raise InternalCheckError unless g = P*f, for a P that acts bijectively on C_k.
 
-    f must be monic of degree k and g pass star's certificate, with f(P mod g) = 0
-    mod g by a Horner pass of k products modulo g. P has coefficients in F_q, so it
+    f and g must be monic of degree k, f(P mod g) = 0 mod g by a Horner pass of k
+    products modulo g, and Rabin's test must accept g. P has coefficients in F_q, so it
     maps each F_{q^d}, d | k, into itself: a root b of g has P(b) of degree k, so f,
     its minimal polynomial, is irreducible, and the roots of f(P) in F_{q^k} lie in
     C_k. P is a bijection of C_k, so they are the preimage of the roots of f, one
@@ -430,14 +418,13 @@ def _check_edge(ctx, P, f, g):
     about deg(P).bit_length() products per term of a sparse P, or one block
     reduction per k - 1 coefficients of a dense one.
     """
-    def divides(ring):
+    if all(h.degree == ctx.k and h.leading() == 1 for h in (f, g)):
+        ring = Modulus(g)
         Pg, acc = ring.rem(P), Poly.zero(g.field)
         for c in f.coeffs[::-1].tolist():
             acc = ring.mul(acc, Pg) + Poly.const(g.field, c)
-        return acc.is_zero
-
-    if f.degree == ctx.k and f.leading() == 1 and _certified(ctx, g, divides):
-        return
+        if acc.is_zero and is_irreducible(g):
+            return
     for h in (f, g):
         if h.degree != ctx.k or h.leading() != 1 or not is_irreducible(h):
             raise InternalCheckError("orbit table holds %s, not a monic irreducible of "
@@ -454,8 +441,9 @@ def _star_walk(ctx, P, f, max_steps=None):
     """
     if max_steps is not None and max_steps < 0:
         raise PreconditionError("max_steps must be >= 0" + _where(ctx, P, f))
-    orbits, perm = _ik_perm(ctx, P)
-    path = [_named(ctx, P, f, lambda: orbits.index(restrict_poly(ctx, f)))]
+    _, i, P = _read(ctx, P, f)
+    perm = _ik_perm(ctx, P)[1]
+    path = [i]
     limit = len(perm) if max_steps is None else max_steps
     while len(path) <= limit:
         nxt = int(perm[path[-1]])
@@ -578,12 +566,18 @@ def moebius_star(ctx, A, f):
     The image g, the cleared f(tau_A) made monic, is monic and divides it by
     construction, so it is certified by its degree and Rabin's test. A root b of
     g has degree k >= 2, so cb + d != 0, and tau_A(b) has degree k (tau_A^-1 is
-    Moebius over F_q): f is its minimal polynomial, tested only on a failure.
+    Moebius over F_q): f is its minimal polynomial, tested only on a failure,
+    and read before A. Every refusal names the tower, A and f.
     """
-    _check_matrix(ctx, A)
     if ctx.k < 2:
         raise PreconditionError("the Moebius star action needs k >= 2")
-    f = _monic_k(ctx, None, restrict_poly(ctx, f))
+    f = _named(ctx, A, f, lambda: restrict_poly(ctx, f))
+    if f.degree != ctx.k or f.leading() != 1:
+        _refuse(ctx, A, f)
+    try:
+        _named(ctx, A, f, lambda: _check_matrix(ctx, A))
+    except PreconditionError as exc:
+        _refuse(ctx, A, f, exc)
     num, den = Poly(ctx.Fq, [A.b, A.a]), Poly(ctx.Fq, [A.d, A.c])
     # Horner's rule for sum_i f_i num^i den^(k - i), from the top
     acc, denpow = Poly.one(ctx.Fq), Poly.one(ctx.Fq)
@@ -592,7 +586,7 @@ def moebius_star(ctx, A, f):
         acc = acc * num + denpow.scale(f.coeff(i))
     out = acc.monic()
     if out.degree != ctx.k or not is_irreducible(out):
-        _refuse(ctx, None, f, InternalCheckError(
+        _refuse(ctx, A, f, InternalCheckError(
             "Moebius star image is not an irreducible of degree k" + _where(ctx, A, f)))
     return out
 

@@ -6,9 +6,9 @@ import numpy as np
 
 from permdyn import _kernels, numth
 from permdyn.context import frobenius_orbits, restrict_poly
-from permdyn.dynamics import star
 from permdyn.errors import PreconditionError
-from permdyn.polys import Poly, count_irreducibles, fold_mod, powmod, psi_d
+from permdyn.polys import (Poly, compose, count_irreducibles, fold_mod, frobenius_gcd, powmod,
+                           psi_d)
 
 
 def compose_mod(f, g, mod):
@@ -130,8 +130,18 @@ def squaring_moebius_rep(ctx, A):
     return fold_mod(Poly(Fq, [A.b, A.a]) * (inv_part + Poly(Fq, pole).scale(eps)), Q)
 
 
+def gcd_star(ctx, P, f):
+    """P*f as gcd(f(P), x^(q^k) - x), the one irreducible factor of degree k of f(P).
+
+    f(P) is composed in full, and x^(q^k) mod f(P) is k steps of the Frobenius walk
+    (polys.frobenius_gcd); no orbit table is read. P, a PermPoly or a Poly that
+    permutes F_{q^k}, and f, a monic irreducible of degree k, are trusted.
+    """
+    return frobenius_gcd(compose(restrict_poly(ctx, f), restrict_poly(ctx, P)), ctx.k)
+
+
 def gcd_generation(ctx, P, f0, max_steps=None):
-    """(produced, period) of f -> P*f from f0, one gcd star per step.
+    """(produced, period) of f -> P*f from f0, one gcd_star per step.
 
     The run stops when f0 recurs or after max_steps steps; without max_steps
     it stops after |I_k| + 1 steps, past the longest possible cycle.
@@ -141,7 +151,7 @@ def gcd_generation(ctx, P, f0, max_steps=None):
     produced = [f0]
     cur = f0
     for step in range(1, max_steps + 1):
-        cur = star(ctx, P, cur)
+        cur = gcd_star(ctx, P, cur)
         if cur == f0:
             return produced, step
         produced.append(cur)

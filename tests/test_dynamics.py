@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from permdyn import cli, dynamics, orders
 from permdyn.context import (
-    embed_poly, enumerate_Ck, frobenius_orbits, make_field_ctx, minimal_poly, restrict_poly,
+    base_field, embed_poly, enumerate_Ck, frobenius_orbits, make_field_ctx, minimal_poly,
+    restrict_poly,
 )
 from permdyn.dynamics import (
     CycleSpectrum, FunctionalGraph, diamond, fixed_count_formula,
@@ -35,7 +36,7 @@ from permdyn.polys import (
 )
 from permdyn.textio import parse_poly
 
-from oracles import distinguished_root, loop_cycles, loop_dot, psi_fixed_count
+from oracles import distinguished_root, gcd_star, loop_cycles, loop_dot, psi_fixed_count
 
 CTX24 = make_field_ctx(2, 1, 4)
 CTX33 = make_field_ctx(3, 1, 3)
@@ -76,12 +77,6 @@ def _star_by_root_preimage(ctx, pp, f):
     return minimal_poly(ctx, int(inv[distinguished_root(ctx, f)]))
 
 
-def _star_by_full_gcd(ctx, pp, f):
-    # independent oracle: gcd against the explicit splitting polynomial
-    full = Poly.one(ctx.Fq).shift(ctx.Q) - Poly.x(ctx.Fq)
-    return poly_gcd(compose(f, pp.poly), full).monic()
-
-
 def test_star_pins_q2():
     x7 = _mono(CTX24, 7)
     f1, f2, f3 = I24
@@ -113,7 +108,7 @@ def test_star_matches_full_gcd_oracle():
     for pp in (_mono(CTX24, 7), _mono(CTX24, 11),
                certify_perm(CTX24, P(CTX24, "x^4+x^2+x"))):
         for f in I24:
-            assert star(CTX24, pp, f) == _star_by_full_gcd(CTX24, pp, f)
+            assert star(CTX24, pp, f) == gcd_star(CTX24, pp, f)
 
 
 def test_star_rejects_nonmembers():
@@ -154,15 +149,48 @@ def test_star_and_ik_errors_name_the_tower_P_and_f(monkeypatch):
         graph_Ik(CTX24, x7)
 
 
-@pytest.mark.parametrize("entry", [diamond, period_Ik, iterate_generation],
-                         ids=["diamond", "period_Ik", "iterate_generation"])
-@pytest.mark.parametrize("f", ["x^4+x^2+1", "x^2+x+1"], ids=["reducible", "degree-2"])
+# the single I_k queries and the Moebius star, each given P (or A) and f
+READERS = {
+    "star": star,
+    "diamond": diamond,
+    "period_Ik": period_Ik,
+    "iterate_generation": iterate_generation,
+    "moebius_star": moebius_star,
+}
+X3 = Poly.one(CTX24.Fq).shift(3)        # does not permute F_16
+A_F4 = Matrix2(base_field(2, 2), 2, 1, 1, 0)   # a matrix over F_4, not F_2
+EXPECTED = "expected a monic irreducible of degree k"
+NO_FIELD = ("polynomial does not lie over F_q of the context: its field is neither F_q "
+            "nor F_{q^k}")
+# (P or A is outside G_k, f, the start of the refusal); f over F_8 is named by its repr
+READINGS = {
+    "reducible": (False, P(CTX24, "x^4+x^2+1"), EXPECTED),
+    "degree-2": (False, P(CTX24, "x^2+x+1"), EXPECTED),
+    "over-F_8": (False, Poly(base_field(2, 3), [1, 1, 0, 0, 1]), NO_FIELD),
+    "bad-P-reducible": (True, P(CTX24, "x^4+x^2+1"), EXPECTED),
+    "bad-P": (True, P(CTX24, "x^4+x+1"), None),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(READERS))
+@pytest.mark.parametrize("f", sorted(READINGS))
 def test_orbit_table_entries_name_the_tower_P_and_an_f_outside_Ik(entry, f):
-    # these entries said only "<f> is not a monic irreducible of degree k"
-    with pytest.raises(PreconditionError, match=re.escape(
-            "%s is not a monic irreducible of degree k; at (p, m, k) = (2, 1, 4), P = x^7, "
-            "f = %s" % (f, f)) + "$"):
-        entry(CTX24, _mono(CTX24, 7), P(CTX24, f))
+    # one reading rule: f is read first, so an input wrong in both ways names f, and
+    # every refusal names the tower, P (or A) and f
+    bad_P, poly, start = READINGS[f]
+    if entry == "moebius_star":
+        P_arg = A_F4 if bad_P else Matrix2(CTX24.Fq, 1, 1, 1, 0)
+        named = "A = M[2,1,1,0]" if bad_P else "A = M[1,1,1,0]"
+        outside = "matrix entries must lie in F_q of the context"
+    else:
+        P_arg = X3 if bad_P else _mono(CTX24, 7)
+        named = "P = x^3" if bad_P else "P = x^7"
+        outside = "polynomial does not permute F_{q^k}"
+    f_text = repr(poly) if f == "over-F_8" else str(poly)
+    with pytest.raises(PreconditionError) as info:
+        READERS[entry](CTX24, P_arg, poly)
+    assert str(info.value) == "%s; at (p, m, k) = (2, 1, 4), %s, f = %s" % (
+        start or outside, named, f_text)
 
 
 # the twelve dynamics entries that take P, called with f in I_k and its distinguished root
@@ -255,7 +283,7 @@ def test_edge_check_accepts_only_the_gcd_star(pmk):
     others = 0
     for i, pp in enumerate(battery):
         for f in dict.fromkeys([irr[0], rng.choice(irr)]):
-            img = star(ctx, pp, f)
+            img = gcd_star(ctx, pp, f)
             dynamics._check_edge(ctx, pp.poly, f, img)
             # every other member of I_k on small towers, a seeded sample on large ones
             for g in rng.sample(irr, min(len(irr), 12)):
@@ -288,8 +316,6 @@ def test_the_image_certificate_refuses_every_reducible_f(pmk):
                  if f not in set(irr)]
     assert len(reducible) == lead - len(irr) > 0
     for pp in _edge_battery(ctx):
-        for f in irr:
-            assert star(ctx, pp, f) == _star_by_full_gcd(ctx, pp, f)
         for f in reducible:
             with pytest.raises(PreconditionError) as info:
                 star(ctx, pp, f)
@@ -301,20 +327,60 @@ def test_the_image_certificate_refuses_every_reducible_f(pmk):
                     dynamics._check_edge(ctx, pp.poly, f, g)
     A = Matrix2(ctx.Fq, 1, 1, 1, 0)
     for f in reducible:
-        with pytest.raises(PreconditionError, match="^expected a monic irreducible of degree k$"):
+        with pytest.raises(PreconditionError) as info:
             moebius_star(ctx, A, f)
+        assert str(info.value) == (
+            "expected a monic irreducible of degree k; at (p, m, k) = (%d, %d, %d), "
+            "A = M[1,1,1,0], f = %s" % (pmk + (f,)))
+
+
+@pytest.mark.parametrize("case", PROOF_TOWERS + ["L_H", "realized"], ids=lambda case: (
+    case if isinstance(case, str) else "%d-%d-%d" % case))
+def test_star_equals_the_gcd_star_on_every_f(case):
+    # star reads P's kept permutation; gcd_star composes f(P) and reads no table
+    if case == "L_H":
+        battery = [choose_LH(2, 11)]
+        ctx = make_field_ctx(2, 1, 11)
+    elif case == "realized":
+        # a seeded shuffle of I_8, realized by a dense P of degree near Q
+        ctx = make_field_ctx(2, 1, 8)
+        sigma = list(range(len(frobenius_orbits(ctx).codes)))
+        random.Random(8).shuffle(sigma)
+        battery = [realize_permutation(ctx, sigma)]
+    else:
+        ctx = make_field_ctx(*case)
+        battery = _edge_battery(ctx)
+    for pp in battery:
+        for f in frobenius_orbits(ctx).polys:
+            assert star(ctx, pp, f) == gcd_star(ctx, pp, f), (pp, f)
+
+
+def test_star_refuses_a_planted_permutation(monkeypatch):
+    # star certifies every answer: a wrong kept permutation is caught on its first read
+    x7 = _mono(CTX24, 7)
+    perm = dynamics._ik_perm(CTX24, x7)[1]
+    assert perm.tolist() == [1, 0, 2]
+    monkeypatch.setattr(x7, "perm", np.arange(3))
+    assert star(CTX24, x7, I24[2]) == I24[2]
+    with pytest.raises(InternalCheckError) as info:
+        star(CTX24, x7, I24[0])
+    assert str(info.value) == ("orbit table image x^4+x+1 does not divide f(P); "
+                               "at (p, m, k) = (2, 1, 4), P = x^7, f = x^4+x+1")
 
 
 def test_a_certified_image_costs_one_rabin_test(monkeypatch):
-    # the test of the image also proves f irreducible, so f itself is not tested
+    # the test of the image also proves f irreducible, so f itself is not tested: once
+    # P's permutation is kept, a star runs one Rabin test, on its image
+    x7 = _mono(CTX24, 7)
+    spectrum_Ik(CTX24, x7)
     tested = []
     real = dynamics.is_irreducible
     monkeypatch.setattr(dynamics, "is_irreducible", lambda h: tested.append(h) or real(h))
     f = P(CTX24, "x^4+x+1")
-    g = star(CTX24, _mono(CTX24, 7), f)
+    g = star(CTX24, x7, f)
     assert tested == [g]
     tested.clear()
-    dynamics._check_edge(CTX24, _mono(CTX24, 7).poly, f, g)
+    dynamics._check_edge(CTX24, x7.poly, f, g)
     assert tested == [g]
     tested.clear()
     g = moebius_star(CTX24, Matrix2(CTX24.Fq, 1, 1, 1, 0), f)
@@ -322,7 +388,8 @@ def test_a_certified_image_costs_one_rabin_test(monkeypatch):
 
 
 def test_star_names_a_reducible_f_before_a_P_outside_G_k():
-    # f is tested when P is refused, so an input wrong in both ways names f
+    # f is read off the orbit table before P is certified, so an input wrong in both
+    # ways names f
     x3 = Poly.one(CTX24.Fq).shift(3)
     where = "; at (p, m, k) = (2, 1, 4), P = x^3, f = "
     for f in ("x^4+x^2+1", "x^3+x+1", "x^5+x+1", "x^4+x^3"):
@@ -389,8 +456,8 @@ def test_diamond_inverts_star():
     for ctx, irr in ((CTX24, I24), (CTX33, I33)):
         for pp in _perm_battery(ctx)[:6]:
             for f in irr:
-                assert diamond(ctx, pp, star(ctx, pp, f)) == f
-                assert star(ctx, pp, diamond(ctx, pp, f)) == f
+                assert diamond(ctx, pp, gcd_star(ctx, pp, f)) == f
+                assert gcd_star(ctx, pp, diamond(ctx, pp, f)) == f
 
 
 def test_diamond_pins():
@@ -774,7 +841,7 @@ def test_invariant_report_monomial():
         assert rep["norm_relation"] is True
         assert rep["fq_order_preserved"] is None
         assert rep["trace_relation"] is None
-        Pf = star(CTX24, x7, f)
+        Pf = gcd_star(CTX24, x7, f)
         assert mult_order(CTX24, Pf) == mult_order(CTX24, f)
         assert norm_of(CTX24, Pf) == CTX24.Fq.pow(norm_of(CTX24, f), n0)
 
@@ -787,7 +854,7 @@ def test_invariant_report_linearized():
         assert rep["trace_relation"] is True
         assert rep["ord_preserved"] is None
         assert rep["norm_relation"] is None
-        Pf = star(CTX33, pp, f)
+        Pf = gcd_star(CTX33, pp, f)
         c = CTX33.Fq.inv(P(CTX33, "x+1")(1))
         assert trace_of(CTX33, Pf) == CTX33.Fq.mul(c, trace_of(CTX33, f))
 

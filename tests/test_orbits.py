@@ -22,7 +22,7 @@ from permdyn.context import (conjugates, embed_poly, enumerate_Ck, frobenius_orb
                              make_field_ctx, minimal_poly, roots_in_ext)
 from permdyn.dynamics import (_ck_perm, _ik_perm, diamond, fixed_count_formula,
                               fixed_points_direct, graph_Ck, graph_Ik, period_Ik, spectrum_Ck,
-                              spectrum_Ik, star)
+                              spectrum_Ik)
 from permdyn.errors import PreconditionError
 from permdyn.genirr import iterate_generation
 from permdyn.permgroup import (Matrix2, certify_perm, moebius_poly_rep, perm_table,
@@ -31,8 +31,8 @@ from permdyn.polys import Poly, enumerate_irreducibles, poly_gcd, q_associate
 
 from permdyn.textio import format_coeffs
 
-from oracles import (distinguished_root, gcd_generation, list_json, loop_cycles, loop_dot,
-                     loop_format_poly, vpow_orbit_table)
+from oracles import (distinguished_root, gcd_generation, gcd_star, list_json, loop_cycles,
+                     loop_dot, loop_format_poly, vpow_orbit_table)
 
 TOWERS = [(2, 1, k) for k in range(2, 7)] + [
     (3, 1, 3), (2, 2, 3), (3, 2, 2), (5, 2, 2), (2, 3, 2),
@@ -131,7 +131,7 @@ def test_graph_Ik_edges_equal_gcd_star(case):
     assert g.nodes == list(by_name)
     for cyc in g.cycles:
         for j, name in enumerate(cyc):
-            assert str(star(ctx, P, by_name[name])) == cyc[(j + 1) % len(cyc)]
+            assert str(gcd_star(ctx, P, by_name[name])) == cyc[(j + 1) % len(cyc)]
 
 
 @PROPERTY

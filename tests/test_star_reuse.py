@@ -182,6 +182,19 @@ def test_a_kept_P_is_a_copy_of_the_callers_coefficients():
     assert spectrum_Ik(ctx, raw).lengths == frobenius
 
 
+def test_a_certified_P_cannot_be_changed_in_place():
+    # the kept permutation would go stale: the coefficients of a certified P are read-only
+    ctx = make_field_ctx(2, 1, 6)
+    x5 = certify_perm(ctx, Poly.one(ctx.Fq).shift(5))
+    expected = spectrum_Ik(*_fresh(ctx, x5)).lengths
+    assert spectrum_Ik(ctx, x5).lengths == expected
+    with pytest.raises(ValueError, match="read-only"):
+        x5.poly.coeffs[[1, 5]] = [1, 0]  # to x
+    assert str(x5) == "x^5" and spectrum_Ik(ctx, x5).lengths == expected
+    f = _seeds(ctx)[0]
+    assert star(ctx, x5, f) == star(*_fresh(ctx, x5), f)
+
+
 def test_a_planted_table_is_caught_under_a_fresh_certified_P(monkeypatch):
     ctx = make_field_ctx(2, 1, 4)
     x7 = certify_perm(ctx, Poly.one(ctx.Fq).shift(7))
