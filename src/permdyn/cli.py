@@ -55,6 +55,12 @@ def parse_perm_expr(ctx, expr, guard=DEFAULT_GUARD):
     int() reads, or an L[h] of degree q^deg(h) above the guard raises
     GuardExceeded.
     """
+    return certify_perm(ctx, _read_perm(ctx, expr, guard))
+
+
+def _read_perm(ctx, expr, guard):
+    """The P that parse_perm_expr certifies, before it is certified: a Poly for x^N, L[POLY]
+    and a raw polynomial, and for M[a,b,c,d] its representative, which always permutes."""
     s = expr.strip()
     mono = _MONOMIAL_RE.match(s)
     if mono:
@@ -62,19 +68,23 @@ def parse_perm_expr(ctx, expr, guard=DEFAULT_GUARD):
         n = parse_int(mono.group(1) or "1", guard)
         if n >= 1:
             n = 1 + (n - 1) % (ctx.Q - 1)
-        return certify_perm(ctx, Poly.one(ctx.Fq).shift(n))
+        return Poly.one(ctx.Fq).shift(n)
     if s.startswith("L[") and s.endswith("]"):
         h = parse_poly(ctx.Fq, s[2:-1], guard)
         if h.degree > 0 and ctx.q ** h.degree > guard:
             raise GuardExceeded("L[h] has degree q^%d, above the guard %d" % (h.degree, guard))
-        return certify_perm(ctx, q_associate(h))
+        return q_associate(h)
     if s.startswith("M[") and s.endswith("]"):
-        entries = [t for _, t in split_outside_brackets(s[2:-1], ",")]
-        if len(entries) != 4:
-            raise MalformedInput("M[a,b,c,d] takes exactly four entries")
-        a, b, c, d = (_scalar(ctx.Fq, t, guard) for t in entries)
-        return moebius_poly_rep(ctx, Matrix2(ctx.Fq, a, b, c, d))
-    return certify_perm(ctx, parse_poly(ctx.Fq, s, guard))
+        return moebius_poly_rep(ctx, _matrix(ctx, s[2:-1], guard))
+    return parse_poly(ctx.Fq, s, guard)
+
+
+def _matrix(ctx, text, guard):
+    """The Matrix2 over F_q whose four entries `text` lists, as in M[text]."""
+    entries = [t for _, t in split_outside_brackets(text, ",")]
+    if len(entries) != 4:
+        raise MalformedInput("M[a,b,c,d] takes exactly four entries")
+    return Matrix2(ctx.Fq, *(_scalar(ctx.Fq, t, guard) for t in entries))
 
 
 def _cmd_enumerate(args, ctx):
@@ -86,7 +96,8 @@ def _cmd_enumerate(args, ctx):
 
 
 def _cmd_apply(args, ctx):
-    out = args.op(ctx, parse_perm_expr(ctx, args.perm, args.guard_override),
+    # P is certified by the operation, which reads f first and names the tower, P and f
+    out = args.op(ctx, _read_perm(ctx, args.perm, args.guard_override),
                   parse_poly(ctx.Fq, args.f, args.guard_override))
     if args.output == "json":
         return json.dumps({"result": str(out)})

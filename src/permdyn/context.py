@@ -217,8 +217,9 @@ class FrobeniusOrbits:
     def index(self, f):
         """Position of f, a Poly over F_q (read through restrict_poly), in polys."""
         if f.degree == self.coeffs.shape[1] - 1 and f.leading() == 1:
-            i = int(np.searchsorted(self.codes, f.encoding()))
-            if i < len(self.codes) and self.codes[i] == f.encoding():
+            code = f.encoding()
+            i = int(np.searchsorted(self.codes, code))
+            if i < len(self.codes) and self.codes[i] == code:
                 return i
         raise PreconditionError("%s is not a monic irreducible of degree k" % f)
 

@@ -19,6 +19,7 @@ from .permgroup import Matrix2, _check_matrix, _distinct, certify_perm, pgl2_ord
 from .polys import (
     Modulus,
     Poly,
+    compose,
     count_irreducibles,
     factor,
     frobenius_gcd,
@@ -27,7 +28,7 @@ from .polys import (
     linearized_modulus,
     poly_gcd,
 )
-from .textio import format_coeffs
+from .textio import _coeff_text, format_coeffs
 
 __all__ = [
     "FunctionalGraph",
@@ -178,10 +179,11 @@ def _member(ctx, P, f=None):
 def _where(ctx, P, f=None):
     """The suffix of an error message that names the tower, P and, when given, f.
 
-    A Moebius map given by its matrix is named as A = M[a,b,c,d].
+    A Moebius map given by its matrix is named as A = M[a,b,c,d], each entry spelled
+    as --perm reads it.
     """
     if isinstance(P, Matrix2):
-        named = "A = M[%d,%d,%d,%d]" % (P.a, P.b, P.c, P.d)
+        named = "A = M[%s]" % ",".join(_coeff_text(P.field, e) for e in (P.a, P.b, P.c, P.d))
     else:
         named = "P = " + _brief(ctx, P)
     return "; at (p, m, k) = (%d, %d, %d), %s%s" % (
@@ -408,22 +410,18 @@ def _ik_perm(ctx, P):
 def _check_edge(ctx, P, f, g):
     """Raise InternalCheckError unless g = P*f, for a P that acts bijectively on C_k.
 
-    f and g must be monic of degree k, f(P mod g) = 0 mod g by a Horner pass of k
-    products modulo g, and Rabin's test must accept g. P has coefficients in F_q, so it
-    maps each F_{q^d}, d | k, into itself: a root b of g has P(b) of degree k, so f,
-    its minimal polynomial, is irreducible, and the roots of f(P) in F_{q^k} lie in
-    C_k. P is a bijection of C_k, so they are the preimage of the roots of f, one
-    Frobenius orbit, and g is the one irreducible factor of degree k of f(P): P*f.
-    On a failure f and g are tested in turn. Reducing P modulo g (Modulus.rem) costs
-    about deg(P).bit_length() products per term of a sparse P, or one block
-    reduction per k - 1 coefficients of a dense one.
+    f and g must be monic of degree k, f(P mod g) = 0 mod g (_vanishes), and Rabin's
+    test must accept g. P has coefficients in F_q, so it maps each F_{q^d}, d | k, into
+    itself: a root b of g has P(b) of degree k, so f, its minimal polynomial, is
+    irreducible, and the roots of f(P) in F_{q^k} lie in C_k. P is a bijection of C_k,
+    so they are the preimage of the roots of f, one Frobenius orbit, and g is the one
+    irreducible factor of degree k of f(P): P*f. On a failure f and g are tested in turn.
+    Both checks run on one Modulus(g), so the remainder function of g (in prime mode the
+    Newton inverse of the reversed g, _kernels.RemP) is derived once per edge.
     """
     if all(h.degree == ctx.k and h.leading() == 1 for h in (f, g)):
         ring = Modulus(g)
-        Pg, acc = ring.rem(P), Poly.zero(g.field)
-        for c in f.coeffs[::-1].tolist():
-            acc = ring.mul(acc, Pg) + Poly.const(g.field, c)
-        if acc.is_zero and is_irreducible(g):
+        if _vanishes(ring, P, f) and ring.is_irreducible():
             return
     for h in (f, g):
         if h.degree != ctx.k or h.leading() != 1 or not is_irreducible(h):
@@ -431,6 +429,18 @@ def _check_edge(ctx, P, f, g):
                                      "degree k" % h + _where(ctx, P, f))
     raise InternalCheckError("orbit table image %s does not divide f(P)" % g
                              + _where(ctx, P, f))
+
+
+def _vanishes(ring, P, f):
+    """Whether f(P) = 0 modulo the ring's modulus g, of degree n.
+
+    P is reduced modulo g (Modulus.rem): about deg(P).bit_length() products per term
+    of a sparse P, or one block reduction per n - 1 coefficients of a dense one. f is
+    composed with P mod g unreduced (polys.compose), of degree at most deg(f) (n - 1),
+    and that is reduced once, about deg(f) block reductions, where a pass of Horner's
+    rule modulo g would take deg(f) products, each reduced on its own.
+    """
+    return ring.rem(compose(f, ring.rem(P))).is_zero
 
 
 def _star_walk(ctx, P, f, max_steps=None):

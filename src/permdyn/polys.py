@@ -191,7 +191,8 @@ def poly_gcd(a, b):
 
 
 class Modulus:
-    """Products, powers and Frobenius walks of remainders modulo a polynomial of degree >= 1.
+    """Products, powers and Frobenius walks of remainders modulo a polynomial of degree >= 1,
+    and Rabin's test of that polynomial.
 
     Every product and spread is reduced by one remainder function
     (GF.kreducer), so what it derives from the modulus is paid once for a
@@ -259,6 +260,29 @@ class Modulus:
                     term = squares[j] if term is None else self.mul(term, squares[j])
             out = out + term.scale(int(a.coeffs[e]))
         return out
+
+    def is_irreducible(self):
+        """Rabin's test of the modulus over its coefficient field F_q.
+
+        f of degree n is irreducible iff x^(q^n) = x mod f and gcd(x^(q^(n/l)) - x,
+        f) = 1 for every prime l | n. One Frobenius walk x -> x^q mod f serves
+        every test: the gcds come in ascending order of n/l and the walk stops at
+        the first that fails. It takes at most n steps, and never more than one
+        power of x per test, taken from x, would. The walk reduces by this
+        Modulus, so a caller that keeps one for other products pays for its
+        remainder function once.
+        """
+        f = self.mod
+        n = f.degree
+        if n == 1:
+            return True
+        x = Poly.x(f.field)
+        checks = {n // ell for ell in numth.factorint(n)}
+        for i, t in enumerate(self.frobenius(x)):
+            if i in checks and poly_gcd(t - x, f).degree != 0:
+                return False
+            if i == n:
+                return t == x
 
     def frobenius(self, t):
         """The walk t, t^q, t^(q^2), ... mod the modulus, for a remainder t, q = |field|.
@@ -349,26 +373,9 @@ def fold_mod(f, Q):
 
 
 def is_irreducible(f):
-    """Rabin's irreducibility test over the coefficient field F_q.
-
-    f of degree n is irreducible iff x^(q^n) = x mod f and gcd(x^(q^(n/l)) - x,
-    f) = 1 for every prime l | n. One Frobenius walk x -> x^q mod f serves
-    every test: the gcds come in ascending order of n/l and the walk stops at
-    the first that fails. It takes at most n steps, and never more than one
-    power of x per test, taken from x, would.
-    """
-    n = f.degree
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    x = Poly.x(f.field)
-    checks = {n // ell for ell in numth.factorint(n)}
-    for i, t in enumerate(Modulus(f).frobenius(x)):
-        if i in checks and poly_gcd(t - x, f).degree != 0:
-            return False
-        if i == n:
-            return t == x
+    """Rabin's irreducibility test over the coefficient field F_q (Modulus.is_irreducible);
+    False for a constant."""
+    return f.degree >= 1 and Modulus(f).is_irreducible()
 
 
 def _irreducibles(field, k):

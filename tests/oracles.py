@@ -7,8 +7,8 @@ import numpy as np
 from permdyn import _kernels, numth
 from permdyn.context import frobenius_orbits, restrict_poly
 from permdyn.errors import PreconditionError
-from permdyn.polys import (Poly, compose, count_irreducibles, fold_mod, frobenius_gcd, powmod,
-                           psi_d)
+from permdyn.polys import (Modulus, Poly, compose, count_irreducibles, fold_mod, frobenius_gcd,
+                           powmod, psi_d)
 
 
 def compose_mod(f, g, mod):
@@ -138,6 +138,16 @@ def gcd_star(ctx, P, f):
     permutes F_{q^k}, and f, a monic irreducible of degree k, are trusted.
     """
     return frobenius_gcd(compose(restrict_poly(ctx, f), restrict_poly(ctx, P)), ctx.k)
+
+
+def horner_edge(P, f, g):
+    """Whether f(P) = 0 mod g, by Horner's rule on P mod g with one product modulo g per
+    coefficient of f, each reduced on its own (Modulus.mul)."""
+    ring = Modulus(g)
+    Pg, acc = ring.rem(P), Poly.zero(g.field)
+    for c in f.coeffs[::-1].tolist():
+        acc = ring.mul(acc, Pg) + Poly.const(g.field, c)
+    return acc.is_zero
 
 
 def gcd_generation(ctx, P, f0, max_steps=None):

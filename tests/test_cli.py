@@ -1,13 +1,19 @@
 import json
+import random
+import re
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
 
-from permdyn.cli import main
-from permdyn.context import make_field_ctx
-from permdyn.permgroup import realize_permutation
+from permdyn import cli, dynamics
+from permdyn.cli import main, parse_perm_expr
+from permdyn.context import DEFAULT_GUARD, make_field_ctx
+from permdyn.errors import PreconditionError
+from permdyn.permgroup import Matrix2, moebius_poly_rep, realize_permutation
+from permdyn.polys import Poly
+from permdyn.textio import parse_poly
 
 
 def run(capsys, *argv):
@@ -288,6 +294,50 @@ def test_star_refuses_a_reducible_f_at_the_guard(capsys, argv, message):
     code, out, err = run(capsys, "star", *argv)
     assert (code, out) == (2, "")
     assert err == "error: expected a monic irreducible of degree k; at %s\n" % message
+
+
+@pytest.mark.parametrize("op", ["star", "diamond"])
+@pytest.mark.parametrize("perm,f,named", [
+    ("x^3", "x^4+x^2+1", "x^3"),                         # P and f both outside: f first
+    ("x^7", "x^4+x^2+1", "x^7"),                         # f outside I_k
+    ("x^3", "x^4+x+1", "x^3"),                           # P outside G_k
+    ("x^%d" % (3 + 15 * 10 ** 19), "x^4+x+1", "x^3"),   # folded in the parser
+    ("L[x^2+1]", "x^4+x^2+1", "x^4+x"),                  # L[h], h not coprime to x^4 - 1
+    ("x^2+x", "x^4+x+1", "x^2+x"),                       # raw polynomial text
+], ids=["both", "f", "P", "folded", "linearized", "raw"])
+def test_apply_refuses_in_the_library_order(capsys, op, perm, f, named):
+    # the command line leaves P's certificate to star and diamond, which read f first and
+    # name the tower, P and f
+    ctx = make_field_ctx(2, 1, 4)
+    with pytest.raises(PreconditionError) as info:
+        getattr(dynamics, op)(ctx, parse_poly(ctx.Fq, named), parse_poly(ctx.Fq, f))
+    assert str(info.value).endswith("; at (p, m, k) = (2, 1, 4), P = %s, f = %s" % (named, f))
+    code, out, err = run(capsys, op, "--p", "2", "--k", "4", "--perm", perm, "--f", f)
+    assert (code, out, err) == (2, "", "error: %s\n" % info.value)
+
+
+@pytest.mark.parametrize("pmk", [(2, 2, 3), (3, 2, 2), (2, 3, 2), (5, 1, 3)],
+                         ids=lambda pmk: "%d-%d-%d" % pmk)
+def test_a_refused_matrix_reads_back_as_itself(pmk):
+    # moebius_star names A by the entry spelling that --perm reads: above p, the
+    # bracketed base-p digits
+    ctx = make_field_ctx(*pmk)
+    x_k = Poly.one(ctx.Fq).shift(ctx.k)  # reducible
+    rng = random.Random("matrix %d %d %d" % pmk)
+    tried = 0
+    while tried < 12:
+        entries = [rng.randrange(ctx.q) for _ in range(4)]
+        try:
+            A = Matrix2(ctx.Fq, *entries)
+        except PreconditionError:  # singular
+            continue
+        tried += 1
+        with pytest.raises(PreconditionError) as info:
+            dynamics.moebius_star(ctx, A, x_k)
+        text = re.search(r"A = (M\[.*\]), f = ", str(info.value)).group(1)
+        B = cli._matrix(ctx, text[2:-1], DEFAULT_GUARD)
+        assert (B.a, B.b, B.c, B.d) == (A.a, A.b, A.c, A.d), text
+        assert parse_perm_expr(ctx, text) == moebius_poly_rep(ctx, A)
 
 
 def test_exit_code_guard(capsys):

@@ -5,13 +5,14 @@ import math
 import random
 import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from permdyn import cli, dynamics, orders
+from permdyn import cli, dynamics
 from permdyn.context import (
     base_field, embed_poly, enumerate_Ck, frobenius_orbits, make_field_ctx, minimal_poly,
     restrict_poly,
@@ -32,11 +33,13 @@ from permdyn.permgroup import (
     Matrix2, PermPoly, certify_perm, moebius_poly_rep, perm_table, realize_permutation,
 )
 from permdyn.polys import (
-    Poly, compose, enumerate_irreducibles, factor, poly_gcd, q_associate,
+    Modulus, Poly, compose, enumerate_irreducibles, factor, is_irreducible, poly_gcd,
+    q_associate,
 )
 from permdyn.textio import parse_poly
 
-from oracles import distinguished_root, gcd_star, loop_cycles, loop_dot, psi_fixed_count
+from oracles import (distinguished_root, gcd_star, horner_edge, loop_cycles, loop_dot,
+                     psi_fixed_count)
 
 CTX24 = make_field_ctx(2, 1, 4)
 CTX33 = make_field_ctx(3, 1, 3)
@@ -180,7 +183,7 @@ def test_orbit_table_entries_name_the_tower_P_and_an_f_outside_Ik(entry, f):
     bad_P, poly, start = READINGS[f]
     if entry == "moebius_star":
         P_arg = A_F4 if bad_P else Matrix2(CTX24.Fq, 1, 1, 1, 0)
-        named = "A = M[2,1,1,0]" if bad_P else "A = M[1,1,1,0]"
+        named = "A = M[[0,1],1,1,0]" if bad_P else "A = M[1,1,1,0]"
         outside = "matrix entries must lie in F_q of the context"
     else:
         P_arg = X3 if bad_P else _mono(CTX24, 7)
@@ -355,6 +358,87 @@ def test_star_equals_the_gcd_star_on_every_f(case):
             assert star(ctx, pp, f) == gcd_star(ctx, pp, f), (pp, f)
 
 
+def _certificate_battery(ctx):
+    """_edge_battery, a dense Moebius representative (M[0,1,1,1]) and x^n for the least
+    n >= k coprime to Q - 1 and not a power of p, which P mod g reduces."""
+    n = next(n for n in itertools.count(max(ctx.k, 2)) if math.gcd(n, ctx.Q - 1) == 1
+             and n not in (ctx.p ** j for j in range(n.bit_length())))
+    return _edge_battery(ctx) + [moebius_poly_rep(ctx, Matrix2(ctx.Fq, 0, 1, 1, 1)),
+                                 _mono(ctx, n)]
+
+
+# every edge of I_k up to this many polynomials, a seeded sample of this many above it
+CERTIFIED_EDGES = 32
+
+
+@pytest.mark.parametrize("pmk", EDGE_TOWERS, ids=lambda pmk: "%d-%d-%d" % pmk)
+def test_the_certificate_equals_the_horner_oracle(pmk):
+    # _check_edge composes f with P mod g and reduces once; horner_edge takes one product
+    # modulo g per coefficient of f. The certificate reads only k and F_q arithmetic
+    # modulo g, so a context that holds nothing but k serves an accepted edge
+    ctx = make_field_ctx(*pmk)
+    polys = frobenius_orbits(ctx).polys
+    bare = types.SimpleNamespace(k=ctx.k)
+    rng = random.Random("certificate %d %d %d" % pmk)
+    battery = _certificate_battery(ctx)
+    assert np.count_nonzero(battery[3].poly.coeffs) > ctx.Q // 4  # the dense one
+    edges = range(len(polys))
+    if len(polys) > CERTIFIED_EDGES:
+        edges = sorted(rng.sample(edges, CERTIFIED_EDGES))
+    for pp in battery:
+        perm = dynamics._ik_perm(ctx, pp)[1]
+        for i in edges:
+            dynamics._check_edge(bare, pp.poly, polys[i], polys[perm[i]])
+        for i in edges[:4]:
+            f, g = polys[i], polys[perm[i]]
+            assert dynamics._vanishes(Modulus(g), pp.poly, f) is horner_edge(pp.poly, f, g) is True
+            if len(polys) > 1:
+                other = polys[perm[(i + 1) % len(polys)]]
+                assert (dynamics._vanishes(Modulus(other), pp.poly, f) is
+                        horner_edge(pp.poly, f, other) is False)
+                _edge_rejects(ctx, pp.poly, f, other)
+
+
+def _divisor_of_degree(factors, k):
+    """A product of some of the (factor, multiplicity) pairs with degree k, or None."""
+    best = {0: Poly.one(factors[0][0].field)} if factors else {}
+    for g, mult in factors:
+        for _ in range(mult):
+            for d, h in list(best.items()):
+                best.setdefault(d + g.degree, h * g)
+    return best.get(k)
+
+
+@pytest.mark.parametrize("pmk", PROOF_TOWERS, ids=lambda pmk: "%d-%d-%d" % pmk)
+def test_the_certificate_refuses_a_reducible_divisor_of_degree_k(pmk):
+    # P(b) lies in F_q(b), so for f in I_k every factor of f(P) has degree divisible by k,
+    # and P*f is its only divisor of degree k. For a reducible f of degree k, f(P) has
+    # divisors g of degree k (polys.factor finds them), and every one is reducible, since
+    # P maps C_k onto itself: such a g passes the divisibility check, and only Rabin's
+    # test refuses the edge (f, g)
+    ctx = make_field_ctx(*pmk)
+    irr = set(frobenius_orbits(ctx).polys)
+    lead = ctx.q ** ctx.k
+    reducible = [f for f in (Poly.from_encoding(ctx.Fq, lead + e) for e in range(lead))
+                 if f not in irr]
+    rng = random.Random("reducible divisor %d %d %d" % pmk)
+    for pp in _edge_battery(ctx)[:2] + _certificate_battery(ctx)[-1:]:
+        found = 0
+        for f in rng.sample(reducible, min(8, len(reducible))):
+            g = _divisor_of_degree(factor(compose(f, pp.poly)), ctx.k)
+            if g is None:
+                continue
+            assert dynamics._vanishes(Modulus(g), pp.poly, f) is True
+            assert horner_edge(pp.poly, f, g) is True
+            assert not is_irreducible(g)
+            with pytest.raises(InternalCheckError) as info:
+                dynamics._check_edge(ctx, pp.poly, f, g)
+            assert str(info.value).startswith(
+                "orbit table holds %s, not a monic irreducible of degree k; " % f)
+            found += 1
+        assert found > 0, pp
+
+
 def test_star_refuses_a_planted_permutation(monkeypatch):
     # star certifies every answer: a wrong kept permutation is caught on its first read
     x7 = _mono(CTX24, 7)
@@ -368,14 +452,22 @@ def test_star_refuses_a_planted_permutation(monkeypatch):
                                "at (p, m, k) = (2, 1, 4), P = x^7, f = x^4+x+1")
 
 
+def _rabin_walks(monkeypatch):
+    """A list of the moduli of the Rabin tests (Modulus.is_irreducible) run from here on,
+    whether through polys.is_irreducible or on a Modulus kept for other products."""
+    walks = []
+    real = Modulus.is_irreducible
+    monkeypatch.setattr(Modulus, "is_irreducible", lambda ring: walks.append(ring.mod)
+                        or real(ring))
+    return walks
+
+
 def test_a_certified_image_costs_one_rabin_test(monkeypatch):
     # the test of the image also proves f irreducible, so f itself is not tested: once
     # P's permutation is kept, a star runs one Rabin test, on its image
     x7 = _mono(CTX24, 7)
     spectrum_Ik(CTX24, x7)
-    tested = []
-    real = dynamics.is_irreducible
-    monkeypatch.setattr(dynamics, "is_irreducible", lambda h: tested.append(h) or real(h))
+    tested = _rabin_walks(monkeypatch)
     f = P(CTX24, "x^4+x+1")
     g = star(CTX24, x7, f)
     assert tested == [g]
@@ -385,6 +477,29 @@ def test_a_certified_image_costs_one_rabin_test(monkeypatch):
     tested.clear()
     g = moebius_star(CTX24, Matrix2(CTX24.Fq, 1, 1, 1, 0), f)
     assert tested == [g]
+
+
+@pytest.mark.parametrize("pmk", [(2, 1, 4), (2, 1, 20), (3, 2, 2)],
+                         ids=lambda pmk: "%d-%d-%d" % pmk)
+def test_every_star_certifies_its_own_answer(pmk, monkeypatch):
+    # nothing of a certificate is kept between calls: the same star twice runs two
+    # divisibility checks and two Rabin walks, each on the image, and each star's two
+    # checks share one kept modulus
+    ctx = make_field_ctx(*pmk)
+    pp = _mono(ctx, 7)
+    f = frobenius_orbits(ctx).poly(1)
+    g = star(ctx, pp, f)
+    rings = []
+    walk, vanishes = Modulus.is_irreducible, dynamics._vanishes
+    monkeypatch.setattr(Modulus, "is_irreducible", lambda ring: rings.append(("walk", ring))
+                        or walk(ring))
+    monkeypatch.setattr(dynamics, "_vanishes", lambda ring, *args: rings.append(
+        ("vanishes", ring)) or vanishes(ring, *args))
+    assert star(ctx, pp, f) == star(ctx, pp, f) == g
+    assert [kind for kind, _ in rings] == ["vanishes", "walk"] * 2
+    assert all(ring.mod == g for _, ring in rings)
+    assert rings[0][1] is rings[1][1] and rings[2][1] is rings[3][1]
+    assert rings[0][1] is not rings[2][1]
 
 
 def test_star_names_a_reducible_f_before_a_P_outside_G_k():
@@ -867,17 +982,10 @@ def test_invariant_report_runs_one_rabin_test(perm, monkeypatch):
         CTX24, q_associate(P(CTX24, "x^2+x+1")))
     f = P(CTX24, "x^4+x+1")
     expected = invariant_report(CTX24, pp, f)
-    calls = [0]
-    real = dynamics.is_irreducible
-
-    def counted(g):
-        calls[0] += 1
-        return real(g)
-
-    monkeypatch.setattr(dynamics, "is_irreducible", counted)
-    monkeypatch.setattr(orders, "is_irreducible", counted)
+    g = star(CTX24, pp, f)
+    walks = _rabin_walks(monkeypatch)
     assert invariant_report(CTX24, pp, f) == expected
-    assert calls[0] == 1
+    assert walks == [g]
 
 
 def test_invariant_report_rejects_other_families():
