@@ -8,6 +8,7 @@ import sys
 
 from .context import DEFAULT_GUARD, base_field, check_tower, frobenius_orbits, make_field_ctx
 from .dynamics import (
+    _member,
     diamond,
     fixed_count_formula,
     fixed_points_direct,
@@ -19,7 +20,7 @@ from .dynamics import (
 )
 from .errors import GuardExceeded, MalformedInput, PermdynError
 from .genirr import bound_linearized, bound_monomial, iterate_generation, tau
-from .permgroup import Matrix2, certify_perm, moebius_poly_rep, realize_permutation
+from .permgroup import Matrix2, moebius_poly_rep, realize_permutation
 from .polys import Poly, q_associate
 from .textio import format_coeffs, parse_int, parse_poly, split_outside_brackets
 
@@ -49,13 +50,12 @@ def _scalar(field, text, guard):
 
 
 def parse_perm_expr(ctx, expr, guard=DEFAULT_GUARD):
-    """Certified permutation from x^N, L[POLY], M[a,b,c,d], or a raw polynomial.
-
-    Polynomial text with an exponent above `guard`, an x^N with N longer than
-    int() reads, or an L[h] of degree q^deg(h) above the guard raises
-    GuardExceeded.
+    """Certified permutation from x^N, L[POLY], M[a,b,c,d], or a raw polynomial, refused
+    as the library refuses it (dynamics._member). Polynomial text with an exponent above
+    `guard`, an x^N with N longer than int() reads, or an L[h] of degree q^deg(h) above
+    the guard raises GuardExceeded.
     """
-    return certify_perm(ctx, _read_perm(ctx, expr, guard))
+    return _member(ctx, _read_perm(ctx, expr, guard))
 
 
 def _read_perm(ctx, expr, guard):
@@ -142,9 +142,10 @@ def _cmd_spectrum(args, ctx):
 def _cmd_generate(args, ctx):
     if args.max_steps is not None and args.max_steps < 0:
         raise MalformedInput("--max-steps must be >= 0")
-    P = parse_perm_expr(ctx, args.perm, args.guard_override)
-    f0 = parse_poly(ctx.Fq, args.seed_poly, args.guard_override)
-    report = iterate_generation(ctx, P, f0, max_steps=args.max_steps)
+    # like star and diamond, the library reads the seed before it certifies P
+    report = iterate_generation(ctx, _read_perm(ctx, args.perm, args.guard_override),
+                                parse_poly(ctx.Fq, args.seed_poly, args.guard_override),
+                                max_steps=args.max_steps)
     if args.output == "json":
         return report.to_json()
     lines = ["f_%d = %s" % (i, f) for i, f in enumerate(report.produced)]

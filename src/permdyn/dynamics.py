@@ -160,15 +160,16 @@ def _refuse(ctx, P, f, failure=None):
 
 
 def _read(ctx, P, f):
-    """(orbits, i, P): the orbit table, f's index in it, and P certified (_member). f is read
-    first, so an input wrong in both ways names f; each refusal names the tower, P and f."""
+    """(orbits, i, P, perm): the orbit table, f's index in it, read first, then P certified
+    (_member) and its kept star permutation (_ik_perm); a refusal names the tower, P and f."""
     f = _named(ctx, P, f, lambda: restrict_poly(ctx, f))
     orbits = frobenius_orbits(ctx)
     try:
         i = orbits.index(f)
     except PreconditionError:
         _refuse(ctx, P, f)
-    return orbits, i, _member(ctx, P, f)
+    P = _member(ctx, P, f)
+    return orbits, i, P, _ik_perm(ctx, P)[1]
 
 
 def _member(ctx, P, f=None):
@@ -205,24 +206,19 @@ def _brief(ctx, poly):
 
 def star(ctx, P, f):
     """P*f, the minimal polynomial of P^(-1)(a) for a root a of f, read off P's star
-    permutation on the orbit table (_ik_perm).
-
-    Every answer g is certified by _check_edge: monic of degree k, f(P mod g) = 0
-    mod g and Rabin's test on g, which together prove g = P*f.
-    """
-    orbits, i, P = _read(ctx, P, f)
-    f, g = orbits.poly(i), orbits.poly(_ik_perm(ctx, P)[1][i])
+    permutation (_ik_perm) and certified by _check_edge: g monic of degree k,
+    f(P mod g) = 0 mod g and Rabin's test on g together prove g = P*f."""
+    orbits, i, P, perm = _read(ctx, P, f)
+    f, g = orbits.poly(i), orbits.poly(perm[i])
     _check_edge(ctx, P.poly, f, g)
     return g
 
 
 def diamond(ctx, P, f):
-    """Minimal polynomial of P(alpha) for a root alpha of f, read off the orbit table."""
-    orbits, i, P = _read(ctx, P, f)
-    node = orbits.node[embed_poly(ctx, P)(int(orbits.roots[i]))]
-    if node < 0:
-        raise InternalCheckError("diamond image does not have degree k" + _where(ctx, P, f))
-    return orbits.poly(node)
+    """Minimal polynomial of P(alpha) for a root alpha of f: the orbit j that P's kept star
+    permutation (_ik_perm) sends to f's orbit i, so no call evaluates P."""
+    orbits, i, _, perm = _read(ctx, P, f)
+    return orbits.poly(int(np.argmax(perm == i)))
 
 
 def fixed_points_direct(ctx, P):
@@ -385,12 +381,13 @@ def _ck_perm(ctx, P):
 def _ik_perm(ctx, P):
     """The orbit table and the star action of P as a read-only index array on its polys.
 
-    P commutes with Frobenius, so P*f is the orbit of P^(-1)(a) for a root a of f:
-    the star map inverts i -> node[P(roots[i])]. One edge, from the first f to its
-    image g, is checked modulo g (_check_edge), without forming f(P). The array is
-    P's own: it is computed once per certified P and kept on it (PermPoly.perm),
-    so every holder of that P reads it back, while a raw Poly, certified anew on
-    each call, keeps its array for that call only.
+    P commutes with Frobenius, so P*f is the orbit of P^(-1)(a) for a root a of f: the
+    array inverts the diamond map i -> node[P(roots[i])], which diamond reads back off
+    it, and its bijection check proves every diamond image of degree k. One edge, from
+    the first f to its image g, is checked modulo g (_check_edge), without forming f(P).
+    The array is P's own, computed once per certified P and kept on it (PermPoly.perm)
+    for every holder of that P; a raw Poly, certified anew on each call, keeps it for
+    that call only.
     """
     P = _member(ctx, P)
     orbits = frobenius_orbits(ctx)
@@ -444,23 +441,22 @@ def _vanishes(ring, P, f):
 
 
 def _star_walk(ctx, P, f, max_steps=None):
-    """Table indices of f, P*f, P*(P*f), ... and the star period of f.
+    """(P, path, period): P certified, the indices of f, P*f, P*(P*f), ... and f's period.
 
     The walk stops when f recurs, with the period, or after max_steps steps,
     with None. A star cycle has at most |I_k| elements.
     """
     if max_steps is not None and max_steps < 0:
         raise PreconditionError("max_steps must be >= 0" + _where(ctx, P, f))
-    _, i, P = _read(ctx, P, f)
-    perm = _ik_perm(ctx, P)[1]
+    _, i, P, perm = _read(ctx, P, f)
     path = [i]
     limit = len(perm) if max_steps is None else max_steps
     while len(path) <= limit:
         nxt = int(perm[path[-1]])
         if nxt == path[0]:
-            return path, len(path)
+            return P, path, len(path)
         path.append(nxt)
-    return path, None
+    return P, path, None
 
 
 def graph_Ck(ctx, P):
@@ -484,26 +480,26 @@ def graph_Ik(ctx, P):
 
 
 def period_Ck(ctx, P, alpha):
-    """Least n >= 1 whose n-th iterate of P fixes alpha."""
-    P = _member(ctx, P)
-    alpha = element(ctx, alpha)
-    if element_degree(ctx, alpha) != ctx.k:
-        raise PreconditionError("alpha does not have degree k over F_q")
-    Pe = embed_poly(ctx, P)
-    cur = Pe(alpha)
-    n = 1
-    while cur != alpha:
+    """Least n >= 1 whose n-th iterate of P fixes alpha; alpha is read before P."""
+    try:
+        alpha = element(ctx, alpha)
+        if element_degree(ctx, alpha) != ctx.k:
+            raise PreconditionError("alpha does not have degree k over F_q")
+        P = certify_perm(ctx, P)
+    except PreconditionError as exc:
+        raise PreconditionError(str(exc) + _where(ctx, P) + ", alpha = %r" % (alpha,)) from None
+    Pe, cur = embed_poly(ctx, P), alpha
+    for n in range(1, ctx.Q + 1):
         cur = Pe(cur)
-        n += 1
-        if n > ctx.Q:
-            raise InternalCheckError("orbit of alpha did not close" + _where(ctx, P)
-                                     + ", alpha = %d" % alpha)
-    return n
+        if cur == alpha:
+            return n
+    raise InternalCheckError("orbit of alpha did not close" + _where(ctx, P)
+                             + ", alpha = %d" % alpha)
 
 
 def period_Ik(ctx, P, f):
     """Least n >= 1 whose n-th star iterate of P fixes f."""
-    return _star_walk(ctx, P, f)[1]
+    return _star_walk(ctx, P, f)[2]
 
 
 def spectrum_Ck(ctx, P):
@@ -627,10 +623,10 @@ def invariant_report(ctx, P, f):
     a^(n0) with n*n0 = 1 mod q^k - 1; q-associate maps of h preserve the
     additive order and send the trace a to h(1)^(-1) a.
     """
-    P = _member(ctx, P, f)
+    orbits, i, P, _ = _read(ctx, P, f)
+    f = orbits.poly(i)
+    # star's certificate proves f and P*f monic irreducibles of degree k
     Pf = star(ctx, P, f)
-    # star's certificate proved f and P*f monic irreducibles of degree k
-    f = restrict_poly(ctx, f)
     report = dict.fromkeys(("ord_preserved", "fq_order_preserved", "norm_relation",
                             "trace_relation"))
     n = _monomial_exponent(P.poly)

@@ -50,10 +50,10 @@ def iterate_generation(ctx, P, f0, max_steps=None, bound_claimed=None):
 
     On closure the report period equals the I_k-cycle length of f0; otherwise
     the period is None and produced holds the distinct prefix seen so far.
-    The steps walk the star permutation of the orbit table; P and f0 are read
-    through context.restrict_poly, and a negative max_steps is refused.
+    The steps walk P's star permutation; f0 and then P are read through
+    context.restrict_poly, the report holds P certified, and a negative max_steps is refused.
     """
-    path, period = _star_walk(ctx, P, f0, max_steps)
+    P, path, period = _star_walk(ctx, P, f0, max_steps)
     produced = [frobenius_orbits(ctx).poly(i) for i in path]
     if period is not None and bound_claimed is not None and period < math.ceil(bound_claimed):
         raise InternalCheckError("period fell below the claimed lower bound"

@@ -5,7 +5,7 @@ import json
 import numpy as np
 
 from permdyn import _kernels, numth
-from permdyn.context import frobenius_orbits, restrict_poly
+from permdyn.context import embed_poly, frobenius_orbits, restrict_poly
 from permdyn.errors import PreconditionError
 from permdyn.polys import (Modulus, Poly, compose, count_irreducibles, fold_mod, frobenius_gcd,
                            powmod, psi_d)
@@ -138,6 +138,17 @@ def gcd_star(ctx, P, f):
     permutes F_{q^k}, and f, a monic irreducible of degree k, are trusted.
     """
     return frobenius_gcd(compose(restrict_poly(ctx, f), restrict_poly(ctx, P)), ctx.k)
+
+
+def eval_diamond(ctx, P, f):
+    """P<>f, the minimal polynomial of P(alpha) for alpha the least root of f: the orbit
+    table's row at P(roots[i]), by one evaluation of P over F_{q^k}. P, a PermPoly or a
+    Poly that permutes F_{q^k}, and f, a monic irreducible of degree k, are trusted."""
+    orbits = frobenius_orbits(ctx)
+    alpha = int(orbits.roots[orbits.index(restrict_poly(ctx, f))])
+    node = int(orbits.node[embed_poly(ctx, P)(alpha)])
+    assert node >= 0, "P(alpha) does not have degree k"
+    return orbits.poly(node)
 
 
 def horner_edge(P, f, g):

@@ -11,6 +11,7 @@ from permdyn import cli, dynamics
 from permdyn.cli import main, parse_perm_expr
 from permdyn.context import DEFAULT_GUARD, make_field_ctx
 from permdyn.errors import PreconditionError
+from permdyn.genirr import iterate_generation
 from permdyn.permgroup import Matrix2, moebius_poly_rep, realize_permutation
 from permdyn.polys import Poly
 from permdyn.textio import parse_poly
@@ -168,6 +169,14 @@ def test_generate(capsys):
     assert out.endswith("period = unreached\n")
 
 
+def test_generate_reports_P_as_certified(capsys):
+    # generate leaves P to the library, whose report holds P folded mod x^Q - x
+    code, out, _ = run(capsys, "generate", "--p", "2", "--k", "4", "--perm", "x^22+x^16+x",
+                       "--seed-poly", "x^4+x+1", "--output", "json")
+    assert code == 0
+    assert json.loads(out)["perm"] == "x^7"
+
+
 def test_realize_file_forms(tmp_path, capsys):
     listfile = tmp_path / "sigma_list.json"
     listfile.write_text(json.dumps([1, 0, 2]))
@@ -222,6 +231,45 @@ def test_bounds_families(capsys):
     code, out, _ = run(capsys, "bounds", "--family", "tau",
                        "--p", "3", "--k", "53", "--output", "json")
     assert json.loads(out) == {"family": "tau", "ceiling": 1672}
+
+
+def test_bounds_linearized_splits_a_large_order_by_rho(capsys):
+    # the order modulo E_83 factors 2^82 - 1, whose cofactor 164511353 * 8831418697
+    # lies above the trial bound and is split by rho
+    code, out, err = run(capsys, "bounds", "--family", "linearized", "--p", "2", "--k", "83",
+                         "--g", "x^2+x+1")
+    assert (code, out, err) == (0, "bound = 2199023255551\n", "")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("bounds", "--family", "linearized", "--p", "2", "--k", "5"),
+     "--family linearized needs --g"),
+    (("star", "--p", "2", "--k", "4", "--perm", "M[x,1,1,0]", "--f", "x^4+x+1"),
+     "matrix entries must be scalars"),
+    (("star", "--p", "2", "--m", "2", "--k", "2", "--perm", "x^7", "--f", "x^2+[1,0,1]x+1"),
+     "too many digits in '[1,0,1]x'"),
+], ids=["linearized-without-g", "matrix-entry-not-scalar", "bracket-too-long"])
+def test_malformed_arguments_exit_1_in_one_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("raw", [5, "x^3+x+1", None], ids=json.dumps)
+def test_sigma_file_of_neither_object_nor_array_exits_1(tmp_path, capsys, raw):
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "realize", "--p", "2", "--k", "3", "--sigma", str(sigma))
+    assert (code, out, err) == (1, "", "error: sigma file must hold a JSON object or array\n")
+
+
+def test_realize_json(tmp_path, capsys):
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text(json.dumps([1, 0, 2]))
+    code, out, err = run(capsys, "realize", "--p", "2", "--k", "4", "--sigma", str(sigma),
+                         "--output", "json")
+    ctx = make_field_ctx(2, 1, 4)
+    assert (code, err) == (0, "")
+    assert out == json.dumps({"perm": str(realize_permutation(ctx, [1, 0, 2]))}) + "\n"
 
 
 def test_bounds_does_not_build_the_extension(capsys):
@@ -296,7 +344,12 @@ def test_star_refuses_a_reducible_f_at_the_guard(capsys, argv, message):
     assert err == "error: expected a monic irreducible of degree k; at %s\n" % message
 
 
-@pytest.mark.parametrize("op", ["star", "diamond"])
+# the commands that leave P's certificate to the library, each with its flag for f
+APPLY = {"star": ("--f", dynamics.star), "diamond": ("--f", dynamics.diamond),
+         "generate": ("--seed-poly", iterate_generation)}
+
+
+@pytest.mark.parametrize("op", sorted(APPLY))
 @pytest.mark.parametrize("perm,f,named", [
     ("x^3", "x^4+x^2+1", "x^3"),                         # P and f both outside: f first
     ("x^7", "x^4+x^2+1", "x^7"),                         # f outside I_k
@@ -306,14 +359,26 @@ def test_star_refuses_a_reducible_f_at_the_guard(capsys, argv, message):
     ("x^2+x", "x^4+x+1", "x^2+x"),                       # raw polynomial text
 ], ids=["both", "f", "P", "folded", "linearized", "raw"])
 def test_apply_refuses_in_the_library_order(capsys, op, perm, f, named):
-    # the command line leaves P's certificate to star and diamond, which read f first and
-    # name the tower, P and f
+    # the command line leaves P's certificate to star, diamond and generate, which read f
+    # first and name the tower, P and f
+    flag, entry = APPLY[op]
     ctx = make_field_ctx(2, 1, 4)
     with pytest.raises(PreconditionError) as info:
-        getattr(dynamics, op)(ctx, parse_poly(ctx.Fq, named), parse_poly(ctx.Fq, f))
+        entry(ctx, parse_poly(ctx.Fq, named), parse_poly(ctx.Fq, f))
     assert str(info.value).endswith("; at (p, m, k) = (2, 1, 4), P = %s, f = %s" % (named, f))
-    code, out, err = run(capsys, op, "--p", "2", "--k", "4", "--perm", perm, "--f", f)
+    code, out, err = run(capsys, op, "--p", "2", "--k", "4", "--perm", perm, flag, f)
     assert (code, out, err) == (2, "", "error: %s\n" % info.value)
+
+
+@pytest.mark.parametrize("argv", [("fixed",), ("fixed", "--method", "formula"),
+                                  ("graph", "--on", "ik"), ("graph", "--on", "ck"),
+                                  ("spectrum",)], ids=" ".join)
+@pytest.mark.parametrize("perm", ["x^3", "x^%d" % (3 + 15 * 10 ** 19)], ids=["x^3", "folded"])
+def test_perm_commands_refuse_P_naming_the_tower_and_P(capsys, argv, perm):
+    # the commands that certify P themselves refuse it as the library does
+    code, out, err = run(capsys, *argv, "--p", "2", "--k", "4", "--perm", perm)
+    assert (code, out, err) == (2, "", "error: polynomial does not permute F_{q^k}; "
+                                       "at (p, m, k) = (2, 1, 4), P = x^3\n")
 
 
 @pytest.mark.parametrize("pmk", [(2, 2, 3), (3, 2, 2), (2, 3, 2), (5, 1, 3)],

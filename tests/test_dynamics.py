@@ -26,6 +26,7 @@ from permdyn.dynamics import (
     spectrum_Ik, star,
 )
 from permdyn.errors import InternalCheckError, PreconditionError
+from permdyn.fields import GF
 from permdyn.genirr import bound_linearized, choose_LH, iterate_generation
 from permdyn.numth import is_prime
 from permdyn.orders import mult_order, norm_of, trace_of
@@ -38,8 +39,8 @@ from permdyn.polys import (
 )
 from permdyn.textio import parse_poly
 
-from oracles import (distinguished_root, gcd_star, horner_edge, loop_cycles, loop_dot,
-                     psi_fixed_count)
+from oracles import (distinguished_root, eval_diamond, gcd_star, horner_edge, loop_cycles,
+                     loop_dot, psi_fixed_count)
 
 CTX24 = make_field_ctx(2, 1, 4)
 CTX33 = make_field_ctx(3, 1, 3)
@@ -152,13 +153,14 @@ def test_star_and_ik_errors_name_the_tower_P_and_f(monkeypatch):
         graph_Ik(CTX24, x7)
 
 
-# the single I_k queries and the Moebius star, each given P (or A) and f
+# the single I_k queries, invariant_report and the Moebius star, each given P (or A) and f
 READERS = {
     "star": star,
     "diamond": diamond,
     "period_Ik": period_Ik,
     "iterate_generation": iterate_generation,
     "moebius_star": moebius_star,
+    "invariant_report": invariant_report,
 }
 X3 = Poly.one(CTX24.Fq).shift(3)        # does not permute F_16
 A_F4 = Matrix2(base_field(2, 2), 2, 1, 1, 0)   # a matrix over F_4, not F_2
@@ -211,6 +213,26 @@ GATED = {
     "iterate_generation": lambda ctx, P, f: iterate_generation(ctx, P, f).produced,
     "invariant_report": lambda ctx, P, f: invariant_report(ctx, P, f),
 }
+
+
+@pytest.mark.parametrize("perm", [7, 3], ids=["x^7", "x^3"])
+@pytest.mark.parametrize("alpha,start", [
+    (1, "alpha does not have degree k over F_q"),
+    (16, "16 is not an element encoding of GF(2^4)"),
+    (1.0, "encodings of GF(2^4) must be integers, not float64"),
+], ids=["degree-1", "outside", "float"])
+def test_period_Ck_reads_alpha_before_P(perm, alpha, start):
+    # like the I_k entries: alpha is read first, and each refusal names the tower, P and alpha
+    with pytest.raises(PreconditionError) as info:
+        period_Ck(CTX24, Poly.one(CTX24.Fq).shift(perm), alpha)
+    assert str(info.value) == "%s; at (p, m, k) = (2, 1, 4), P = x^%d, alpha = %r" % (
+        start, perm, alpha)
+    root = distinguished_root(CTX24, P(CTX24, "x^4+x+1"))
+    if perm == 3:
+        with pytest.raises(PreconditionError) as info:
+            period_Ck(CTX24, Poly.one(CTX24.Fq).shift(perm), root)
+        assert str(info.value) == ("polynomial does not permute F_{q^k}; at (p, m, k) = "
+                                   "(2, 1, 4), P = x^3, alpha = %d" % root)
 
 
 @pytest.mark.parametrize("entry", sorted(GATED))
@@ -552,13 +574,16 @@ def test_internal_check_errors_name_the_tower(monkeypatch, capsys):
         mp.setattr(dynamics, "moebius_sum", lambda k, fn: real(k, fn) + 1)
         with pytest.raises(InternalCheckError, match=re.escape(tower + "P = x^7")):
             fixed_count_formula(CTX24, x7)
+    # diamond reads P's star permutation, so a forged table reaches it through a P whose
+    # permutation is not kept yet: _ik_perm refuses the table, naming the tower and P
+    fresh = certify_perm(CTX24, Poly.one(CTX24.Fq).shift(7))
     with monkeypatch.context() as mp:
         bad = copy.copy(frobenius_orbits(CTX24))
         bad.node = np.full_like(bad.node, -1)
         mp.setattr(dynamics, "frobenius_orbits", lambda ctx: bad)
-        with pytest.raises(InternalCheckError, match=re.escape(
-                tower + "P = x^7, f = x^4+x+1")):
-            diamond(CTX24, x7, f)
+        with pytest.raises(InternalCheckError) as info:
+            diamond(CTX24, fresh, f)
+    assert str(info.value) == "P does not act bijectively on I_k" + tower + "P = x^7"
     real = dynamics.moebius_sum
     monkeypatch.setattr(dynamics, "moebius_sum", lambda k, fn: real(k, fn) + 1)
     code = cli.main(["fixed", "--p", "2", "--k", "4", "--perm", "x^7", "--method", "both"])
@@ -581,6 +606,36 @@ def test_diamond_pins():
     assert diamond(CTX24, x7, f2) == f1
     assert diamond(CTX24, x7, f1) == f2
     assert diamond(CTX24, x7, f3) == f3
+
+
+@pytest.mark.parametrize("pmk", EDGE_TOWERS, ids=lambda pmk: "%d-%d-%d" % pmk)
+def test_diamond_equals_the_evaluation_at_the_least_root(pmk):
+    # diamond reads P's kept star permutation backwards; the oracle evaluates P at the
+    # least root of f. x^n, L[h], the sparse M[1,1,1,0] and the dense M[1,0,1,1]
+    ctx = make_field_ctx(*pmk)
+    irr = frobenius_orbits(ctx).polys
+    rng = random.Random("diamond %d %d %d" % pmk)
+    battery = _edge_battery(ctx) + [moebius_poly_rep(ctx, Matrix2(ctx.Fq, 1, 0, 1, 1))]
+    for pp in battery:
+        for f in rng.sample(irr, min(len(irr), 32)):
+            assert diamond(ctx, pp, f) == eval_diamond(ctx, pp, f), (pp, f)
+
+
+@pytest.mark.parametrize("pmk", [(2, 1, 6), (3, 1, 4), (2, 2, 3)], ids=lambda pmk: "%d-%d-%d" % pmk)
+def test_diamond_under_a_kept_permutation_evaluates_nothing(monkeypatch, pmk):
+    ctx = make_field_ctx(*pmk)
+    f = frobenius_orbits(ctx).poly(0)
+    battery = _edge_battery(ctx)
+    images = [star(ctx, pp, f) for pp in battery]  # each P now keeps its permutation
+    calls = []
+    real = GF.keval
+    monkeypatch.setattr(GF, "keval", lambda self, *args: calls.append(args) or real(self, *args))
+    for pp, g in zip(battery, images):
+        assert diamond(ctx, pp, g) == f
+    assert calls == []
+    # the count sees an evaluation: the oracle's, at one root
+    assert eval_diamond(ctx, battery[0], images[0]) == f
+    assert len(calls) == 1
 
 
 def test_fixed_points_direct_pins():

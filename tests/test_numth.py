@@ -1,6 +1,7 @@
 import math
 
 import pytest
+import sympy
 
 from permdyn import numth
 
@@ -27,6 +28,16 @@ def test_factorint_reconstructs(n):
         assert numth.is_prime(prime)
         prod *= prime ** mult
     assert prod == n
+
+
+@pytest.mark.parametrize("n", [1000003 * 1000033, 2 ** 82 - 1])
+def test_factorint_splits_above_the_trial_bound_like_sympy(n, monkeypatch):
+    # each n keeps a composite cofactor above the trial bound, which rho splits
+    split = []
+    real = numth._pollard_rho
+    monkeypatch.setattr(numth, "_pollard_rho", lambda m: split.append(m) or real(m))
+    assert numth.factorint.__wrapped__(n) == sympy.factorint(n)
+    assert split
 
 
 def test_divisors_sorted_complete():
