@@ -3,7 +3,8 @@
 Coefficients are int64 encodings, ascending degree. Two coefficient modes
 exist: "prime" (residues mod p, arithmetic done directly) and "table"
 (encodings into a field of p^n elements with n >= 2, multiplication via
-exp/log tables and addition digitwise in base p).
+exp/log tables and addition digitwise in base p). exp is int32 (int_dtype),
+and so is what a kernel gathers from it; log is int64, since kernels multiply logs.
 
 Each kernel is one numpy implementation; the loops that remain run once per
 coefficient and do whole-array work inside. eval_t runs once per nonzero
@@ -45,6 +46,14 @@ def check_int64(value, what):
     """Raise GuardExceeded unless an int64 intermediate of size `value` is exact."""
     if value >= INT64_BOUND:
         raise GuardExceeded("%s reaches %d, beyond the int64 bound 2^63" % (what, value))
+
+
+def int_dtype(bound):
+    """The dtype of a large table of values in [0, bound): int32 while bound <= 2^31, else
+    int64. GF.exp, FrobeniusOrbits.node and the star permutations hold encodings or
+    indices below Q; such a value is gathered, compared or added digitwise (vadd), and
+    never becomes a factor of a product, where int32 could overflow."""
+    return np.int32 if bound <= 1 << 31 else np.int64
 
 
 def get_backend():
@@ -288,12 +297,16 @@ def eval_t(coeffs, xs, exp, log, p, ndig):
     over xs per nonzero coefficient, whatever the degree, and e mod (Q - 1)
     keeps unreduced polynomials (degree >= Q) exact. The points are taken in
     blocks of at most EVAL_BLOCK, so each temporary holds one block.
+
+    Only log enters a product, (e mod (Q - 1)) log x, which reaches 2^40 at Q = 2^20:
+    log is int64, and (Q - 2)^2 < 2^63 is checked here. The terms are gathered from
+    exp (int32, int_dtype) and summed by vadd, so the values have exp's dtype.
     """
     qm1 = len(log) - 1
     check_int64((qm1 - 1) ** 2, "a log-domain exponent product")
     nz = np.flatnonzero(coeffs)
     powers, shifts = nz % qm1, log[coeffs[nz]]
-    out = np.zeros(len(xs), dtype=np.int64)
+    out = np.zeros(len(xs), dtype=exp.dtype)
     if not len(nz):
         return out
     for lo in range(0, len(xs), EVAL_BLOCK):

@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import numth
+from . import _kernels, numth
 from .errors import GuardExceeded, InternalCheckError, PreconditionError
 from .fields import GF
 from .polys import Poly, count_irreducibles, first_irreducible, is_irreducible
@@ -32,7 +32,7 @@ class FieldCtx:
 
 
 class PermPoly:
-    """A certified element of G_k: reduced poly over F_q, its context key, and `perm`.
+    """A certified element of G_k: reduced poly over F_q, its context key, `perm` and `exps`.
 
     restrict_poly, and with it every context-taking entry, trusts a PermPoly
     of its context. One is made only by certify_perm, gk_compose, gk_inverse,
@@ -41,13 +41,26 @@ class PermPoly:
     which dynamics._ik_perm fills once; None before.
     """
 
-    __slots__ = ("poly", "ctx_key", "perm")
+    __slots__ = ("poly", "ctx_key", "perm", "_exps")
 
     def __init__(self, poly, ctx_key):
         poly.coeffs.flags.writeable = False
         self.poly = poly
         self.ctx_key = ctx_key
         self.perm = None
+        self._exps = None
+
+    @property
+    def exps(self):
+        """The ascending exponents of P's nonzero terms, read-only, found on the first read
+        and kept: an edge certificate reduces P modulo its image from them
+        (Modulus.rem), with no scan of P's coefficients, of which there may be Q."""
+        if self._exps is None:
+            exps = np.flatnonzero(self.poly.coeffs)
+            exps = exps.astype(_kernels.int_dtype(len(self.poly.coeffs)), copy=False)
+            exps.flags.writeable = False
+            self._exps = exps
+        return self._exps
 
     def __eq__(self, other):
         return (isinstance(other, PermPoly) and self.ctx_key == other.ctx_key
@@ -195,6 +208,13 @@ class FrobeniusOrbits:
     the index of the minimal polynomial of the element b, or -1 when b has
     degree below k; the other roots are the Frobenius powers of roots[i]. The
     arrays are read-only, and a star permutation is kept on its P (PermPoly.perm).
+
+    Each array has the width its values need. node, Q entries of row indices, is
+    int32 while Q <= 2^31 (_kernels.int_dtype), as is every star permutation.
+    coeffs holds F_q encodings in the least unsigned dtype that holds q - 1
+    (uint8 for q <= 256); poly() reads a row as int64, format_coeffs as it is. codes
+    stays int64, since a code reaches q^(k+1) and index() searches it, and roots
+    too, since they are the points at which a P is evaluated.
     """
 
     __slots__ = ("field", "codes", "coeffs", "roots", "node")
@@ -241,11 +261,12 @@ def _build_orbits(ctx):
     On F_{q^k}^* = <g>, a -> a^q multiplies the log of a by q modulo N = Q - 1,
     so the orbits of C_k are the cosets {j q^i mod N} of size k (Lidl and
     Niederreiter, Finite Fields). A first sweep over the logs, one block at a
-    time, keeps the least log j of each such coset and the encoding of the
-    minimal polynomial of g^j. The codes sort the orbits, the coefficients are
-    their digits, and a second sweep, over the sorted leaders, reads each
-    block's conjugates through exp: their row minima are the least roots, and
-    node is scattered from them. At k = 1 each element of F_q is an orbit of its own.
+    time, keeps the least log j of each such coset, and the encodings of the
+    minimal polynomials of the g^j are taken a block of leaders at a time. The
+    codes sort the orbits, the coefficients are their digits, and a second sweep,
+    over the sorted leaders, reads each block's conjugates through exp: their row
+    minima are the least roots, and node is scattered from them. At k = 1 each
+    element of F_q is an orbit of its own.
     """
     q, k = ctx.q, ctx.k
     n = count_irreducibles(q, k)
@@ -261,14 +282,18 @@ def _build_orbits(ctx):
         blocks = ((lo, ctx.Fqk.exp[_coset_logs(ctx, leaders[lo:lo + rows])])
                   for lo in range(0, n, rows))
     codes = codes[order]
-    coeffs = codes[:, None] // q ** np.arange(k + 1, dtype=np.int64)
-    coeffs %= q
+    # the digits of the codes, one column at a time, so no int64 array of n rows is formed
+    coeffs = np.empty((n, k + 1), dtype=np.min_scalar_type(q - 1))
+    rest = codes.copy()
+    for j in range(k + 1):
+        coeffs[:, j] = rest % q
+        rest //= q
     # node is allocated after the first sweep, so it adds nothing to that sweep's peak
     roots = np.empty(n, dtype=np.int64)
-    node = np.full(ctx.Q, -1, dtype=np.int64)
+    node = np.full(ctx.Q, -1, dtype=_kernels.int_dtype(ctx.Q))
     for lo, conj in blocks:
         roots[lo:lo + len(conj)] = conj.min(axis=1)
-        node[conj] = np.arange(lo, lo + len(conj), dtype=np.int64)[:, None]
+        node[conj] = np.arange(lo, lo + len(conj), dtype=node.dtype)[:, None]
     return FrobeniusOrbits(ctx.Fq, codes, coeffs, roots, node)
 
 
@@ -277,17 +302,21 @@ def _leaders_and_codes(ctx, n):
     encoding of the minimal polynomial of g^j; k >= 2 and there must be n = |I_k| of them."""
     q, k, N = ctx.q, ctx.k, ctx.Q - 1
     weights = q ** np.arange(k, -1, -1, dtype=np.int64)
-    leaders, codes = [], []
+    leaders = []
     for lo in range(0, N, _LOG_BLOCK):
         j = np.arange(lo, min(lo + _LOG_BLOCK, N), dtype=np.int64)
         # j leads a coset of size k iff j q^i mod N > j for 0 < i < k
         for i in range(1, k):
             j = j[j * q ** i % N > j]
         leaders.append(j)
-        codes.append(weights @ _minimal_polys(ctx, _coset_logs(ctx, j)))
     leaders = np.concatenate(leaders)
     if len(leaders) != n:
         raise InternalCheckError("%d Frobenius orbits of degree k, not |I_k|" % len(leaders))
+    # most leaders lie in the first block of logs, so the minimal polynomials are
+    # taken over blocks of leaders, each with about _LOG_BLOCK conjugates
+    rows = _LOG_BLOCK // k
+    codes = [weights @ _minimal_polys(ctx, _coset_logs(ctx, leaders[lo:lo + rows]))
+             for lo in range(0, n, rows)]
     return leaders, np.concatenate(codes)
 
 
@@ -314,12 +343,12 @@ def _minimal_polys(ctx, logs):
     top[0] = 1
     for j in range(k):
         c = top[1:j + 1]
-        low = np.take(F.log, c)
+        low = F.log[c]
         low += neg[j]
-        np.take(F.exp, low, out=low)
+        low = F.exp[low]
         low[c == 0] = 0
         top[2:j + 2] = F.vadd(top[2:j + 2], low)
-        top[1] = F.vadd(top[1], np.take(F.exp, neg[j]))
+        top[1] = F.vadd(top[1], F.exp[neg[j]])
     if np.any(top >= ctx.q):
         raise InternalCheckError("minimal polynomial has a coefficient outside F_q")
     return top

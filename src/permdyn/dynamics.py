@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from ._kernels import int_dtype
 from .context import (element, element_degree, embed_poly, enumerate_Ck, frobenius_orbits,
                       restrict_poly)
 from .errors import InternalCheckError, PreconditionError
@@ -210,7 +211,7 @@ def star(ctx, P, f):
     f(P mod g) = 0 mod g and Rabin's test on g together prove g = P*f."""
     orbits, i, P, perm = _read(ctx, P, f)
     f, g = orbits.poly(i), orbits.poly(perm[i])
-    _check_edge(ctx, P.poly, f, g)
+    _check_edge(ctx, P, f, g)
     return g
 
 
@@ -320,12 +321,13 @@ def _cycle_walk(perm):
     jump[jump[i]], ... would then never fall and must all be equal; those
     windows tile the cycle of i, so their shared least index is the cycle's.
     A cycle of length L is done after ceil(log2 L) rounds of three gathers.
-    The arrays are int32 while every step count fits (span < 2n): the
-    gathers are random reads, and halving the bytes they touch made a
-    uniform random permutation of 2^20 indices about four times faster.
+    The arrays are int32 while every step count fits (span < 2n,
+    _kernels.int_dtype): the gathers are random reads, and halving the bytes
+    they touch made a uniform random permutation of 2^20 indices about four
+    times faster.
     """
     n = len(perm)
-    dtype = np.int32 if n < 2 ** 30 else np.int64
+    dtype = int_dtype(2 * n)
     least = np.arange(n, dtype=dtype)
     ahead = np.zeros_like(least)
     jump = perm.astype(dtype)
@@ -375,7 +377,9 @@ def _ck_perm(ctx, P):
     if not _distinct(imgs, ctx.Q) or not np.all(in_ck[imgs]):
         raise InternalCheckError("P does not permute C_k" + _where(ctx, P))
     # the position of each element of C_k among the ascending encodings
-    return els, (np.cumsum(in_ck) - 1)[imgs]
+    place = np.cumsum(in_ck, dtype=int_dtype(ctx.Q))
+    place -= 1
+    return els, place[imgs]
 
 
 def _ik_perm(ctx, P):
@@ -387,7 +391,7 @@ def _ik_perm(ctx, P):
     the first f to its image g, is checked modulo g (_check_edge), without forming f(P).
     The array is P's own, computed once per certified P and kept on it (PermPoly.perm)
     for every holder of that P; a raw Poly, certified anew on each call, keeps it for
-    that call only.
+    that call only. Like the table's node, it is int32 up to 2^31 rows (_kernels.int_dtype).
     """
     P = _member(ctx, P)
     orbits = frobenius_orbits(ctx)
@@ -396,16 +400,17 @@ def _ik_perm(ctx, P):
         image = orbits.node[embed_poly(ctx, P).eval_many(orbits.roots)]
         if np.any(image < 0) or not _distinct(image, n):
             raise InternalCheckError("P does not act bijectively on I_k" + _where(ctx, P))
-        perm = np.empty(n, dtype=np.int64)
-        perm[image] = np.arange(n)
-        _check_edge(ctx, P.poly, orbits.poly(0), orbits.poly(perm[0]))
+        perm = np.empty(n, dtype=int_dtype(n))
+        perm[image] = np.arange(n, dtype=perm.dtype)
+        _check_edge(ctx, P, orbits.poly(0), orbits.poly(perm[0]))
         perm.flags.writeable = False
         P.perm = perm
     return orbits, P.perm
 
 
 def _check_edge(ctx, P, f, g):
-    """Raise InternalCheckError unless g = P*f, for a P that acts bijectively on C_k.
+    """Raise InternalCheckError unless g = P*f, for a certified P (a PermPoly), which acts
+    bijectively on C_k.
 
     f and g must be monic of degree k, f(P mod g) = 0 mod g (_vanishes), and Rabin's
     test must accept g. P has coefficients in F_q, so it maps each F_{q^d}, d | k, into
@@ -415,6 +420,9 @@ def _check_edge(ctx, P, f, g):
     irreducible factor of degree k of f(P): P*f. On a failure f and g are tested in turn.
     Both checks run on one Modulus(g), so the remainder function of g (in prime mode the
     Newton inverse of the reversed g, _kernels.RemP) is derived once per edge.
+    _vanishes reads x^(Q-1) as 1 modulo g, which holds when Rabin's test accepts g; the
+    edge needs both, so a g that fails Rabin's test is refused whatever _vanishes says,
+    and for one that passes, _vanishes is exact.
     """
     if all(h.degree == ctx.k and h.leading() == 1 for h in (f, g)):
         ring = Modulus(g)
@@ -429,15 +437,20 @@ def _check_edge(ctx, P, f, g):
 
 
 def _vanishes(ring, P, f):
-    """Whether f(P) = 0 modulo the ring's modulus g, of degree n.
+    """Whether f(P) = 0 modulo the ring's modulus g, of degree n, for a PermPoly P and a g
+    that Rabin's test accepts (_check_edge); for another g the answer proves nothing.
 
-    P is reduced modulo g (Modulus.rem): about deg(P).bit_length() products per term
-    of a sparse P, or one block reduction per n - 1 coefficients of a dense one. f is
-    composed with P mod g unreduced (polys.compose), of degree at most deg(f) (n - 1),
-    and that is reduced once, about deg(f) block reductions, where a pass of Horner's
-    rule modulo g would take deg(f) products, each reduced on its own.
+    P is reduced modulo g (Modulus.rem) from its kept nonzero exponents (PermPoly.exps),
+    read modulo Q - 1, Q = q^n, since F_q[x]/(g) is then the field of Q elements: about
+    deg(P).bit_length() products per term of a sparse P, none for the x^(Q-2) of a
+    Moebius representative, which is x^-1, or one block reduction per n - 1
+    coefficients of a dense P. f is composed with P mod g unreduced (polys.compose), of
+    degree at most deg(f) (n - 1), and that is reduced once, about deg(f) block
+    reductions, where a pass of Horner's rule modulo g would take deg(f) products, each
+    reduced on its own.
     """
-    return ring.rem(compose(f, ring.rem(P))).is_zero
+    g = ring.mod
+    return ring.rem(compose(f, ring.rem(P.poly, P.exps, g.field.order ** g.degree - 1))).is_zero
 
 
 def _star_walk(ctx, P, f, max_steps=None):

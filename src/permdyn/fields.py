@@ -12,6 +12,13 @@ these small), built once by locating a generator g and filling its powers by
 doubling on encodings: g^s .. g^(2s-1) are g^0 .. g^(s-1) times g^s, an
 F_p-linear map applied through two lookup tables over the low and the high
 half of the base-p digits, so no array of (order - 1) digit vectors is formed.
+
+The tables are stored at the width their values need (_kernels.int_dtype): exp
+holds encodings, below the order, and is int32 while the order is at most 2^31.
+log stays int64, because it is multiplied: GF.pow, GF.vpow and _kernels.eval_t
+form log(a) * e before reducing mod order - 1, and that product reaches 2^40
+at order 2^20. An array gathered from exp, such as the result of vmul or vpow,
+has exp's dtype; a Poly takes its coefficients as int64.
 """
 
 import numpy as np
@@ -79,6 +86,10 @@ class GF:
     # -- table construction -------------------------------------------------
 
     def _build_tables(self, base, modulus):
+        """Find the least generator g by encoding, then fill exp[i] = g^i for i < 2Q - 3
+        and the discrete logs (log[0] = 0, masked by every caller). exp is int32 while
+        Q <= 2^31 (_kernels.int_dtype); log is int64, since GF.pow, GF.vpow and
+        _kernels.eval_t multiply it. No other int64 array of Q entries is formed."""
         from .polys import Modulus, Poly  # polys does not import fields
 
         Q = self.order
@@ -100,6 +111,7 @@ class GF:
         # fix it. It acts on an encoding array through two lookup tables, one
         # over the low `lo` digits and one over the high n - lo, whose
         # entries add digitwise: each table has at most p^ceil(n/2) entries.
+        dtype = _kernels.int_dtype(Q)
         lo = n // 2
         split = p ** lo
         pp = p ** np.arange(n, dtype=np.int64)
@@ -108,15 +120,15 @@ class GF:
 
         def times(cols, xs):
             col_dig = cols[:, None] // pp % p
-            low = low_dig @ col_dig[:lo] % p @ pp
-            high = high_dig @ col_dig[lo:] % p @ pp
+            low = (low_dig @ col_dig[:lo] % p @ pp).astype(dtype)
+            high = (high_dig @ col_dig[lo:] % p @ pp).astype(dtype)
             return _kernels.vadd(low[xs % split], high[xs // split], p, n)
 
         cols = np.array([ring.mul(g, Poly.from_encoding(base, p ** j)).encoding()
-                         for j in range(n)], dtype=np.int64)
+                         for j in range(n)], dtype=dtype)
         # exp[:Q - 1] holds g^0 .. g^(Q-2); doubling fills g^s .. g^(2s-1)
         # from g^0 .. g^(s-1), then squares the map by applying it to cols
-        exp = np.empty(2 * Q - 3, dtype=np.int64)
+        exp = np.empty(2 * Q - 3, dtype=dtype)
         exp[0] = 1
         filled = 1
         while filled < Q - 1:
@@ -126,13 +138,14 @@ class GF:
             if filled < Q - 1:
                 cols = times(cols, cols)
 
-        # g generates iff its Q - 1 powers are distinct and nonzero: each of
-        # 1 .. Q-1 appears once, which leaves no slot for 0
-        if not np.all(np.bincount(exp[:Q - 1], minlength=Q)[1:] == 1):
+        # g generates iff its Q - 1 powers are distinct and nonzero, that is iff
+        # they cover 1 .. Q-1: the scatter then leaves no entry of log[1:] at -1
+        log = np.full(Q, -1, dtype=np.int64)
+        log[exp[:Q - 1]] = np.arange(Q - 1, dtype=dtype)
+        if log[1:].min() < 0:
             raise ArithmeticError("exp table degenerate; modulus reducible?")
+        log[0] = 0
         exp[Q - 1:] = exp[:Q - 2]
-        log = np.zeros(Q, dtype=np.int64)
-        log[exp[:Q - 1]] = np.arange(Q - 1)
         self.exp = exp
         self.log = log
 

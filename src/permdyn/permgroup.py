@@ -96,9 +96,12 @@ def _certified_table(ctx, P):
 def _distinct(vals, Q):
     """Whether the encodings vals, each in [0, Q), are pairwise distinct.
 
-    One O(Q) count; a table of Q values is a bijection exactly when it holds.
+    One O(Q) scatter into Q flags: vals are distinct when it sets as many flags as vals
+    has entries, and a table of Q values is a bijection exactly when that holds.
     """
-    return bool(np.bincount(vals, minlength=Q).max() <= 1)
+    seen = np.zeros(Q, dtype=bool)
+    seen[vals] = True
+    return int(np.count_nonzero(seen)) == len(vals)
 
 
 def perm_table(ctx, P):

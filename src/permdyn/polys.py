@@ -227,7 +227,7 @@ class Modulus:
                 return acc
             a = self.mul(a, a)
 
-    def rem(self, a):
+    def rem(self, a, exps=None, period=None):
         """a mod the modulus, for a polynomial a of any degree over the modulus's field.
 
         A sparse a is reduced term by term: one chain of squarings x, x^2, x^4,
@@ -236,12 +236,22 @@ class Modulus:
         function at once. The cost rule weighs about deg(a).bit_length() plus
         the total popcount of the exponents in products against one block
         reduction per n - 1 coefficients above the n-th, n the degree of the
-        modulus.
+        modulus. exps, when given, are the ascending exponents of a's nonzero
+        terms, which a caller that keeps a (PermPoly.exps) finds once, so that
+        a is not scanned again.
+
+        period, when given, is an e >= 1 with x^e = 1 modulo the modulus, which the
+        caller has proved: Q - 1 modulo an irreducible of degree n over F_q, Q = q^n,
+        other than x. A sparse a's exponents are then read modulo it, each as its
+        residue of least absolute value, and a negative one as a power of x^-1 with
+        a chain of its own: x^(Q-2) is x^-1, no product at all. x^-1 = -(g - g(0)) /
+        (x g(0)) needs g(0) != 0, so a modulus divisible by x ignores the period.
         """
         n = self.mod.degree
         if a.degree < n:
             return a
-        exps = np.flatnonzero(a.coeffs)
+        if exps is None:
+            exps = np.flatnonzero(a.coeffs)
         # every exponent but 0 has a set bit, so a dense a is told apart before
         # its bits are counted
         bits = len(exps) - 1
@@ -249,16 +259,28 @@ class Modulus:
             bits = sum(e.bit_count() for e in exps.tolist())
         if a.degree - n < (n - 1) * (a.degree.bit_length() + bits):
             return Poly(a.field, self._rem(a.coeffs))
-        squares = [Poly.x(a.field) % self.mod]
-        for _ in range(1, a.degree.bit_length()):
-            squares.append(self.mul(squares[-1], squares[-1]))
-        out = Poly.const(a.field, int(a.coeffs[0]))
+        field, g = a.field, self.mod
+        # the chains of squares of x and x^-1, each extended as far as a term needs
+        chains = {1: [Poly.x(field) % g]}
+        if period is not None and g.coeff(0):
+            chains[-1] = [Poly(field, g.coeffs[1:]).scale(field.neg(field.inv(g.coeff(0))))]
+        else:
+            period = None
+        out = Poly.const(field, int(a.coeffs[0]))
         for e in exps[exps > 0].tolist():
+            c = int(a.coeffs[e])
+            if period is not None:
+                e %= period
+                e -= period if 2 * e > period else 0
+            squares = chains[-1 if e < 0 else 1]
+            e = abs(e)
+            while len(squares) < e.bit_length():
+                squares.append(self.mul(squares[-1], squares[-1]))
             term = None
             for j in range(e.bit_length()):
                 if e >> j & 1:
                     term = squares[j] if term is None else self.mul(term, squares[j])
-            out = out + term.scale(int(a.coeffs[e]))
+            out = out + (Poly.const(field, c) if term is None else term.scale(c))
         return out
 
     def is_irreducible(self):

@@ -140,15 +140,20 @@ def format_coeffs(field, rows):
     rows are joined into one string, split, and stripped of it. An entry that is
     not an encoding of field raises PreconditionError.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    field.check_encodings(rows)
+    rows = np.asarray(rows)
+    if rows.dtype.kind in "iu":
+        field.check_encodings(rows)  # integer rows, such as the orbit table's, keep their dtype
+    else:
+        rows = field.check_encodings(rows)
     n, D = rows.shape
-    if D == 0:
+    if not rows.size:
         return ["0"] * n
-    # the values that occur, and the place of each entry's value among them
-    seen = np.bincount(rows.ravel()) > 0
+    # the values that occur, and the place of each entry's value among them, in the
+    # least unsigned dtype that holds their count
+    seen = np.zeros(int(rows.max()) + 1, dtype=bool)
+    seen[rows] = True
     vals = np.flatnonzero(seen).tolist()
-    slot = (np.cumsum(seen) - 1)[rows]
+    slot = (np.cumsum(seen, dtype=np.min_scalar_type(len(vals))) - 1)[rows]
     texts = [_coeff_text(field, c) for c in vals]
     const = np.array([t + "+" if c else "" for c, t in zip(vals, texts)], dtype=object)
     scalar = np.array(["" if c == 1 else t for c, t in zip(vals, texts)], dtype=object)

@@ -431,3 +431,106 @@ def loop_dot(graph):
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines)
+
+
+class TowerArithmetic:
+    """Arithmetic on the encodings of F_{q^k} in plain Python ints, modulo the tower's moduli.
+
+    F_q is F_p[z] modulo the base modulus (F_p itself when m = 1) and F_{q^k} is
+    F_q[y] modulo the extension modulus; an encoding's radix-q digits are its
+    coefficients over F_q, and an F_q encoding's radix-p digits its coefficients over
+    F_p. Products are schoolbook products reduced by long division, so no exp or log
+    table of either field is read, and no numpy integer takes part.
+    """
+
+    def __init__(self, ctx):
+        self.p, self.m, self.q, self.k = ctx.p, ctx.m, ctx.q, ctx.k
+        self.base = [int(c) for c in ctx.Fq.modulus] if ctx.m > 1 else None
+        self.ext = [int(c) for c in ctx.ext_modulus.coeffs]
+
+    @staticmethod
+    def _digits(a, radix, n):
+        return [a // radix ** i % radix for i in range(n)]
+
+    @staticmethod
+    def _encode(digits, radix):
+        return sum(d * radix ** i for i, d in enumerate(digits))
+
+    def fq_add(self, a, b):
+        p, m = self.p, self.m
+        return self._encode([(x + y) % p for x, y in zip(self._digits(a, p, m),
+                                                         self._digits(b, p, m))], p)
+
+    def fq_neg(self, a):
+        p = self.p
+        return self._encode([-x % p for x in self._digits(a, p, self.m)], p)
+
+    def fq_mul(self, a, b):
+        p, m = self.p, self.m
+        if m == 1:
+            return a * b % p
+        u, v = self._digits(a, p, m), self._digits(b, p, m)
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(u):
+            for j, y in enumerate(v):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        for i in range(2 * m - 2, m - 1, -1):
+            c = prod[i]
+            for j, b_j in enumerate(self.base):
+                prod[i - m + j] = (prod[i - m + j] - c * b_j) % p
+        return self._encode(prod[:m], p)
+
+    def mul(self, a, b):
+        q, k = self.q, self.k
+        u, v = self._digits(a, q, k), self._digits(b, q, k)
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(u):
+            if x:
+                for j, y in enumerate(v):
+                    prod[i + j] = self.fq_add(prod[i + j], self.fq_mul(x, y))
+        for i in range(2 * k - 2, k - 1, -1):
+            c = prod[i]
+            if c:
+                for j, e_j in enumerate(self.ext):
+                    prod[i - k + j] = self.fq_add(prod[i - k + j], self.fq_neg(self.fq_mul(c, e_j)))
+        return self._encode(prod[:k], q)
+
+    def add(self, a, b):
+        q, k = self.q, self.k
+        return self._encode([self.fq_add(x, y) for x, y in zip(self._digits(a, q, k),
+                                                               self._digits(b, q, k))], q)
+
+    def neg(self, a):
+        return self._encode([self.fq_neg(x) for x in self._digits(a, self.q, self.k)], self.q)
+
+    def pow(self, a, e):
+        out = 1
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return out
+
+    def eval(self, coeffs, x):
+        """The value at x of the polynomial with ascending coefficients `coeffs`, term by term."""
+        out = 0
+        for e, c in enumerate(coeffs):
+            if c:
+                out = self.add(out, self.mul(int(c), self.pow(x, e)))
+        return out
+
+    def minimal_poly(self, a):
+        """(conjugates, ascending coefficients) of prod (y - a^(q^j)) over the distinct
+        conjugates of a."""
+        conj = [a]
+        while True:
+            nxt = self.pow(conj[-1], self.q)
+            if nxt == a:
+                break
+            conj.append(nxt)
+        coeffs = [1]
+        for c in conj:
+            low = [self.neg(self.mul(c, x)) for x in coeffs] + [0]
+            coeffs = [self.add(x, y) for x, y in zip(low, [0] + coeffs)]
+        return conj, coeffs

@@ -309,19 +309,19 @@ def test_edge_check_accepts_only_the_gcd_star(pmk):
     for i, pp in enumerate(battery):
         for f in dict.fromkeys([irr[0], rng.choice(irr)]):
             img = gcd_star(ctx, pp, f)
-            dynamics._check_edge(ctx, pp.poly, f, img)
+            dynamics._check_edge(ctx, pp, f, img)
             # every other member of I_k on small towers, a seeded sample on large ones
             for g in rng.sample(irr, min(len(irr), 12)):
                 if g != img:
-                    _edge_rejects(ctx, pp.poly, f, g)
-            _edge_rejects(ctx, pp.poly, f, x_k)                  # reducible, degree k
-            _edge_rejects(ctx, pp.poly, f, img * img)            # degree 2k
+                    _edge_rejects(ctx, pp, f, g)
+            _edge_rejects(ctx, pp, f, x_k)                       # reducible, degree k
+            _edge_rejects(ctx, pp, f, img * img)                 # degree 2k
             if i == 0:
                 # irreducible factors of f(x^n) of another degree divide f(P)
                 for g, _ in factor(compose(f, pp.poly)):
                     if g.degree != ctx.k:
                         others += 1
-                        _edge_rejects(ctx, pp.poly, f, g)
+                        _edge_rejects(ctx, pp, f, g)
     if pmk[0] ** (pmk[1] * pmk[2]) >= 64:
         assert others > 0
 
@@ -349,7 +349,7 @@ def test_the_image_certificate_refuses_every_reducible_f(pmk):
                 "P = %s, f = %s" % (pmk + (dynamics._brief(ctx, pp), f)))
             for g in irr:
                 with pytest.raises(InternalCheckError, match=re.escape("f = %s" % f) + "$"):
-                    dynamics._check_edge(ctx, pp.poly, f, g)
+                    dynamics._check_edge(ctx, pp, f, g)
     A = Matrix2(ctx.Fq, 1, 1, 1, 0)
     for f in reducible:
         with pytest.raises(PreconditionError) as info:
@@ -410,15 +410,15 @@ def test_the_certificate_equals_the_horner_oracle(pmk):
     for pp in battery:
         perm = dynamics._ik_perm(ctx, pp)[1]
         for i in edges:
-            dynamics._check_edge(bare, pp.poly, polys[i], polys[perm[i]])
+            dynamics._check_edge(bare, pp, polys[i], polys[perm[i]])
         for i in edges[:4]:
             f, g = polys[i], polys[perm[i]]
-            assert dynamics._vanishes(Modulus(g), pp.poly, f) is horner_edge(pp.poly, f, g) is True
+            assert dynamics._vanishes(Modulus(g), pp, f) is horner_edge(pp.poly, f, g) is True
             if len(polys) > 1:
                 other = polys[perm[(i + 1) % len(polys)]]
-                assert (dynamics._vanishes(Modulus(other), pp.poly, f) is
+                assert (dynamics._vanishes(Modulus(other), pp, f) is
                         horner_edge(pp.poly, f, other) is False)
-                _edge_rejects(ctx, pp.poly, f, other)
+                _edge_rejects(ctx, pp, f, other)
 
 
 def _divisor_of_degree(factors, k):
@@ -450,15 +450,35 @@ def test_the_certificate_refuses_a_reducible_divisor_of_degree_k(pmk):
             g = _divisor_of_degree(factor(compose(f, pp.poly)), ctx.k)
             if g is None:
                 continue
-            assert dynamics._vanishes(Modulus(g), pp.poly, f) is True
+            assert dynamics._vanishes(Modulus(g), pp, f) is True
             assert horner_edge(pp.poly, f, g) is True
             assert not is_irreducible(g)
             with pytest.raises(InternalCheckError) as info:
-                dynamics._check_edge(ctx, pp.poly, f, g)
+                dynamics._check_edge(ctx, pp, f, g)
             assert str(info.value).startswith(
                 "orbit table holds %s, not a monic irreducible of degree k; " % f)
             found += 1
         assert found > 0, pp
+
+
+def test_star_of_the_inverse_map_near_the_guard_equals_the_oracles():
+    # M[1,1,1,0] is x^(Q-2) + 1, whose edge certificate reads x^(Q-2) as x^-1 modulo the
+    # image and its kept exponents, with no scan of its Q coefficients. At (2,1,12) stars
+    # equal gcd_star; at (2,1,16), where gcd_star's f(P) has degree near 2^20 and one takes
+    # minutes, a seeded sample equals moebius_star, which clears denominators and reads no
+    # table. x^(Q-3) is x^-2 there, and its star is the one the gcd route gave
+    for k, sample in ((12, 4), (16, 256)):
+        ctx = make_field_ctx(2, 1, k)
+        A = Matrix2(ctx.Fq, 1, 1, 1, 0)
+        M = moebius_poly_rep(ctx, A)
+        irr = frobenius_orbits(ctx).polys
+        oracle = (lambda f: gcd_star(ctx, M, f)) if k == 12 else (
+            lambda f: moebius_star(ctx, A, f))
+        for f in random.Random("inverse map %d" % k).sample(irr, sample):
+            assert star(ctx, M, f) == oracle(f), f
+        assert M.exps.tolist() == [0, ctx.Q - 2]
+    x65533 = certify_perm(ctx, Poly.one(ctx.Fq).shift(ctx.Q - 3))
+    assert str(star(ctx, x65533, P(ctx, "x^16+x^5+x^3+x^2+1"))) == "x^16+x^14+x^13+x^11+1"
 
 
 def test_star_refuses_a_planted_permutation(monkeypatch):
@@ -494,7 +514,7 @@ def test_a_certified_image_costs_one_rabin_test(monkeypatch):
     g = star(CTX24, x7, f)
     assert tested == [g]
     tested.clear()
-    dynamics._check_edge(CTX24, x7.poly, f, g)
+    dynamics._check_edge(CTX24, x7, f, g)
     assert tested == [g]
     tested.clear()
     g = moebius_star(CTX24, Matrix2(CTX24.Fq, 1, 1, 1, 0), f)

@@ -478,6 +478,52 @@ def test_table_mode_modulus_rem_of_sparse_dividends_equals_long_division(field):
             assert sparse or a.degree < 2048
 
 
+@pytest.mark.parametrize("field", [F2, F3, F4, F9], ids=["F2", "F3", "F4", "F9"])
+def test_modulus_rem_modulo_a_period_equals_the_powers_of_x(field):
+    # modulo an irreducible g of degree n other than x, x^(Q-1) = 1 with Q = q^n, so rem
+    # may read exponents modulo Q - 1, a negative residue as a power of x^-1. Sparse
+    # dividends with exponents on both sides of (Q - 1)/2 and at Q - 1, shifted by
+    # multiples of Q - 1 to degree 1024 or more (so that the sparse path runs), equal the
+    # sum of their terms by loop_powmod; a modulus divisible by x has no x^-1 and ignores
+    # the period
+    rng = np.random.default_rng(700 + field.order)
+    q, x = field.order, Poly.x(field)
+    for n in (n for n in (1, 2, 3, 5) if q ** n <= 1024):
+        Q = q ** n
+        irreducibles = [g for g in enumerate_irreducibles(field, n) if g.coeff(0)]
+        moduli = [irreducibles[int(rng.integers(len(irreducibles)))] for _ in range(2)]
+        moduli.append(x * irreducibles[0])
+        spots = [Q - 2, Q - 1, Q, (Q - 1) // 2, (Q + 1) // 2, 2 * Q - 3]
+        shift = -(-1024 // (Q - 1)) * (Q - 1)
+        for g in moduli:
+            for _ in range(4):
+                exps = {int(e) + int(rng.integers(1, 4)) * shift
+                        for e in rng.choice(spots, size=int(rng.integers(1, 4)))}
+                coeffs = np.zeros(max(exps) + 1, dtype=np.int64)
+                coeffs[0] = rng.integers(field.order)
+                coeffs[sorted(exps)] = rng.integers(1, field.order, size=len(exps))
+                a = Poly(field, coeffs)
+                want = Poly.const(field, int(coeffs[0])) % g
+                for e in sorted(exps):
+                    want = want + loop_powmod(x, e, g).scale(int(coeffs[e]))
+                assert Modulus(g).rem(a, period=Q - 1) == want, (g, exps)
+
+
+def test_x_to_the_Q_minus_2_modulo_a_period_takes_no_product(monkeypatch):
+    # x^(Q-2) + 1 is the Moebius representative of M[1,1,1,0]; modulo an irreducible of
+    # degree n it is x^-1 + 1, read off the modulus with no product, where the chain of
+    # squares of x takes 17: x^1022 is 9 squarings and 8 products of squares
+    g = first_irreducible(F2, 10)
+    a = Poly.one(F2).shift(2 ** 10 - 2) + Poly.one(F2)
+    products = []
+    real = Modulus.mul
+    monkeypatch.setattr(Modulus, "mul", lambda ring, u, v: products.append(1) or real(ring, u, v))
+    assert Modulus(g).rem(a, period=2 ** 10 - 1) == a % g
+    assert not products
+    assert Modulus(g).rem(a) == a % g
+    assert len(products) == 9 + 8
+
+
 @pytest.mark.parametrize("p", REDUCER_PRIMES)
 def test_powmod_equals_sympy(p):
     F = GF.prime(p)
