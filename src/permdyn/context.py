@@ -35,31 +35,31 @@ class PermPoly:
     """A certified element of G_k: reduced poly over F_q, its context key, `perm` and `exps`.
 
     restrict_poly, and with it every context-taking entry, trusts a PermPoly
-    of its context. One is made only by certify_perm, gk_compose, gk_inverse,
-    realize_permutation or moebius_poly_rep, from a Poly of its own whose coefficients
-    it makes read-only. `perm` is P's read-only star permutation on the orbit table,
-    which dynamics._ik_perm fills once; None before.
+    of its context. One is made only by certify_perm (which decides x^n and L[h] by
+    their gcd criteria and any other P by its values at all Q points), gk_compose,
+    gk_inverse, realize_permutation or moebius_poly_rep, from a Poly of its own whose
+    coefficients it makes read-only. `perm` is P's read-only star permutation on the
+    orbit table, which dynamics._ik_perm fills once; None before. certify_perm passes
+    the nonzero exponents it has read as `exps`.
     """
 
     __slots__ = ("poly", "ctx_key", "perm", "_exps")
 
-    def __init__(self, poly, ctx_key):
+    def __init__(self, poly, ctx_key, exps=None):
         poly.coeffs.flags.writeable = False
         self.poly = poly
         self.ctx_key = ctx_key
         self.perm = None
-        self._exps = None
+        self._exps = exps
 
     @property
     def exps(self):
-        """The ascending exponents of P's nonzero terms, read-only, found on the first read
-        and kept: an edge certificate reduces P modulo its image from them
-        (Modulus.rem), with no scan of P's coefficients, of which there may be Q."""
+        """The ascending exponents of P's nonzero terms (nonzero_exponents), kept from
+        certify_perm or found on the first read: an edge certificate reduces P modulo its
+        image from them (Modulus.rem), with no scan of P's coefficients, of which there
+        may be Q."""
         if self._exps is None:
-            exps = np.flatnonzero(self.poly.coeffs)
-            exps = exps.astype(_kernels.int_dtype(len(self.poly.coeffs)), copy=False)
-            exps.flags.writeable = False
-            self._exps = exps
+            self._exps = nonzero_exponents(self.poly.coeffs)
         return self._exps
 
     def __eq__(self, other):
@@ -74,6 +74,15 @@ class PermPoly:
 
     def __repr__(self):
         return "PermPoly(%s)" % self.poly
+
+
+def nonzero_exponents(coeffs):
+    """The ascending exponents of the nonzero entries of coeffs, read-only, stored at the
+    width _kernels.int_dtype gives them."""
+    exps = np.flatnonzero(coeffs)
+    exps = exps.astype(_kernels.int_dtype(len(coeffs)), copy=False)
+    exps.flags.writeable = False
+    return exps
 
 
 _CTX_CACHE = {}

@@ -76,9 +76,29 @@ def bound_linearized(q, k, g):
 
 
 def tau(p, k):
-    """Explicit lower bound on the order of x + a modulo E_k, by characteristic."""
+    """Explicit lower bound on the order of x + a modulo E_k, by characteristic, as a float.
+
+    A k whose bound exceeds the largest float is refused, naming the largest k served.
+    """
     if k < 2:
         raise PreconditionError("tau needs k >= 2")
+    try:
+        return _tau(p, k)
+    except OverflowError:
+        # the bound grows with k: bisect for the last k whose float is finite
+        lo, hi = 2, k
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                _tau(p, mid)
+                lo = mid
+            except OverflowError:
+                hi = mid
+        raise PreconditionError("tau(%d, k) exceeds the largest float for k > %d"
+                                % (p, lo)) from None
+
+
+def _tau(p, k):
     if p == 2:
         return 2.0 ** (math.sqrt(2 * (k - 2)) - 2)
     if p == 3:

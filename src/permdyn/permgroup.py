@@ -11,10 +11,10 @@ import numpy as np
 from . import numth
 from .context import (
     PermPoly, _coset_logs, base_field, embed_poly, enumerate_Ck, frobenius_orbits,
-    make_field_ctx, restrict_poly,
+    make_field_ctx, nonzero_exponents, restrict_poly,
 )
 from .errors import InternalCheckError, PreconditionError
-from .polys import Poly, fold_mod, poly_gcd, pth_root
+from .polys import Poly, fold_mod, linearized_modulus, poly_gcd, pth_root
 
 __all__ = [
     "PermPoly", "Matrix2", "certify_perm", "perm_table", "gk_compose",
@@ -73,24 +73,63 @@ def certify_perm(ctx, P):
     """P as an element of G_k: a PermPoly of the context as it is, so its holders share
     its star permutation; any other P reduced mod x^Q - x and accepted iff it permutes F_{q^k}.
 
-    P is read through context.restrict_poly; the induced map is checked exhaustively.
-    The PermPoly owns a copy of the coefficients, so changing the caller's Poly in
-    place afterwards does not change the certified P.
+    P is read through context.restrict_poly and reduced by fold_mod. Its nonzero
+    exponents, read once and kept as PermPoly.exps, choose how the map is checked: a
+    P in one of the two closed families is decided by its criterion (_family_verdict),
+    with no evaluation, and every other P is evaluated at all Q points and accepted iff
+    its values are distinct. The PermPoly owns a copy of the coefficients, so changing
+    the caller's Poly in place afterwards does not change the certified P.
     """
     if isinstance(P, PermPoly):
         restrict_poly(ctx, P)
         return P
-    return _certified_table(ctx, P)[0]
+    P = fold_mod(restrict_poly(ctx, P), ctx.Q)
+    exps = nonzero_exponents(P.coeffs)
+    permutes = _family_verdict(ctx, P, exps)
+    if permutes is None:
+        permutes = _distinct(perm_table(ctx, P), ctx.Q)
+    return _accept(ctx, P, permutes, exps)
+
+
+def _family_verdict(ctx, P, exps):
+    """Whether P, reduced mod x^Q - x with nonzero exponents exps, permutes F_{q^k} by the
+    criterion of its closed family; None when P lies in neither family.
+
+    A constant term is a translation and leaves the verdict as it is. Then c x^n with
+    n >= 1 permutes iff gcd(n, Q - 1) = 1 (numth.check_coprime_exponent), and
+    sum_(i < k) a_i x^(q^i) with two terms or more iff gcd(sum a_i x^i, x^k - 1) = 1
+    (polys.linearized_modulus); see Lidl and Niederreiter, Finite Fields, ch. 7.
+    """
+    terms = exps[1:] if len(exps) and exps[0] == 0 else exps
+    index = {ctx.q ** i: i for i in range(ctx.k)}
+    try:
+        if len(terms) == 1:
+            numth.check_coprime_exponent(ctx.q, ctx.k, int(terms[0]))
+        elif len(terms) > 1 and all(int(e) in index for e in terms):
+            h = np.zeros(ctx.k, dtype=np.int64)
+            h[[index[int(e)] for e in terms]] = P.coeffs[terms]
+            linearized_modulus(Poly(ctx.Fq, h), ctx.k, ctx.q)
+        else:
+            return None
+    except PreconditionError:
+        return False
+    return True
 
 
 def _certified_table(ctx, P):
-    """certify_perm's result together with the value table it checked."""
+    """The exhaustive certificate, with the value table it checked: P reduced mod x^Q - x
+    as a PermPoly, accepted iff its values at all Q points are distinct."""
     P = fold_mod(restrict_poly(ctx, P), ctx.Q)
     vals = perm_table(ctx, P)
-    if not _distinct(vals, ctx.Q):
+    return _accept(ctx, P, _distinct(vals, ctx.Q)), vals
+
+
+def _accept(ctx, P, permutes, exps=None):
+    """P, reduced mod x^Q - x, as a PermPoly of the context if it permutes F_{q^k}."""
+    if not permutes:
         raise PreconditionError("polynomial does not permute F_{q^k}")
     # restrict_poly and fold_mod may return the caller's own Poly
-    return PermPoly(Poly(P.field, P.coeffs), ctx.key), vals
+    return PermPoly(Poly(P.field, P.coeffs), ctx.key, exps)
 
 
 def _distinct(vals, Q):
@@ -110,13 +149,33 @@ def perm_table(ctx, P):
 
 
 def gk_compose(ctx, P, Q):
-    """P after Q, reduced mod x^Q - x: the group operation of G_k."""
+    """P after Q, reduced mod x^Q - x: the group operation of G_k.
+
+    Horner's rule steps over P's nonzero terms only: from one term to the next lower
+    one, g exponents apart, the sum is multiplied by Q^g, formed by squaring. So x^a
+    after Q takes O(log a) products, and a dense P one product per term, as before.
+    """
     p1 = restrict_poly(ctx, P)
     p2 = fold_mod(restrict_poly(ctx, Q), ctx.Q)
+    exps = np.flatnonzero(p1.coeffs)[::-1].tolist()
     acc = Poly.zero(ctx.Fq)
-    for c in reversed(p1.coeffs):
-        acc = fold_mod(acc * p2, ctx.Q) + Poly.const(ctx.Fq, int(c))
+    for e, lower in zip(exps, exps[1:] + [0]):
+        acc = acc + Poly.const(ctx.Fq, int(p1.coeffs[e]))
+        if e > lower:
+            acc = fold_mod(acc * _power_mod(p2, e - lower, ctx.Q), ctx.Q)
     return certify_perm(ctx, acc)
+
+
+def _power_mod(f, e, Q):
+    """f^e mod x^Q - x for e >= 1, by squaring, each product reduced by fold_mod."""
+    out = None
+    while True:
+        if e & 1:
+            out = f if out is None else fold_mod(out * f, Q)
+        e >>= 1
+        if not e:
+            return out
+        f = fold_mod(f * f, Q)
 
 
 def gk_inverse(ctx, P):

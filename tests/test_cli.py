@@ -43,6 +43,18 @@ def test_bounds_tau_example(capsys):
     assert out == "ceil(tau/k) = 1672\n"
 
 
+@pytest.mark.parametrize("p,k,served", [("2", "1000000000", 526339),
+                                         ("5", "100000000000", 392522)])
+def test_bounds_tau_refuses_a_k_beyond_the_float_range(capsys, p, k, served):
+    for output in ("text", "json"):
+        code, out, err = run(capsys, "bounds", "--family", "tau", "--p", p, "--k", k,
+                             "--output", output)
+        assert (code, out) == (2, "")
+        assert err == "error: tau(%s, k) exceeds the largest float for k > %d\n" % (p, served)
+    code, out, _ = run(capsys, "bounds", "--family", "tau", "--p", p, "--k", str(served))
+    assert code == 0 and out.startswith("ceil(tau/k) = ")
+
+
 def test_enumerate(capsys):
     code, out, _ = run(capsys, "enumerate", "--p", "2", "--k", "4")
     assert code == 0
@@ -350,35 +362,43 @@ APPLY = {"star": ("--f", dynamics.star), "diamond": ("--f", dynamics.diamond),
 
 
 @pytest.mark.parametrize("op", sorted(APPLY))
-@pytest.mark.parametrize("perm,f,named", [
-    ("x^3", "x^4+x^2+1", "x^3"),                         # P and f both outside: f first
-    ("x^7", "x^4+x^2+1", "x^7"),                         # f outside I_k
-    ("x^3", "x^4+x+1", "x^3"),                           # P outside G_k
-    ("x^%d" % (3 + 15 * 10 ** 19), "x^4+x+1", "x^3"),   # folded in the parser
-    ("L[x^2+1]", "x^4+x^2+1", "x^4+x"),                  # L[h], h not coprime to x^4 - 1
-    ("x^2+x", "x^4+x+1", "x^2+x"),                       # raw polynomial text
-], ids=["both", "f", "P", "folded", "linearized", "raw"])
-def test_apply_refuses_in_the_library_order(capsys, op, perm, f, named):
+@pytest.mark.parametrize("k,perm,f,named", [
+    (4, "x^3", "x^4+x^2+1", "x^3"),                          # P and f both outside: f first
+    (4, "x^7", "x^4+x^2+1", "x^7"),                          # f outside I_k
+    (4, "x^3", "x^4+x+1", "x^3"),                            # P outside G_k
+    (4, "x^%d" % (3 + 15 * 10 ** 19), "x^4+x+1", "x^3"),    # folded in the parser
+    (4, "L[x^2+1]", "x^4+x^2+1", "x^4+x"),                   # L[h], h not coprime to x^4 - 1
+    (4, "x^2+x", "x^4+x+1", "x^2+x"),                        # raw polynomial text
+    (4, "L[x+1]", "x^4+x+1", "x^2+x"),                       # the linearized criterion refuses
+    (20, "x^3", "x^20+x^3+1", "x^3"),                        # the monomial criterion, at the guard
+], ids=["both", "f", "P", "folded", "linearized", "raw", "L[x+1]", "P-2-1-20"])
+def test_apply_refuses_in_the_library_order(capsys, op, k, perm, f, named):
     # the command line leaves P's certificate to star, diamond and generate, which read f
     # first and name the tower, P and f
     flag, entry = APPLY[op]
-    ctx = make_field_ctx(2, 1, 4)
+    ctx = make_field_ctx(2, 1, k)
     with pytest.raises(PreconditionError) as info:
         entry(ctx, parse_poly(ctx.Fq, named), parse_poly(ctx.Fq, f))
-    assert str(info.value).endswith("; at (p, m, k) = (2, 1, 4), P = %s, f = %s" % (named, f))
-    code, out, err = run(capsys, op, "--p", "2", "--k", "4", "--perm", perm, flag, f)
+    assert str(info.value).endswith("; at (p, m, k) = (2, 1, %d), P = %s, f = %s" % (k, named, f))
+    code, out, err = run(capsys, op, "--p", "2", "--k", str(k), "--perm", perm, flag, f)
     assert (code, out, err) == (2, "", "error: %s\n" % info.value)
 
 
 @pytest.mark.parametrize("argv", [("fixed",), ("fixed", "--method", "formula"),
                                   ("graph", "--on", "ik"), ("graph", "--on", "ck"),
                                   ("spectrum",)], ids=" ".join)
-@pytest.mark.parametrize("perm", ["x^3", "x^%d" % (3 + 15 * 10 ** 19)], ids=["x^3", "folded"])
-def test_perm_commands_refuse_P_naming_the_tower_and_P(capsys, argv, perm):
-    # the commands that certify P themselves refuse it as the library does
-    code, out, err = run(capsys, *argv, "--p", "2", "--k", "4", "--perm", perm)
+@pytest.mark.parametrize("k,perm,named", [
+    (4, "x^3", "x^3"),
+    (4, "x^%d" % (3 + 15 * 10 ** 19), "x^3"),
+    (4, "L[x+1]", "x^2+x"),
+    (20, "x^3", "x^3"),
+], ids=["x^3", "folded", "L[x+1]", "x^3-2-1-20"])
+def test_perm_commands_refuse_P_naming_the_tower_and_P(capsys, argv, k, perm, named):
+    # the commands that certify P themselves refuse it as the library does, in the same
+    # words whether a criterion or the Q-point table decides
+    code, out, err = run(capsys, *argv, "--p", "2", "--k", str(k), "--perm", perm)
     assert (code, out, err) == (2, "", "error: polynomial does not permute F_{q^k}; "
-                                       "at (p, m, k) = (2, 1, 4), P = x^3\n")
+                                       "at (p, m, k) = (2, 1, %d), P = %s\n" % (k, named))
 
 
 @pytest.mark.parametrize("pmk", [(2, 2, 3), (3, 2, 2), (2, 3, 2), (5, 1, 3)],

@@ -160,6 +160,18 @@ def test_tau_pins():
         tau(2, 1)
 
 
+@pytest.mark.parametrize("p,served", [(2, 526339), (3, 140001), (5, 392522), (7, 392522)])
+def test_tau_refuses_a_k_beyond_the_float_range(p, served):
+    # the largest k served gives a finite bound; the next one, and any larger k up to
+    # one whose float conversion alone overflows, is refused naming it
+    assert math.isfinite(tau(p, served)) and math.ceil(tau(p, served) / served) >= 1
+    for k in (served + 1, 10 ** 9, 10 ** 11, 10 ** 400):
+        with pytest.raises(PreconditionError) as info:
+            tau(p, k)
+        assert str(info.value) == "tau(%d, k) exceeds the largest float for k > %d" % (
+            p, served)
+
+
 def test_choose_LH_pins():
     assert str(choose_LH(2, 5)) == "x^16+x^8+x^4"
     assert str(choose_LH(3, 5)) == "x^3+x"
