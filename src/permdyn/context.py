@@ -40,7 +40,8 @@ class PermPoly:
     gk_inverse, realize_permutation or moebius_poly_rep, from a Poly of its own whose
     coefficients it makes read-only. `perm` is P's read-only star permutation on the
     orbit table, which dynamics._ik_perm fills once; None before. certify_perm passes
-    the nonzero exponents it has read as `exps`.
+    the nonzero exponents it has read as `exps`, from which invariant_report reads P's
+    family again (permgroup._closed_family).
     """
 
     __slots__ = ("poly", "ctx_key", "perm", "_exps")

@@ -16,7 +16,8 @@ from .errors import InternalCheckError, PreconditionError
 from .numth import (check_coprime_exponent, divisors, euler_phi, is_prime, moebius_sum,
                     mult_order_int, prime_norm_index)
 from .orders import _fq_order, _mult_order, _norm, _trace, phi_q, poly_order
-from .permgroup import Matrix2, _check_matrix, _distinct, certify_perm, pgl2_order
+from .permgroup import (Matrix2, _check_matrix, _closed_family, _distinct, certify_perm,
+                        pgl2_order)
 from .polys import (
     Modulus,
     Poly,
@@ -610,48 +611,31 @@ def moebius_star(ctx, A, f):
     return out
 
 
-def _monomial_exponent(P):
-    nz = np.flatnonzero(P.coeffs)
-    if len(nz) == 1 and nz[0] >= 1 and P.coeff(int(nz[0])) == 1:
-        return int(nz[0])
-    return None
-
-
-def _linearized_associate(P):
-    """The h with L_h = P, or None when some exponent of P is not a power of q."""
-    # q^i <= deg P needs i < bit_length(deg P)
-    logs = {P.field.order ** i: i for i in range(max(P.degree, 1).bit_length())}
-    exps = np.flatnonzero(P.coeffs).tolist()
-    if not exps or any(e not in logs for e in exps):
-        return None
-    h = np.zeros(logs[exps[-1]] + 1, dtype=np.int64)
-    h[[logs[e] for e in exps]] = P.coeffs[exps]
-    return Poly(P.field, h)
-
-
 def invariant_report(ctx, P, f):
-    """Check the order, norm, and trace relations that apply to P's family.
+    """Check the order, norm, and trace relations that apply to P's family, read from the
+    certified P's kept exponents by certify_perm's classifier (permgroup._closed_family).
 
-    Monomials x^n preserve multiplicative order and send the norm a to
-    a^(n0) with n*n0 = 1 mod q^k - 1; q-associate maps of h preserve the
-    additive order and send the trace a to h(1)^(-1) a.
+    Monomials x^n (coefficient 1, no constant term) preserve multiplicative order and
+    send the norm a to a^(n0) with n*n0 = 1 mod q^k - 1; q-associate maps L_h with no
+    constant term preserve the additive order and send the trace a to h(1)^(-1) a. Any
+    other P is refused, naming the tower, P and f.
     """
-    orbits, i, P, _ = _read(ctx, P, f)
+    orbits, i, pp, _ = _read(ctx, P, f)
     f = orbits.poly(i)
     # star's certificate proves f and P*f monic irreducibles of degree k
-    Pf = star(ctx, P, f)
+    Pf = star(ctx, pp, f)
     report = dict.fromkeys(("ord_preserved", "fq_order_preserved", "norm_relation",
                             "trace_relation"))
-    n = _monomial_exponent(P.poly)
-    if n is not None:
+    n, h = (None, None) if pp.exps[0] == 0 else _closed_family(ctx, pp.poly, pp.exps)
+    if n is not None and pp.poly.coeff(n) == 1:
         n0 = pow(n, -1, ctx.Q - 1)
         report["ord_preserved"] = _mult_order(Pf) == _mult_order(f)
         report["norm_relation"] = _norm(ctx, Pf) == ctx.Fq.pow(_norm(ctx, f), n0)
         return report
-    h = _linearized_associate(P.poly)
     if h is not None:
         c = ctx.Fq.inv(h(1))
         report["fq_order_preserved"] = _fq_order(ctx, Pf) == _fq_order(ctx, f)
         report["trace_relation"] = _trace(ctx, Pf) == ctx.Fq.mul(c, _trace(ctx, f))
         return report
-    raise PreconditionError("no invariant proposition applies to this permutation")
+    raise PreconditionError("no invariant proposition applies to this permutation"
+                            + _where(ctx, pp, f))

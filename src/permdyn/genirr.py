@@ -110,7 +110,8 @@ def choose_LH(q, k):
     """Certified generator permutation L_H for prime k with q primitive mod k.
 
     For q = 2 take H = (x^k - 1)/(x - 1) + x + 1; otherwise H = x - a for the
-    smallest a with encoding >= 2 and a^k != 1.
+    smallest a with encoding >= 2 and a^k != 1. certify_perm decides L_H by
+    gcd(H, x^k - 1) = 1, the one run of that criterion; its refusal is an internal fault.
     """
     fac = factorint(q)
     if len(fac) != 1:
@@ -137,7 +138,6 @@ def choose_LH(q, k):
             raise PreconditionError("no a with encoding >= 2 and a^k != 1 exists in F_q")
         H = Poly.x(field) - Poly.const(field, a)
     try:
-        linearized_modulus(H, k, q)
+        return certify_perm(ctx, q_associate(H))
     except PreconditionError:
         raise InternalCheckError("H is not coprime to x^k - 1") from None
-    return certify_perm(ctx, q_associate(H))

@@ -74,54 +74,55 @@ def certify_perm(ctx, P):
     its star permutation; any other P reduced mod x^Q - x and accepted iff it permutes F_{q^k}.
 
     P is read through context.restrict_poly and reduced by fold_mod. Its nonzero
-    exponents, read once and kept as PermPoly.exps, choose how the map is checked: a
-    P in one of the two closed families is decided by its criterion (_family_verdict),
-    with no evaluation, and every other P is evaluated at all Q points and accepted iff
-    its values are distinct. The PermPoly owns a copy of the coefficients, so changing
-    the caller's Poly in place afterwards does not change the certified P.
+    exponents, read once and kept as PermPoly.exps, choose how the map is checked: a P
+    in a closed family (_closed_family) is decided by its criterion, with no evaluation,
+    and any other P by _certified_table, which evaluates it at all Q points. The PermPoly
+    owns a copy of the coefficients, so changing the caller's Poly in place afterwards
+    does not change the certified P.
     """
     if isinstance(P, PermPoly):
         restrict_poly(ctx, P)
         return P
     P = fold_mod(restrict_poly(ctx, P), ctx.Q)
     exps = nonzero_exponents(P.coeffs)
-    permutes = _family_verdict(ctx, P, exps)
-    if permutes is None:
-        permutes = _distinct(perm_table(ctx, P), ctx.Q)
-    return _accept(ctx, P, permutes, exps)
+    n, h = _closed_family(ctx, P, exps)
+    if n is None and h is None:
+        return _certified_table(ctx, P, exps)[0]
+    try:
+        if n is not None:
+            numth.check_coprime_exponent(ctx.q, ctx.k, n)
+        else:
+            linearized_modulus(h, ctx.k, ctx.q)
+    except PreconditionError:
+        return _accept(ctx, P, False)
+    return _accept(ctx, P, True, exps)
 
 
-def _family_verdict(ctx, P, exps):
-    """Whether P, reduced mod x^Q - x with nonzero exponents exps, permutes F_{q^k} by the
-    criterion of its closed family; None when P lies in neither family.
+def _closed_family(ctx, P, exps):
+    """(n, h) for P, reduced mod x^Q - x with nonzero exponents exps: past P's constant
+    term, n is the exponent of P's one other term, and h the polynomial with
+    L_h = P - P(0) when every other exponent is q^i with i < k; each None otherwise.
 
-    A constant term is a translation and leaves the verdict as it is. Then c x^n with
-    n >= 1 permutes iff gcd(n, Q - 1) = 1 (numth.check_coprime_exponent), and
-    sum_(i < k) a_i x^(q^i) with two terms or more iff gcd(sum a_i x^i, x^k - 1) = 1
-    (polys.linearized_modulus); see Lidl and Niederreiter, Finite Fields, ch. 7.
+    A constant term is a translation, so c x^n + b permutes F_{q^k} iff gcd(n, Q - 1) = 1
+    and L_h + b iff gcd(h, x^k - 1) = 1 (Lidl and Niederreiter, Finite Fields, ch. 7):
+    certify_perm decides by n first. invariant_report reads P's family from the same pair.
     """
     terms = exps[1:] if len(exps) and exps[0] == 0 else exps
+    n = int(terms[0]) if len(terms) == 1 else None
     index = {ctx.q ** i: i for i in range(ctx.k)}
-    try:
-        if len(terms) == 1:
-            numth.check_coprime_exponent(ctx.q, ctx.k, int(terms[0]))
-        elif len(terms) > 1 and all(int(e) in index for e in terms):
-            h = np.zeros(ctx.k, dtype=np.int64)
-            h[[index[int(e)] for e in terms]] = P.coeffs[terms]
-            linearized_modulus(Poly(ctx.Fq, h), ctx.k, ctx.q)
-        else:
-            return None
-    except PreconditionError:
-        return False
-    return True
+    if not len(terms) or not all(int(e) in index for e in terms):
+        return n, None
+    h = np.zeros(ctx.k, dtype=np.int64)
+    h[[index[int(e)] for e in terms]] = P.coeffs[terms]
+    return n, Poly(ctx.Fq, h)
 
 
-def _certified_table(ctx, P):
+def _certified_table(ctx, P, exps=None):
     """The exhaustive certificate, with the value table it checked: P reduced mod x^Q - x
-    as a PermPoly, accepted iff its values at all Q points are distinct."""
+    as a PermPoly (keeping exps), accepted iff its values at all Q points are distinct."""
     P = fold_mod(restrict_poly(ctx, P), ctx.Q)
     vals = perm_table(ctx, P)
-    return _accept(ctx, P, _distinct(vals, ctx.Q)), vals
+    return _accept(ctx, P, _distinct(vals, ctx.Q), exps), vals
 
 
 def _accept(ctx, P, permutes, exps=None):
@@ -363,10 +364,10 @@ def is_degree_preserving_form(F):
     if F.degree < 1:
         raise PreconditionError("degree-preserving form needs degree >= 1")
     p = F.field.p
-    support = [i for i in range(1, F.degree + 1) if F.coeff(i) != 0]
+    support = np.flatnonzero(F.coeffs[1:])
     if len(support) != 1:
         return False
-    i = support[0]
+    i = int(support[0]) + 1
     while i % p == 0:
         i //= p
     return i == 1
@@ -381,11 +382,13 @@ def check_degree_preserving(F, bound):
     constant shifts of the p-power-reduced F suffice to refute any other
     coefficient pattern). F must be a polynomial over the canonically
     constructed F_q (lex-smallest modulus), since the check builds the
-    degree-j extensions itself.
+    degree-j extensions itself; that precondition is checked before any test.
     """
     if F.degree < 1:
         raise PreconditionError("degree-preserving check needs degree >= 1")
     p, m = F.field.p, F.field.deg
+    if base_field(p, m).key != F.field.key:
+        raise PreconditionError("F is not over the canonical F_q")
     G = F
     while G.derivative().is_zero:
         G = pth_root(G)
@@ -394,8 +397,6 @@ def check_degree_preserving(F, bound):
         H = G - Poly.const(G.field, c)
         if (H // poly_gcd(H, dG)).degree != 1:
             return False
-    if base_field(p, m).key != F.field.key:
-        raise PreconditionError("F is not over the canonical F_q")
     for j in range(1, bound + 1):
         ctx = make_field_ctx(p, m, j)
         C = enumerate_Ck(ctx)

@@ -140,6 +140,28 @@ def gcd_star(ctx, P, f):
     return frobenius_gcd(compose(restrict_poly(ctx, f), restrict_poly(ctx, P)), ctx.k)
 
 
+def monomial_exponent(P):
+    """n when the Poly P is x^n with n >= 1 (one term, coefficient 1), else None: the
+    family of the norm relation, read by a scan of all of P's coefficients."""
+    nz = np.flatnonzero(P.coeffs)
+    if len(nz) == 1 and nz[0] >= 1 and P.coeff(int(nz[0])) == 1:
+        return int(nz[0])
+    return None
+
+
+def linearized_associate(P):
+    """The h with L_h = P, or None when some exponent of the Poly P is not a power of q
+    (q the order of P's field): the family of the trace relation, by a full scan."""
+    # q^i <= deg P needs i < bit_length(deg P)
+    logs = {P.field.order ** i: i for i in range(max(P.degree, 1).bit_length())}
+    exps = np.flatnonzero(P.coeffs).tolist()
+    if not exps or any(e not in logs for e in exps):
+        return None
+    h = np.zeros(logs[exps[-1]] + 1, dtype=np.int64)
+    h[[logs[e] for e in exps]] = P.coeffs[exps]
+    return Poly(P.field, h)
+
+
 def eval_diamond(ctx, P, f):
     """P<>f, the minimal polynomial of P(alpha) for alpha the least root of f: the orbit
     table's row at P(roots[i]), by one evaluation of P over F_{q^k}. P, a PermPoly or a

@@ -31,7 +31,8 @@ from permdyn.genirr import bound_linearized, choose_LH, iterate_generation
 from permdyn.numth import is_prime
 from permdyn.orders import mult_order, norm_of, trace_of
 from permdyn.permgroup import (
-    Matrix2, PermPoly, certify_perm, moebius_poly_rep, perm_table, realize_permutation,
+    Matrix2, PermPoly, certify_perm, gk_compose, moebius_poly_rep, perm_table,
+    realize_permutation,
 )
 from permdyn.polys import (
     Modulus, Poly, compose, enumerate_irreducibles, factor, is_irreducible, poly_gcd,
@@ -39,8 +40,9 @@ from permdyn.polys import (
 )
 from permdyn.textio import parse_poly
 
-from oracles import (distinguished_root, eval_diamond, gcd_star, horner_edge, loop_cycles,
-                     loop_dot, psi_fixed_count)
+from oracles import (distinguished_root, eval_diamond, gcd_star, horner_edge,
+                     linearized_associate, loop_cycles, loop_dot, monomial_exponent,
+                     psi_fixed_count)
 
 CTX24 = make_field_ctx(2, 1, 4)
 CTX33 = make_field_ctx(3, 1, 3)
@@ -1063,10 +1065,93 @@ def test_invariant_report_runs_one_rabin_test(perm, monkeypatch):
     assert walks == [g]
 
 
+NO_RELATION = "no invariant proposition applies to this permutation"
+
+
 def test_invariant_report_rejects_other_families():
-    swap = realize_permutation(CTX24, {0: 1, 1: 0, 2: 2})
-    with pytest.raises(PreconditionError):
-        invariant_report(CTX24, swap, I24[0])
+    # each refusal names the tower, P and f, like every other (P, f) refusal: the realized
+    # swap (dense), and x^7 + 1 and 2x^7, certified and then refused for b = 1 and c = 2
+    for pmk, perm, named in (((2, 1, 4), None, "<degree 14, 9 terms>"),
+                             ((2, 1, 4), "x^7+1", "x^7+1"),
+                             ((3, 1, 4), "2x^7", "2x^7")):
+        ctx = make_field_ctx(*pmk)
+        f = frobenius_orbits(ctx).poly(0)
+        if perm is None:
+            pp = realize_permutation(ctx, {0: 1, 1: 0, 2: 2})
+        else:
+            pp = P(ctx, perm)
+            assert str(certify_perm(ctx, pp)) == perm
+        with pytest.raises(PreconditionError) as info:
+            invariant_report(ctx, pp, f)
+        assert str(info.value) == "%s; at (p, m, k) = (%d, %d, %d), P = %s, f = %s" % (
+            NO_RELATION, *pmk, named, f)
+
+
+def _family_shapes(ctx, rng):
+    """P's over F_q that permute F_{q^k}: x^n and c x^n, c x^(q^i), two L_h, each with no
+    constant term and with a seeded one; then two compositions of x^n and L_h."""
+    Q, q, k = ctx.Q, ctx.q, ctx.k
+    one = Poly.one(ctx.Fq)
+    xk1 = one.shift(k) - one
+    n = next(n for n in iter(lambda: rng.randrange(2, Q - 1), None)
+             if math.gcd(n, Q - 1) == 1)
+    # the least h of degree < k with two terms or more that is coprime to x^k - 1, if
+    # any, and a seeded h
+    units = (h for h in (Poly.from_encoding(ctx.Fq, e) for e in range(q + 1, Q))
+             if np.count_nonzero(h.coeffs) > 1 and poly_gcd(h, xk1).degree == 0)
+    hs = list(itertools.islice(units, 1))
+    while len(hs) < 2:
+        h = Poly(ctx.Fq, [rng.randrange(q) for _ in range(k)])
+        if not h.is_zero and poly_gcd(h, xk1).degree == 0:
+            hs.append(h)
+    shapes = [one.shift(n), one.shift(n).scale(rng.randrange(1, q)),
+              one.shift(q ** rng.randrange(k)).scale(rng.randrange(1, q))]
+    shapes += [q_associate(h) for h in hs]
+    for shape in shapes:
+        yield shape
+        yield shape + Poly.const(ctx.Fq, rng.randrange(1, q))
+    xn, L = certify_perm(ctx, one.shift(n)), certify_perm(ctx, q_associate(hs[0]))
+    yield gk_compose(ctx, xn, L)
+    yield gk_compose(ctx, L, xn)
+
+
+NORM = frozenset(("ord_preserved", "norm_relation"))
+TRACE = frozenset(("fq_order_preserved", "trace_relation"))
+
+
+def _oracle_relations(poly):
+    """The report entries the family oracle fills for a P reduced mod x^Q - x: the norm
+    relation for x^n, else the trace relation for L_h, else None (a refusal)."""
+    if monomial_exponent(poly) is not None:
+        return NORM
+    if linearized_associate(poly) is not None:
+        return TRACE
+    return None
+
+
+@pytest.mark.parametrize("pmk", EDGE_TOWERS, ids=lambda pmk: "%d-%d-%d" % pmk)
+def test_invariant_report_picks_the_oracle_family(pmk):
+    # the relation invariant_report fills, read from the kept exponents by certify_perm's
+    # classifier, or its refusal, is the one the coefficient-scanning oracle picks
+    ctx = make_field_ctx(*pmk)
+    rng = random.Random("invariant family %d %d %d" % pmk)
+    rows = frobenius_orbits(ctx).polys
+    picked = set()
+    for raw in _family_shapes(ctx, rng):
+        pp, f = certify_perm(ctx, raw), rng.choice(rows)
+        want = _oracle_relations(pp.poly)
+        if want is None:
+            with pytest.raises(PreconditionError) as info:
+                invariant_report(ctx, raw, f)
+            assert str(info.value) == NO_RELATION + dynamics._where(ctx, pp, f)
+        else:
+            got = invariant_report(ctx, raw, f)
+            assert {key for key, v in got.items() if v is not None} == want, str(pp)
+            assert all(got[key] is True for key in want), str(pp)
+        picked.add(want)
+    # over F_2 at k <= 3 no h with two terms or more is coprime to x^k - 1, so every L_h
+    # that permutes is a monomial
+    assert picked == ({None, NORM, TRACE} if ctx.Q > 8 else {None, NORM})
 
 
 @st.composite

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from permdyn import genirr, permgroup
 from permdyn.context import frobenius_orbits, make_field_ctx
 from permdyn.dynamics import graph_Ik, spectrum_Ik
 from permdyn.errors import (
@@ -17,7 +18,8 @@ from permdyn.genirr import (
 from permdyn.orders import poly_order
 from permdyn.permgroup import certify_perm
 from permdyn.polys import (
-    Poly, count_irreducibles, enumerate_irreducibles, poly_gcd, q_associate,
+    Poly, count_irreducibles, enumerate_irreducibles, linearized_modulus, poly_gcd,
+    q_associate,
 )
 from permdyn.textio import parse_poly
 
@@ -189,6 +191,33 @@ def test_choose_LH_rejects_bad_parameters():
         choose_LH(6, 5)  # q not a prime power
     with pytest.raises(GuardExceeded):
         choose_LH(3, 53)  # iteration space refused; bounds still available
+
+
+def test_choose_LH_turns_a_refused_certificate_into_an_internal_fault(monkeypatch):
+    # certify_perm's linearized criterion is the one check that H is coprime to x^k - 1
+    def refuse(ctx, P):
+        raise PreconditionError("polynomial does not permute F_{q^k}")
+
+    monkeypatch.setattr(genirr, "certify_perm", refuse)
+    for q, k in ((2, 5), (3, 5)):
+        with pytest.raises(InternalCheckError) as info:
+            choose_LH(q, k)
+        assert str(info.value) == "H is not coprime to x^k - 1"
+
+
+def test_choose_LH_runs_the_linearized_criterion_once(monkeypatch):
+    calls = []
+
+    def counted(h, k, q):
+        calls.append(str(h))
+        return linearized_modulus(h, k, q)
+
+    monkeypatch.setattr(genirr, "linearized_modulus", counted)
+    monkeypatch.setattr(permgroup, "linearized_modulus", counted)
+    for q, k in ((2, 5), (3, 5), (5, 3), (2, 11)):
+        del calls[:]
+        choose_LH(q, k)
+        assert len(calls) == 1, (q, k, calls)
 
 
 def test_choose_LH_periods_meet_tau_bound():

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from permdyn.context import frobenius, make_field_ctx
 from permdyn.dynamics import graph_Ck
 from permdyn.errors import InternalCheckError, PreconditionError
+from permdyn.fields import GF
 from permdyn.permgroup import (
     Matrix2, PermPoly, certify_perm, check_degree_preserving, frobenius_stable,
     gk_compose, gk_inverse, is_degree_preserving_form, lagrange_interpolate_all,
@@ -346,7 +347,7 @@ def test_moebius_rep_respects_composition_on_Ck():
 
 @pytest.mark.parametrize("text,want", [
     ("x", True), ("x^2", True), ("x^4+1", True), ("x^3", False),
-    ("x^2+x", False), ("x^8+1", True), ("x^6", False),
+    ("x^2+x", False), ("x^8+1", True), ("x^6", False), ("x^1048576", True),
 ])
 def test_is_degree_preserving_form_f2(text, want):
     F = parse_poly(CTX24.Fp, text)
@@ -370,6 +371,17 @@ def test_check_degree_preserving():
     F3 = CTX33.Fq
     assert check_degree_preserving(parse_poly(F3, "2x^3+1"), 3)
     assert not check_degree_preserving(parse_poly(F3, "x^2"), 3)
+
+
+@pytest.mark.parametrize("text", ["x^2+x", "x^4"])
+def test_check_degree_preserving_refuses_a_non_canonical_field_first(text):
+    # F_8 as F_2[z]/(z^3 + z^2 + 1); the canonical modulus is z^3 + z + 1. x^2 + x fails
+    # the fiber test and x^4 passes it: both are refused before any test runs
+    F8 = GF.extension(GF.prime(2), [1, 0, 1, 1])
+    assert F8.key != make_field_ctx(2, 3, 1).Fq.key
+    with pytest.raises(PreconditionError) as info:
+        check_degree_preserving(parse_poly(F8, text), 2)
+    assert str(info.value) == "F is not over the canonical F_q"
 
 
 def test_moebius_poly_rep_at_Q_2():
